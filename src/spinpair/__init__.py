@@ -38,13 +38,7 @@ from .entangle import (
     threshold_tau,
     threshold_temperature,
 )
-from .oracle import (
-    ConvergenceError,
-    check_density_matrix,
-    eigvals4,
-    spin_flip,
-    wootters_concurrence,
-)
+from .oracle import check_density_matrix, spin_flip, wootters_concurrence
 from .critical import (
     FIELD_RATIOS,
     GroundState,
@@ -74,7 +68,6 @@ from .observe import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "DEFAULT_FLIP_ANGLE",
     "DEFAULT_LINEWIDTH",
     "DEFAULT_UNITS",
@@ -104,7 +97,6 @@ __all__ = [
     "density_matrix",
     "derive",
     "derive_from_sigma_delta",
-    "eigvals4",
     "energies",
     "from_si",
     "ground_state",

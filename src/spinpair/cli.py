@@ -16,9 +16,10 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import critical, entangle, observe, spectrum, thermo
 from .model import PRESET_RATIOS, derive_from_sigma_delta, preset
-from .oracle import ConvergenceError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -125,15 +126,10 @@ def _cmd_spectrum(args) -> int:
     phi = math.radians(args.phi)
     if phi > math.pi:
         raise ValueError("--phi must not exceed 180 degrees")
+    # derive_from_sigma_delta, not SpinSystem: omega_sigma < omega_delta
+    # is valid input here.
     params = derive_from_sigma_delta(args.omega_sigma, args.omega_delta, 1.0)
-    beta = _beta_from_args(args)
-    levels = thermo.energies(params, 1.0)
-    pops = thermo.populations(levels, beta)
-    freqs = spectrum.transition_frequencies(levels)
-    amps = spectrum.transition_amplitudes(pops, params.theta, phi)
-    lines = [
-        spectrum.SpectrumLine(t, freqs[t], amps[t]) for t in spectrum.TRANSITIONS
-    ]
+    lines = spectrum._spectrum_lines(params, 1.0, _beta_from_args(args), phi)
     print("transition,frequency,amplitude")
     for line in lines:
         print(f"{line.transition},{line.frequency:.{digits}g},{line.amplitude:.{digits}g}")
@@ -246,12 +242,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from .model import SpinSystem, derive
 from . import thermo
 
-DEGENERACY_RTOL = 1e-12
-
 # Critical field in units of J / gamma_1 for the presets that do cross:
 # B_crit * gamma_1 / J = (1 + r) / (2 r) with r = omega2 / omega1.
 FIELD_RATIOS = {"hh": 1.0, "hc": 2.5, "hp": 1.75}
@@ -64,8 +62,6 @@ def critical_omega_sigma(omega_delta: float, coupling: float) -> float:
 def ground_state(system: SpinSystem) -> GroundState:
     """Which level is lowest, with exact degeneracies flagged."""
     levels = thermo.energies(derive(system), system.coupling).as_tuple()
-    scale = max(1.0, max(abs(e) for e in levels))
-    emin = min(levels)
-    members = [i + 1 for i, e in enumerate(levels) if e - emin <= DEGENERACY_RTOL * scale]
+    members = [i + 1 for i in thermo._ground_levels(levels)]
     pair = (members[0], members[1]) if len(members) >= 2 else None
     return GroundState(index=members[0], degenerate_pair=pair)

@@ -31,28 +31,13 @@ from .model import (
     derive_from_sigma_delta,
 )
 from . import thermo
+from .thermo import _EXP_MAX, _exp, _probs
 
-_EXP_MAX = 709.0
 _BRACKET_DOUBLINGS = 60
-
-
-def _exp(x: float) -> float:
-    # exp that saturates instead of raising; large-beta sweeps push
-    # arguments past float range on the non-entangled side.
-    return math.exp(x) if x < _EXP_MAX else math.inf
 
 
 def _sinh(x: float) -> float:
     return math.sinh(x) if x < _EXP_MAX else math.inf
-
-
-def _probs(pops) -> tuple[float, float, float, float]:
-    probs = getattr(pops, "probs", None)
-    if probs is None:
-        probs = tuple(float(v) for v in pops)
-        if len(probs) != 4:
-            raise ValueError("expected four populations")
-    return probs
 
 
 def concurrence_from_populations(pops, theta: float) -> float:
@@ -155,11 +140,7 @@ def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None
 
 def threshold_temperature(system: SpinSystem) -> float | None:
     """Dimensionless threshold tau_t = k_B T_t / J, or None when J = 0."""
-    params = derive(system)
-    beta_star = threshold_beta(params.d_coupling, params.sin_2theta, system.coupling)
-    if beta_star is None:
-        return None
-    return 1.0 / (beta_star * system.coupling)
+    return threshold_tau(system.omega1 - system.omega2, system.coupling)
 
 
 def threshold_tau(omega_delta: float, coupling: float = 1.0) -> float | None:

@@ -140,13 +140,18 @@ def derive_from_sigma_delta(
         raise ValueError("omega_sigma must be >= 0")
     if omega_delta < 0.0:
         raise ValueError("omega_delta must be >= 0")
-    if not coupling >= 0.0:
-        raise ValueError("coupling must be >= 0")
+    if not 0.0 <= coupling < math.inf:
+        raise ValueError("coupling must be finite and >= 0")
     d = math.hypot(omega_delta, coupling)
     # atan2(0, 0) = 0 fixes the degenerate J = 0, omega_delta = 0 case;
     # atan2(J, 0) = pi/2 makes the homonuclear angle exactly pi/4.
     theta = 0.5 * math.atan2(coupling, omega_delta)
     return DerivedParams(omega_sigma, omega_delta, d, theta)
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= 0.25 * math.pi:
+        raise ValueError("theta must lie in [0, pi/4]")
 
 
 def preset(name: str, field_omega: float, coupling: float = 1.0) -> SpinSystem:

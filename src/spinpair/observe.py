@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .thermo import Populations
+from .model import _check_theta
+from .thermo import Populations, _probs
 
 SINGULAR_COS2THETA = 1e-8
 CLAMP_ATOL = 1e-10
@@ -50,10 +51,8 @@ class Observables:
 
 
 def polarizations(pops, theta: float) -> Observables:
-    probs = getattr(pops, "probs", None)
-    if probs is None:
-        probs = tuple(float(v) for v in pops)
-    p1, p2, p3, p4 = probs
+    _check_theta(theta)
+    p1, p2, p3, p4 = _probs(pops)
     c = math.cos(2.0 * theta)
     return Observables(
         p1z=p1 - p4 + (p2 - p3) * c,
@@ -63,6 +62,7 @@ def polarizations(pops, theta: float) -> Observables:
 
 
 def _check_regular(theta: float) -> float:
+    _check_theta(theta)
     c = math.cos(2.0 * theta)
     if abs(c) < SINGULAR_COS2THETA:
         raise ValueError(

@@ -2,22 +2,23 @@
 
 Independent numeric cross-check for every closed-form concurrence in
 this package: C = max{0, l1 - l2 - l3 - l4} where the l_i are the
-decreasingly sorted square roots of the eigenvalues of rho @ rho_tilde,
+decreasingly sorted square roots of the eigenvalues of the Hermitian
+product sqrt(rho) rho_tilde sqrt(rho),
 
     rho_tilde = (sy (x) sy) rho* (sy (x) sy).
 
-The spectrum of rho @ rho_tilde coincides with that of the usual
-Hermitian construction sqrt(sqrt(rho) rho_tilde sqrt(rho)) squared, so
-no matrix square roots are needed. Eigenvalues come from a
-self-contained 4x4 solver: an exact two-block closed form when the
-matrix is X-structured (always the case for the thermal states built
-here), otherwise Householder reduction to Hessenberg form followed by
-shifted QR iteration.
+X-structured matrices (always the case for the thermal states built
+here) take the l_i from an exact two-block closed form. Any other state
+builds sqrt(rho) from the clipped eigendecomposition of rho and takes
+the l_i as the singular values of sqrt(rho) sqrt(rho_tilde), whose
+squares are the eigenvalues of the Hermitian product above. Singular
+values keep the small l_i accurate to rounding; square roots of the
+product's eigenvalues would amplify rounding to about 1e-8 near pure
+states.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -25,9 +26,6 @@ import numpy as np
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-
-_QR_BUDGET = 200
-_DEFLATE_RTOL = 1e-14
 
 # Sign pattern of sy (x) sy in the product basis {aa, ab, ba, bb}:
 # flipping both spins reverses the basis order and these signs.
@@ -37,10 +35,6 @@ _FLIP_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 _X_PATTERN = np.zeros((4, 4), dtype=bool)
 _X_PATTERN[np.arange(4), np.arange(4)] = True
 _X_PATTERN[np.arange(4), 3 - np.arange(4)] = True
-
-
-class ConvergenceError(RuntimeError):
-    """Eigenvalue iteration exceeded its budget."""
 
 
 def _as_matrix4(matrix) -> np.ndarray:
@@ -64,7 +58,7 @@ def check_density_matrix(rho) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian")
     if abs(m.trace().real - 1.0) > TRACE_ATOL or abs(m.trace().imag) > TRACE_ATOL:
         raise ValueError("density matrix must have unit trace")
-    if float(np.min(eigvals4(m).real)) < EIGENVALUE_FLOOR:
+    if float(np.min(np.linalg.eigvalsh(m))) < EIGENVALUE_FLOOR:
         raise ValueError("density matrix has a negative eigenvalue")
     return m
 
@@ -84,15 +78,9 @@ def wootters_concurrence(rho) -> float:
     if np.all(m[~_X_PATTERN] == 0.0):
         lams = sorted(_x_state_lambdas(m), reverse=True)
     else:
-        product = m @ spin_flip(m)
-        vals = eigvals4(product)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if float(np.max(np.abs(vals.imag))) > 1e-10 * scale:
-            raise ConvergenceError("spin-flip spectrum has a non-real eigenvalue")
-        real = vals.real
-        if float(np.min(real)) < EIGENVALUE_FLOOR * scale:
-            raise ValueError("spin-flip product is not positive semidefinite")
-        lams = np.sort(np.sqrt(np.clip(real, 0.0, None)))[::-1]
+        w, v = np.linalg.eigh(m)
+        sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        lams = np.linalg.svd(sqrt_rho @ spin_flip(sqrt_rho), compute_uv=False)
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
 
@@ -106,105 +94,3 @@ def _x_state_lambdas(m: np.ndarray) -> list[float]:
     a23 = abs(m[1, 2])
     return [outer + a14, abs(outer - a14), inner + a23, abs(inner - a23)]
 
-
-def eigvals4(matrix) -> np.ndarray:
-    """Eigenvalues of a 4x4 matrix, unordered.
-
-    X-structured input (nonzeros confined to the diagonal and
-    anti-diagonal) is solved exactly via its two 2x2 blocks; anything
-    else goes through Hessenberg reduction and shifted QR.
-    """
-    m = _as_matrix4(matrix)
-    if np.all(m[~_X_PATTERN] == 0.0):
-        outer = _eig2(m[0, 0], m[0, 3], m[3, 0], m[3, 3])
-        inner = _eig2(m[1, 1], m[1, 2], m[2, 1], m[2, 2])
-        return np.array(outer + inner)
-    return _qr_eigvals(_hessenberg(m))
-
-
-def _eig2(a, b, c, d) -> tuple[complex, complex]:
-    half_trace = 0.5 * (a + d)
-    disc = cmath.sqrt(0.25 * (a - d) * (a - d) + b * c)
-    return (half_trace + disc, half_trace - disc)
-
-
-def _hessenberg(m: np.ndarray) -> np.ndarray:
-    h = m.copy()
-    for k in range(2):
-        x = h[k + 1 :, k]
-        below = float(np.sum(np.abs(x[1:]) ** 2))
-        if below == 0.0:
-            continue
-        norm_x = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if abs(x[0]) > 0.0 else 1.0
-        v[0] += phase * norm_x
-        v /= math.sqrt(float(np.sum(np.abs(v) ** 2)))
-        h[k + 1 :, :] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, :])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-    return h
-
-
-def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = a.shape[0]
-    r = a.copy()
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 1):
-        x = r[k:, k]
-        norm_x = math.sqrt(float(np.sum(np.abs(x) ** 2)))
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if abs(x[0]) > 0.0 else 1.0
-        v[0] += phase * norm_x
-        norm_v = math.sqrt(float(np.sum(np.abs(v) ** 2)))
-        if norm_v == 0.0:
-            continue
-        v /= norm_v
-        r[k:, :] -= 2.0 * np.outer(v, v.conj() @ r[k:, :])
-        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v.conj())
-    return q, r
-
-
-def _wilkinson_shift(block: np.ndarray) -> complex:
-    e1, e2 = _eig2(block[-2, -2], block[-2, -1], block[-1, -2], block[-1, -1])
-    d = block[-1, -1]
-    return e1 if abs(e1 - d) <= abs(e2 - d) else e2
-
-
-def _negligible(h: np.ndarray, i: int) -> bool:
-    return abs(h[i, i - 1]) <= _DEFLATE_RTOL * (abs(h[i - 1, i - 1]) + abs(h[i, i])) + 1e-300
-
-
-def _qr_eigvals(hess: np.ndarray) -> np.ndarray:
-    h = hess.copy()
-    out: list[complex] = []
-    n = 4
-    steps = 0
-    while n > 0:
-        if n == 1:
-            out.append(h[0, 0])
-            break
-        if _negligible(h, n - 1):
-            out.append(h[n - 1, n - 1])
-            n -= 1
-            continue
-        if n == 2 or _negligible(h, n - 2):
-            out.extend(_eig2(h[n - 2, n - 2], h[n - 2, n - 1], h[n - 1, n - 2], h[n - 1, n - 1]))
-            n -= 2
-            continue
-        steps += 1
-        if steps > _QR_BUDGET:
-            raise ConvergenceError("QR iteration did not converge")
-        low = n - 2
-        while low > 0 and not _negligible(h, low):
-            low -= 1
-        block = h[low:n, low:n]
-        shift = _wilkinson_shift(block)
-        if steps % 13 == 0:
-            # exceptional shift, breaks the rare symmetric stall
-            shift = block[-1, -1] + abs(block[-1, -2])
-        eye = np.eye(n - low, dtype=complex)
-        q, r = _householder_qr(block - shift * eye)
-        h[low:n, low:n] = r @ q + shift * eye
-    return np.array(out)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SpinSystem, derive
+from .model import DerivedParams, SpinSystem, _check_theta, derive
 from . import thermo
 
 TRANSITIONS = ("T43", "T21", "T42", "T31")
@@ -53,10 +53,7 @@ def transition_frequencies(levels: thermo.EnergyLevels) -> dict[str, float]:
 def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:
     """Signed amplitudes of the four lines after a pulse of flip angle phi."""
     _check_flip_angle(phi)
-    probs = getattr(pops, "probs", None)
-    if probs is None:
-        probs = tuple(float(v) for v in pops)
-    p1, p2, p3, p4 = probs
+    p1, p2, p3, p4 = thermo._probs(pops)
     s = math.sin(2.0 * theta)
     c2 = math.cos(2.0 * theta) ** 2
     sp2 = math.sin(0.5 * phi) ** 2
@@ -92,8 +89,7 @@ def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:
 
 def roofing_intensities(theta: float) -> tuple[float, float]:
     """(inner, outer) line intensities 1 + sin 2theta and 1 - sin 2theta."""
-    if not 0.0 <= theta <= 0.25 * math.pi:
-        raise ValueError("theta must lie in [0, pi/4]")
+    _check_theta(theta)
     s = math.sin(2.0 * theta)
     return (1.0 + s, 1.0 - s)
 
@@ -102,9 +98,13 @@ def simulate_spectrum(
     system: SpinSystem, beta: float, phi: float = DEFAULT_FLIP_ANGLE
 ) -> list[SpectrumLine]:
     """Join thermal (or beta = inf limit) populations with the line table."""
-    _check_flip_angle(phi)
-    params = derive(system)
-    levels = thermo.energies(params, system.coupling)
+    return _spectrum_lines(derive(system), system.coupling, beta, phi)
+
+
+def _spectrum_lines(
+    params: DerivedParams, coupling: float, beta: float, phi: float
+) -> list[SpectrumLine]:
+    levels = thermo.energies(params, coupling)
     pops = thermo.populations(levels, beta)
     freqs = transition_frequencies(levels)
     amps = transition_amplitudes(pops, params.theta, phi)

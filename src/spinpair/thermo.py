@@ -31,7 +31,14 @@ from .model import DerivedParams
 # zero-temperature limit.
 DEGENERACY_RTOL = 1e-12
 
-_LOG_FLOAT_MAX = 709.0
+# math.exp overflows just above this argument.
+_EXP_MAX = 709.0
+
+
+def _exp(x: float) -> float:
+    # exp that saturates instead of raising; large-beta evaluations push
+    # arguments past float range on the non-entangled side.
+    return math.exp(x) if x < _EXP_MAX else math.inf
 
 
 @dataclass(frozen=True)
@@ -113,11 +120,7 @@ def partition(levels: EnergyLevels, beta: float) -> float:
     """
     if not beta >= 0.0 or math.isinf(beta):
         raise ValueError("beta must be finite and >= 0")
-    es = levels.as_tuple()
-    emin = min(es)
-    shifted = sum(math.exp(-beta * (e - emin)) for e in es)
-    log_z = -beta * emin + math.log(shifted)
-    return math.exp(log_z) if log_z < _LOG_FLOAT_MAX else math.inf
+    return populations(levels, beta).z
 
 
 def partition_closed(params: DerivedParams, coupling: float, beta: float) -> float:
@@ -138,9 +141,7 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
     """Boltzmann occupations; beta = inf selects the exact ground-state limit."""
     es = levels.as_tuple()
     if math.isinf(beta):
-        emin = min(es)
-        scale = max(1.0, max(abs(e) for e in es))
-        ground = [i for i, e in enumerate(es) if e - emin <= DEGENERACY_RTOL * scale]
+        ground = _ground_levels(es)
         share = 1.0 / len(ground)
         ps = [share if i in ground else 0.0 for i in range(4)]
         return Populations(*ps, z=float(len(ground)), beta=math.inf, zero_temp=True)
@@ -150,9 +151,24 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
     weights = [math.exp(-beta * (e - emin)) for e in es]
     total = sum(weights)
     ps = [w / total for w in weights]
-    log_z = -beta * emin + math.log(total)
-    z = math.exp(log_z) if log_z < _LOG_FLOAT_MAX else math.inf
-    return Populations(*ps, z=z, beta=beta)
+    return Populations(*ps, z=_exp(-beta * emin + math.log(total)), beta=beta)
+
+
+def _ground_levels(es: tuple[float, ...]) -> list[int]:
+    """0-based indices of the levels exactly degenerate with the lowest one."""
+    emin = min(es)
+    scale = max(1.0, max(abs(e) for e in es))
+    return [i for i, e in enumerate(es) if e - emin <= DEGENERACY_RTOL * scale]
+
+
+def _probs(pops) -> tuple[float, float, float, float]:
+    """The four populations of a Populations or of any length-4 sequence."""
+    probs = getattr(pops, "probs", None)
+    if probs is None:
+        probs = tuple(float(v) for v in pops)
+        if len(probs) != 4:
+            raise ValueError("expected four populations")
+    return probs
 
 
 def density_matrix(pops: Populations, theta: float) -> DensityMatrixX:

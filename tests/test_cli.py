@@ -1,6 +1,8 @@
 import json
 import math
 
+import numpy as np
+
 from spinpair import entangle, model, observe, thermo
 from spinpair.cli import main
 
@@ -156,6 +158,23 @@ def test_threshold_bad_input(capsys):
     assert run_cli(capsys, "threshold")[0] == 2
 
 
+def test_threshold_rejects_infinite_coupling(capsys):
+    code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "1", "--coupling", "inf")
+    assert code == 2
+    assert out == ""
+
+
+def test_linalg_error_exits_numerical(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError but is a numerical failure, not usage.
+    def fail(*args):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(entangle, "threshold_tau", fail)
+    code, _, err = run_cli(capsys, "threshold", "--omega-delta", "1")
+    assert code == 3
+    assert "numerical failure" in err
+
+
 def test_spectrum_silent_ground(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--zero-temp"
@@ -265,6 +284,16 @@ def test_reconstruct_errors(capsys):
         capsys, "reconstruct", "--p1z", "1", "--p2z", "1", "--p1z2z", "-1",
         "--theta-deg", "30",
     )[0] == 2
+
+
+def test_reconstruct_rejects_theta_out_of_range(capsys):
+    for theta_deg in ("200", "-5"):
+        code, out, _ = run_cli(
+            capsys, "reconstruct", "--p1z", "0.1", "--p2z", "0.05", "--p1z2z", "0.2",
+            "--theta-deg", theta_deg,
+        )
+        assert code == 2
+        assert out == ""
 
 
 def test_reconstruct_chained_from_thermal_state(capsys):

@@ -51,6 +51,14 @@ def test_invalid_inputs_raise():
         model.SpinSystem(math.nan, 1.0, 1.0)
 
 
+def test_derive_rejects_non_finite_coupling():
+    for coupling in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            model.derive_from_sigma_delta(1.0, 1.0, coupling)
+        with pytest.raises(ValueError):
+            model.SpinSystem(1.0, 0.0, coupling)
+
+
 def test_derive_scale_covariance():
     rng = np.random.default_rng(11)
     for _ in range(300):

@@ -56,6 +56,17 @@ def test_observable_range_validation():
         observe.Observables(0.0, 0.0, math.nan)
 
 
+def test_theta_range_validation():
+    obs = observe.Observables(0.1, 0.05, 0.2)
+    for theta in (-1e-3, math.pi / 4 + 1e-3, math.radians(200.0)):
+        with pytest.raises(ValueError, match="theta"):
+            observe.polarizations((0.25, 0.25, 0.25, 0.25), theta)
+        with pytest.raises(ValueError, match="theta"):
+            observe.reconstruct_populations(obs, theta)
+        with pytest.raises(ValueError, match="theta"):
+            observe.concurrence_from_observables(obs, theta)
+
+
 def test_concurrence_from_observables_pure_entangled():
     obs = observe.polarizations((0, 0, 1, 0), math.pi / 6)
     c = observe.concurrence_from_observables(obs, math.pi / 6)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpair import entangle, model, oracle, thermo
+from spinpair import critical, entangle, model, oracle, thermo
 
 
 def _thermal_rho(omega_sigma, omega_delta, beta, coupling=1.0):
@@ -119,58 +119,41 @@ def test_check_density_matrix_rejects_invalid():
         oracle.check_density_matrix(skew)
 
 
-def test_eigvals4_trivial():
-    assert np.allclose(np.sort(oracle.eigvals4(np.eye(4)).real), np.ones(4))
-    vals = np.sort(oracle.eigvals4(np.diag([1.0, 2.0, 3.0, 4.0])).real)
-    assert np.allclose(vals, [1.0, 2.0, 3.0, 4.0])
-
-
-def test_eigvals4_symmetric_block_quadratic():
-    a, b, c = 0.7, 0.2, 0.1
-    m = np.diag([1.3, a, c, -0.4]).astype(complex)
-    m[1, 2] = m[2, 1] = b
-    mean = 0.5 * (a + c)
-    offset = math.hypot(0.5 * (a - c), b)
-    expected = np.sort([1.3, -0.4, mean + offset, mean - offset])
-    fast = np.sort(oracle.eigvals4(m).real)
-    assert np.allclose(fast, expected, atol=1e-14)
-    # the generic Hessenberg/QR path must agree with the block formula
-    generic = np.sort(oracle._qr_eigvals(oracle._hessenberg(m)).real)
-    assert np.allclose(generic, expected, atol=1e-10)
-
-
-def test_eigvals4_random_dense_vs_numpy():
-    rng = np.random.default_rng(35)
-    for _ in range(200):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        mine = np.sort_complex(oracle.eigvals4(m))
-        ref = np.sort_complex(np.linalg.eigvals(m))
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        assert np.max(np.abs(mine - ref)) <= 1e-10 * scale
-
-
-def test_eigvals4_random_hermitian_vs_numpy():
-    rng = np.random.default_rng(36)
-    for _ in range(200):
-        m = _random_hermitian(rng)
-        mine = np.sort(oracle.eigvals4(m).real)
-        ref = np.sort(np.linalg.eigvalsh(m))
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        assert np.max(np.abs(mine - ref)) <= 1e-10 * scale
-
-
-def test_eigvals4_rejects_bad_input():
+def test_wootters_rejects_bad_input():
     with pytest.raises(ValueError):
-        oracle.eigvals4(np.eye(3))
-    bad = np.eye(4)
+        oracle.wootters_concurrence(np.eye(3) / 3.0)
+    bad = np.eye(4) / 4.0
     bad[0, 0] = math.nan
     with pytest.raises(ValueError):
-        oracle.eigvals4(bad)
+        oracle.wootters_concurrence(bad)
 
 
-def test_qr_budget_exhaustion_raises(monkeypatch):
-    monkeypatch.setattr(oracle, "_QR_BUDGET", 0)
-    rng = np.random.default_rng(37)
-    m = rng.normal(size=(4, 4))
-    with pytest.raises(oracle.ConvergenceError):
-        oracle.eigvals4(m)
+def test_dense_path_matches_x_path():
+    # An off-pattern coherence far below rounding forces the general
+    # path on a thermal X state; it must reproduce the exact block
+    # formula, including at and next to the E3/E4 crossing and near
+    # pure states.
+    worst = 0.0
+    for wd in (0.0, 0.5, 1.0, 2.5, 7.0):
+        ws_cross = critical.critical_omega_sigma(wd, 1.0)
+        for ws in (wd, ws_cross * (1 - 1e-9), ws_cross, ws_cross * (1 + 1e-9), 1.5 * ws_cross):
+            for beta in (0.01, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3, math.inf):
+                rho, _ = _thermal_rho(ws, wd, beta)
+                x_path = oracle.wootters_concurrence(rho)
+                dense = rho.astype(complex)
+                dense[0, 1] = dense[1, 0] = 1e-300
+                worst = max(worst, abs(oracle.wootters_concurrence(dense) - x_path))
+    assert worst <= 1e-12
+
+
+def test_dense_rank_one_matches_pure_state_formula():
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    syy = np.kron(sy, sy)
+    rng = np.random.default_rng(38)
+    worst = 0.0
+    for _ in range(1000):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        expected = abs(psi @ syy @ psi)  # |<psi| sy sy |psi*>|
+        worst = max(worst, abs(oracle.wootters_concurrence(np.outer(psi, psi.conj())) - expected))
+    assert worst <= 1e-12
