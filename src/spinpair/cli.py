@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import critical, entangle, observe, spectrum, thermo
-from .model import PRESET_RATIOS, derive_from_sigma_delta, preset
+from .model import PRESET_RATIOS, _beta_from_tau, derive_from_sigma_delta, preset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,9 +54,9 @@ def _beta_from_args(args) -> float:
         return math.inf
     if args.tau is None:
         raise ValueError("either --tau or --zero-temp is required")
-    if not args.tau > 0.0:
+    if args.tau == 0.0:
         raise ValueError("--tau must be > 0 (use --zero-temp for the limit)")
-    return 1.0 / args.tau
+    return _beta_from_tau(args.tau)
 
 
 def _cmd_concurrence(args) -> int:
@@ -79,8 +79,7 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
         raise ValueError("--points must be >= 1")
     if points == 1:
         return [start]
-    if not stop > start:
-        raise ValueError("--to must exceed --from for multi-point grids")
+    # The consumer's grid check rejects a non-increasing or non-finite grid.
     step = (stop - start) / (points - 1)
     return [start + i * step for i in range(points)]
 
@@ -88,19 +87,15 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
 def _cmd_scan(args) -> int:
     digits = _digits()
     grid = _grid(args.start, args.stop, args.points)
-    if args.axis == "tau":
-        rows = entangle.sweep(
-            "temperature",
-            grid,
-            omega_sigma=args.omega_sigma,
-            omega_delta=args.omega_delta,
-        )
-    else:
-        if args.tau is None:
-            raise ValueError("field scans require --tau")
-        rows = entangle.sweep(
-            "field", grid, omega_delta=args.omega_delta, tau=args.tau
-        )
+    # Each axis reads only its own parameters: tau axes ignore --tau and
+    # field axes ignore --omega-sigma.
+    rows = entangle.sweep(
+        "temperature" if args.axis == "tau" else "field",
+        grid,
+        omega_sigma=args.omega_sigma,
+        omega_delta=args.omega_delta,
+        tau=args.tau,
+    )
     print("x,concurrence")
     for x, c in rows:
         print(f"{x:.{digits}g},{c:.{digits}g}")
@@ -121,22 +116,21 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     digits = _digits()
-    if not args.phi > 0.0:
-        raise ValueError("--phi must be > 0 degrees")
-    phi = math.radians(args.phi)
-    if phi > math.pi:
-        raise ValueError("--phi must not exceed 180 degrees")
     # derive_from_sigma_delta, not SpinSystem: omega_sigma < omega_delta
     # is valid input here.
     params = derive_from_sigma_delta(args.omega_sigma, args.omega_delta, 1.0)
+    phi = math.radians(args.phi)
     lines = spectrum._spectrum_lines(params, 1.0, _beta_from_args(args), phi)
+    if args.render is not None:
+        start, stop, points = args.render
+        if not points.is_integer():
+            raise ValueError("--render POINTS must be an integer")
+        grid = _grid(start, stop, int(points))
+        curve = spectrum.render_lorentzian(lines, args.linewidth, grid)
     print("transition,frequency,amplitude")
     for line in lines:
         print(f"{line.transition},{line.frequency:.{digits}g},{line.amplitude:.{digits}g}")
     if args.render is not None:
-        start, stop, points = args.render
-        grid = _grid(start, stop, int(points))
-        curve = spectrum.render_lorentzian(lines, args.linewidth, grid)
         print("f,intensity")
         for f, value in zip(grid, curve):
             print(f"{f:.{digits}g},{value:.{digits}g}")
@@ -147,16 +141,16 @@ def _cmd_crossing(args) -> int:
     digits = _digits()
     if args.preset is not None:
         system = preset(args.preset, 1.0)
-        j_cross = critical.crossing_coupling(system.omega1, system.omega2)
-        payload = {"j_cross": "none" if j_cross is None else _sig(j_cross, digits)}
-        if args.preset in critical.FIELD_RATIOS:
-            payload["field_ratio"] = critical.critical_field_ratio(args.preset)
-        _emit_json(payload)
-        return EXIT_OK
-    if args.omega1 is None or args.omega2 is None:
+        omega1, omega2 = system.omega1, system.omega2
+    elif args.omega1 is None or args.omega2 is None:
         raise ValueError("provide --preset or both --omega1 and --omega2")
-    j_cross = critical.crossing_coupling(args.omega1, args.omega2)
-    _emit_json({"j_cross": "none" if j_cross is None else _sig(j_cross, digits)})
+    else:
+        omega1, omega2 = args.omega1, args.omega2
+    j_cross = critical.crossing_coupling(omega1, omega2)
+    payload = {"j_cross": "none" if j_cross is None else _sig(j_cross, digits)}
+    if args.preset in critical.FIELD_RATIOS:
+        payload["field_ratio"] = critical.critical_field_ratio(args.preset)
+    _emit_json(payload)
     return EXIT_OK
 
 

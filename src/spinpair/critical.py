@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SpinSystem, derive
+from .model import SpinSystem, derive, derive_from_sigma_delta
 from . import thermo
 
 # Critical field in units of J / gamma_1 for the presets that do cross:
@@ -36,6 +36,8 @@ class GroundState:
 
 def crossing_coupling(omega1: float, omega2: float) -> float | None:
     """Coupling at which E3 and E4 cross, or None when no crossing exists."""
+    if not (math.isfinite(omega1) and math.isfinite(omega2)):
+        raise ValueError("frequencies must be finite")
     total = omega1 + omega2
     if total == 0.0:
         return None
@@ -56,7 +58,8 @@ def critical_omega_sigma(omega_delta: float, coupling: float) -> float:
     """Positive root of omega_sigma^2 - 2 J omega_sigma - omega_delta^2 = 0."""
     if not coupling > 0.0:
         raise ValueError("coupling must be > 0")
-    return coupling + math.hypot(coupling, omega_delta)
+    # derive_from_sigma_delta validates omega_delta and J; D = hypot(omega_delta, J).
+    return coupling + derive_from_sigma_delta(0.0, omega_delta, coupling).d_coupling
 
 
 def ground_state(system: SpinSystem) -> GroundState:

@@ -20,20 +20,21 @@ The homonuclear case collapses to C = max{0, (e^{beta J} - 3) /
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from .model import (
     DEFAULT_UNITS,
     DerivedParams,
     SpinSystem,
-    TWO_PI,
     UnitContext,
+    _beta_from_tau,
+    _check_grid,
     derive,
     derive_from_sigma_delta,
+    from_si,
 )
 from . import thermo
 from .thermo import _EXP_MAX, _exp, _probs
-
-_BRACKET_DOUBLINGS = 60
 
 
 def _sinh(x: float) -> float:
@@ -59,19 +60,26 @@ def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) 
         return concurrence_from_populations(pops, params.theta)
     if not beta >= 0.0:
         raise ValueError("beta must be >= 0")
-    d = params.d_coupling
+    return _ratio_form(
+        params.omega_sigma, params.d_coupling, params.sin_2theta, coupling, beta
+    )
+
+
+def _ratio_form(
+    omega_sigma: float, d: float, sin_2theta: float, coupling: float, beta: float
+) -> float:
+    """Ratio form at one finite beta >= 0; the caller validates its inputs."""
     half = 0.5 * beta
+    e_d = math.exp(-beta * d)
     # Ratio form rescaled by 2 exp(-beta D / 2): every exponent is
     # non-positive below the level crossing, so nothing overflows there,
     # and beyond the crossing the single growing term drives C -> 0.
-    num = params.sin_2theta * (1.0 - math.exp(-beta * d)) - 2.0 * math.exp(
-        -half * (d + coupling)
-    )
+    num = sin_2theta * (1.0 - e_d) - 2.0 * math.exp(-half * (d + coupling))
     den = (
-        _exp(-half * (d + coupling - params.omega_sigma))
-        + math.exp(-half * (d + coupling + params.omega_sigma))
+        _exp(-half * (d + coupling - omega_sigma))
+        + math.exp(-half * (d + coupling + omega_sigma))
         + 1.0
-        + math.exp(-beta * d)
+        + e_d
     )
     value = num / den
     return value if value > 0.0 else 0.0
@@ -110,23 +118,21 @@ def entanglement_gap(beta: float, d: float, sin_2theta: float, coupling: float) 
 
 
 def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None:
-    """Root of the entanglement gap, or None when no root exists (J = 0)."""
-    if coupling <= 0.0 or sin_2theta <= 0.0:
+    """Root of the entanglement gap, or None when no root exists (J = 0).
+
+    With x = beta D / 2 and s = sin 2theta = J / D the gap is
+    sinh(x) s - exp(-x s). Where sinh(x) s = 2 the gap is at least
+    2 - 1 > 0; where sinh(x) s = e^-2 it is at most e^-2 - exp(-e^-2) < 0,
+    because x s <= sinh(x) s. Both bracket ends are closed forms in x.
+    """
+    if coupling == 0.0:
         return None
-    lo = 1e-6 / coupling
-    for _ in range(_BRACKET_DOUBLINGS):
-        if entanglement_gap(lo, d, sin_2theta, coupling) < 0.0:
-            break
-        lo *= 0.5
-    else:
-        return None
-    hi = 1.0 / coupling
-    for _ in range(_BRACKET_DOUBLINGS):
-        if entanglement_gap(hi, d, sin_2theta, coupling) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        return None
+    if not sin_2theta > 0.0:
+        raise ArithmeticError("sin 2theta underflowed to 0 although J > 0")
+    lo = 2.0 * math.asinh(math.exp(-2.0) / sin_2theta) / d
+    hi = 2.0 * math.asinh(2.0 / sin_2theta) / d
+    if not math.isfinite(hi):
+        raise ArithmeticError(f"threshold bracket is not finite: [{lo!r}, {hi!r}]")
     for _ in range(300):
         if hi - lo <= 1e-15 * hi:
             break
@@ -154,10 +160,8 @@ def threshold_tau(omega_delta: float, coupling: float = 1.0) -> float | None:
 
 def threshold_kelvin(j_hz: float, units: UnitContext = DEFAULT_UNITS) -> float:
     """Homonuclear threshold in Kelvin for a coupling quoted in Hz."""
-    if not j_hz > 0.0:
-        raise ValueError("j_hz must be > 0")
-    factor = TWO_PI if units.hz_convention else 1.0
-    return units.hbar * factor * j_hz / (units.k_boltzmann * math.log(3.0))
+    _, energy_scale = from_si(0.0, 0.0, j_hz, units)
+    return energy_scale / (units.k_boltzmann * math.log(3.0))
 
 
 def sweep(
@@ -177,35 +181,31 @@ def sweep(
     The grid must be non-empty, finite and strictly increasing.
     """
     points = [float(x) for x in grid]
-    if not points:
-        raise ValueError("empty grid")
-    if any(not math.isfinite(x) for x in points):
-        raise ValueError("grid values must be finite")
-    if any(b <= a for a, b in zip(points, points[1:])):
-        raise ValueError("grid must be strictly increasing")
-
+    _check_grid(points)
     if axis == "temperature":
         if omega_sigma is None or omega_delta is None:
             raise ValueError("temperature sweeps need omega_sigma and omega_delta")
         params = derive_from_sigma_delta(omega_sigma, omega_delta, coupling)
-        rows = []
-        for t in points:
-            if t < 0.0:
-                raise ValueError("tau must be >= 0")
-            beta = math.inf if t == 0.0 else 1.0 / (t * coupling)
-            rows.append((t, concurrence_for_params(params, coupling, beta)))
-        return rows
-
-    if axis == "field":
+        fields = repeat(params.omega_sigma)
+        betas = map(_beta_from_tau, points, repeat(coupling))
+    elif axis == "field":
         if omega_delta is None or tau is None:
             raise ValueError("field sweeps need omega_delta and tau")
-        if tau < 0.0:
-            raise ValueError("tau must be >= 0")
-        beta = math.inf if tau == 0.0 else 1.0 / (tau * coupling)
-        rows = []
-        for ws in points:
-            params = derive_from_sigma_delta(ws, omega_delta, coupling)
-            rows.append((ws, concurrence_for_params(params, coupling, beta)))
-        return rows
+        # D and theta do not depend on omega_sigma, and validating the
+        # lowest field of the increasing grid validates every field.
+        params = derive_from_sigma_delta(points[0], omega_delta, coupling)
+        fields = points
+        betas = repeat(_beta_from_tau(tau, coupling))
+    else:
+        raise ValueError(f"unknown sweep axis {axis!r}")
 
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    d, theta, s = params.d_coupling, params.theta, params.sin_2theta
+    rows = []
+    for x, ws, beta in zip(points, fields, betas):
+        if beta == math.inf:
+            limit = DerivedParams(ws, params.omega_delta, d, theta)
+            c = concurrence_for_params(limit, coupling, beta)
+        else:
+            c = _ratio_form(ws, d, s, coupling, beta)
+        rows.append((x, c))
+    return rows

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 K_BOLTZMANN = 1.380649e-23  # J/K
 HBAR = 1.054571817e-34      # J*s
 TWO_PI = 2.0 * math.pi
@@ -154,6 +156,29 @@ def _check_theta(theta: float) -> None:
         raise ValueError("theta must lie in [0, pi/4]")
 
 
+def _beta_from_tau(tau: float, coupling: float = 1.0) -> float:
+    """beta = 1/(tau J); only tau = 0 gives the exact limit beta = inf, never an overflow."""
+    if not tau >= 0.0:
+        raise ValueError("tau must be >= 0")
+    if tau == 0.0:
+        return math.inf
+    scaled = tau * coupling
+    beta = 1.0 / scaled if scaled > 0.0 else math.inf
+    if math.isinf(beta):
+        raise ArithmeticError(f"beta = 1/(tau J) overflows at tau = {tau!r}")
+    return beta
+
+
+def _check_grid(grid) -> np.ndarray:
+    """The grid as a float array; it must be non-empty, finite and strictly increasing."""
+    points = np.asarray(grid, dtype=float)
+    if not (points.ndim == 1 and points.size and np.isfinite(points).all()):
+        raise ValueError("grid must be a non-empty 1-D sequence of finite values")
+    if (np.diff(points) <= 0.0).any():
+        raise ValueError("grid must be strictly increasing")
+    return points
+
+
 def preset(name: str, field_omega: float, coupling: float = 1.0) -> SpinSystem:
     """Named two-spin system at a given field, omega1 = field_omega.
 
@@ -182,8 +207,8 @@ def from_si(
     the energy scale hbar * J in Joule, which converts dimensionless
     beta*J products to absolute temperature.
     """
-    if not j_hz > 0.0:
-        raise ValueError("j_hz must be > 0")
+    if not 0.0 < j_hz < math.inf:
+        raise ValueError("j_hz must be finite and > 0")
     factor = TWO_PI if units.hz_convention else 1.0
     energy_scale = units.hbar * factor * j_hz
     return SpinSystem(nu1_hz / j_hz, nu2_hz / j_hz, 1.0), energy_scale

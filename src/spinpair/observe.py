@@ -71,16 +71,6 @@ def _check_regular(theta: float) -> float:
     return c
 
 
-def _clamp_population(value: float, label: str) -> float:
-    if -CLAMP_ATOL <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + CLAMP_ATOL:
-        return 1.0
-    if 0.0 <= value <= 1.0:
-        return value
-    raise ValueError(f"observables are inconsistent: {label} = {value} outside [0, 1]")
-
-
 def reconstruct_populations(obs: Observables, theta: float) -> Populations:
     """Invert the three observables into populations.
 
@@ -95,12 +85,11 @@ def reconstruct_populations(obs: Observables, theta: float) -> Populations:
     p2 = 0.25 * (1.0 - obs.p1z2z + skew)
     p3 = 0.25 * (1.0 - obs.p1z2z - skew)
     p4 = 0.25 * (1.0 - obs.p1z - obs.p2z + obs.p1z2z)
-    return Populations(
-        _clamp_population(p1, "p1"),
-        _clamp_population(p2, "p2"),
-        _clamp_population(p3, "p3"),
-        _clamp_population(p4, "p4"),
-    )
+    ps = (p1, p2, p3, p4)
+    for i, p in enumerate(ps, 1):
+        if not -CLAMP_ATOL <= p <= 1.0 + CLAMP_ATOL:
+            raise ValueError(f"observables are inconsistent: p{i} = {p} outside [0, 1]")
+    return Populations(*(min(max(p, 0.0), 1.0) for p in ps))
 
 
 def concurrence_from_observables(

@@ -32,30 +32,25 @@ EIGENVALUE_FLOOR = -1e-10
 _FLIP_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 # Entries allowed to be nonzero in an X-structured matrix.
-_X_PATTERN = np.zeros((4, 4), dtype=bool)
-_X_PATTERN[np.arange(4), np.arange(4)] = True
-_X_PATTERN[np.arange(4), 3 - np.arange(4)] = True
+_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
 
-def _as_matrix4(matrix) -> np.ndarray:
+def _as_hermitian4(matrix, error: str) -> np.ndarray:
+    """A finite complex 4x4 array; ValueError(error) unless it is Hermitian."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_ATOL * scale:
+        raise ValueError(error)
     return m
-
-
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def check_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; return as complex array."""
-    m = _as_matrix4(rho)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if _hermiticity_defect(m) > HERMITICITY_ATOL * scale:
-        raise ValueError("density matrix is not Hermitian")
+    m = _as_hermitian4(rho, "density matrix is not Hermitian")
     if abs(m.trace().real - 1.0) > TRACE_ATOL or abs(m.trace().imag) > TRACE_ATOL:
         raise ValueError("density matrix must have unit trace")
     if float(np.min(np.linalg.eigvalsh(m))) < EIGENVALUE_FLOOR:
@@ -65,10 +60,7 @@ def check_density_matrix(rho) -> np.ndarray:
 
 def spin_flip(rho) -> np.ndarray:
     """rho_tilde[i, j] = s_i s_j conj(rho[3-i, 3-j]) with s = (+1, -1, -1, +1)."""
-    m = _as_matrix4(rho)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if _hermiticity_defect(m) > HERMITICITY_ATOL * scale:
-        raise ValueError("spin flip requires a Hermitian input")
+    m = _as_hermitian4(rho, "spin flip requires a Hermitian input")
     return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * np.conj(m[::-1, ::-1])
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams, SpinSystem, _check_theta, derive
+from .model import DerivedParams, SpinSystem, _check_grid, _check_theta, derive
 from . import thermo
 
 TRANSITIONS = ("T43", "T21", "T42", "T31")
@@ -113,13 +113,9 @@ def _spectrum_lines(
 
 def render_lorentzian(lines, linewidth: float, frequency_grid) -> np.ndarray:
     """Sampled sum of Lorentzians, peak value equal to the line amplitude."""
-    if not linewidth > 0.0:
-        raise ValueError("linewidth must be > 0")
-    grid = np.asarray(frequency_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty frequency grid")
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("frequency grid must be strictly increasing")
+    if not 0.0 < linewidth < math.inf:
+        raise ValueError("linewidth must be finite and > 0")
+    grid = _check_grid(frequency_grid)
     half = 0.5 * linewidth
     intensity = np.zeros_like(grid)
     for line in lines:

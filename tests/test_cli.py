@@ -154,8 +154,11 @@ def test_threshold_si_rows(capsys):
 
 
 def test_threshold_bad_input(capsys):
-    assert run_cli(capsys, "threshold", "--j-hz", "0")[0] == 2
     assert run_cli(capsys, "threshold")[0] == 2
+    for j_hz in ("0", "inf", "nan"):
+        code, out, _ = run_cli(capsys, "threshold", "--j-hz", j_hz)
+        assert code == 2
+        assert out == ""
 
 
 def test_threshold_rejects_infinite_coupling(capsys):
@@ -254,6 +257,10 @@ def test_crossing_explicit_frequencies(capsys):
 def test_crossing_usage_errors(capsys):
     assert run_cli(capsys, "crossing", "--preset", "bogus")[0] == 2
     assert run_cli(capsys, "crossing", "--omega1", "4")[0] == 2
+    for omega1, omega2 in (("nan", "1"), ("1", "inf")):
+        code, out, _ = run_cli(capsys, "crossing", "--omega1", omega1, "--omega2", omega2)
+        assert code == 2
+        assert out == ""
 
 
 def test_reconstruct_pure_and_mixed(capsys):
@@ -324,3 +331,45 @@ def test_precision_env_override(capsys, monkeypatch):
 def test_precision_env_invalid(capsys, monkeypatch):
     monkeypatch.setenv("SPINPAIR_PRECISION", "lots")
     assert run_cli(capsys, "threshold", "--omega-delta", "0")[0] == 2
+
+
+def test_threshold_far_detuned_and_weak_coupling_are_finite(capsys):
+    code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "1e30")
+    assert code == 0
+    assert math.isclose(json.loads(out)["tau_t"], 7.16633200200e27, rel_tol=1e-11)
+    code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "1", "--coupling", "1e-300")
+    assert code == 0
+    assert math.isclose(json.loads(out)["tau_t"], 7.23098555322e296, rel_tol=1e-11)
+
+
+def test_threshold_underflowed_coupling_exits_numerical(capsys):
+    code, out, err = run_cli(capsys, "threshold", "--omega-delta", "1", "--coupling", "1e-320")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
+def test_tau_overflow_exits_numerical(capsys):
+    code, out, _ = run_cli(
+        capsys, "concurrence", "--omega-sigma", "1", "--omega-delta", "1", "--tau", "1e-320"
+    )
+    assert code == 3 and out == ""
+    code, out, _ = run_cli(
+        capsys, "scan", "--axis", "tau", "--from", "0", "--to", "1e-310", "--points", "3",
+        "--omega-sigma", "1", "--omega-delta", "1",
+    )
+    assert code == 3 and out == ""
+
+
+def test_spectrum_rejects_bad_flip_angle_and_render(capsys):
+    base = ("spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--tau", "1")
+    for extra in (
+        ("--phi", "0"),
+        ("--phi", "181"),
+        ("--phi", "nan"),
+        ("--render", "0", "1", "2.7"),
+        ("--render", "nan", "1", "1"),
+    ):
+        code, out, _ = run_cli(capsys, *base, *extra)
+        assert code == 2, extra
+        assert out == ""

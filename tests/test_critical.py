@@ -114,3 +114,12 @@ def test_ground_state_classification():
     assert at.degenerate_pair == (3, 4)
     above = classify(ws_crit + 0.5)
     assert above.index == 4 and above.degenerate_pair is None
+
+
+def test_non_finite_frequencies_rejected():
+    for omega1, omega2 in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError):
+            critical.crossing_coupling(omega1, omega2)
+    for omega_delta in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            critical.critical_omega_sigma(omega_delta, 1.0)

@@ -139,6 +139,9 @@ def test_threshold_kelvin_values():
         entangle.threshold_kelvin(0.0)
     with pytest.raises(ValueError):
         entangle.threshold_kelvin(-5.0)
+    for j_hz in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            entangle.threshold_kelvin(j_hz)
 
 
 def test_temperature_sweep_homonuclear():
@@ -188,3 +191,68 @@ def test_sweep_validation():
         entangle.sweep("field", [1.0, 2.0], omega_delta=0.0, tau=None)
     with pytest.raises(ValueError):
         entangle.sweep("temperature", [-0.1, 0.5], omega_sigma=0.0, omega_delta=0.0)
+
+
+def _mp_threshold_tau(omega_delta, coupling):
+    """50-digit root of the gap, solved in x = beta D / 2 where s = J / D."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        wd, j = mp.mpf(omega_delta), mp.mpf(coupling)
+        s = j / mp.sqrt(wd**2 + j**2)
+        x = mp.findroot(
+            lambda x: mp.sinh(x) * s - mp.exp(-x * s),
+            (mp.asinh(mp.exp(-2) / s), mp.asinh(2 / s)),
+            solver="anderson",
+        )
+        return float(1 / (2 * x * s))
+
+
+@pytest.mark.parametrize(
+    "omega_delta, coupling",
+    [(0.0, 1.0), (1.0, 1.0), (1e26, 1.0), (1e30, 1.0), (1e300, 1.0), (1.0, 1e-300)],
+)
+def test_threshold_matches_mpmath_root(omega_delta, coupling):
+    want = _mp_threshold_tau(omega_delta, coupling)
+    assert math.isclose(entangle.threshold_tau(omega_delta, coupling), want, rel_tol=1e-14)
+
+
+def test_threshold_numerical_failures():
+    # J > 0 below float range: the bracket overflows.
+    with pytest.raises(ArithmeticError):
+        entangle.threshold_tau(1.0, 1e-320)
+    # sin 2theta underflows to 0 although J > 0.
+    with pytest.raises(ArithmeticError):
+        entangle.threshold_tau(1e300, 1e-300)
+    assert entangle.threshold_beta(1.0, 0.0, 0.0) is None
+
+
+def _pointwise(omega_sigma, omega_delta, beta):
+    params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
+    return entangle.concurrence_for_params(params, 1.0, beta)
+
+
+def test_sweep_rows_equal_pointwise_route():
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        ws, wd = rng.uniform(0.0, 6.0), rng.uniform(0.0, 4.0)
+        taus = np.concatenate(([0.0], np.sort(rng.uniform(1e-3, 3.0, 60))))
+        rows = entangle.sweep("temperature", taus, omega_sigma=ws, omega_delta=wd)
+        assert rows == [
+            (t, _pointwise(ws, wd, math.inf if t == 0.0 else 1.0 / t)) for t in taus
+        ]
+        fields = np.sort(rng.uniform(0.0, 8.0, 60))
+        for tau in (0.0, rng.uniform(1e-3, 3.0)):
+            rows = entangle.sweep("field", fields, omega_delta=wd, tau=tau)
+            beta = math.inf if tau == 0.0 else 1.0 / tau
+            assert rows == [(x, _pointwise(x, wd, beta)) for x in fields]
+
+
+def test_sweep_tau_overflow_is_numerical():
+    with pytest.raises(ArithmeticError):
+        entangle.sweep("temperature", [0.0, 5e-311], omega_sigma=1.0, omega_delta=0.0)
+    with pytest.raises(ArithmeticError):
+        entangle.sweep("field", [0.0, 1.0], omega_delta=0.0, tau=1e-320)
+    with pytest.raises(ValueError):
+        entangle.sweep("field", [0.0, 1.0], omega_delta=0.0, tau=math.nan)
+    with pytest.raises(ValueError):
+        entangle.sweep("field", [-1.0, 1.0], omega_delta=0.0, tau=0.5)

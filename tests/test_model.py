@@ -157,3 +157,33 @@ def test_value_types_are_immutable():
     system = model.SpinSystem(2.0, 1.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         system.coupling = 2.0
+
+
+def test_from_si_rejects_non_finite_coupling():
+    for j_hz in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            model.from_si(0.0, 0.0, j_hz)
+
+
+def test_beta_from_tau():
+    assert model._beta_from_tau(0.0) == math.inf
+    assert model._beta_from_tau(0.5) == 2.0
+    assert model._beta_from_tau(0.5, 4.0) == 0.5
+    assert model._beta_from_tau(math.inf) == 0.0
+    for tau in (-0.1, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            model._beta_from_tau(tau)
+    # A tau too small for a finite beta is a numerical failure, not the
+    # zero-temperature limit.
+    for tau, coupling in ((1e-320, 1.0), (1e-200, 1e-200)):
+        with pytest.raises(ArithmeticError):
+            model._beta_from_tau(tau, coupling)
+
+
+def test_check_grid():
+    grid = model._check_grid([0, 0.5, 2])
+    assert grid.dtype == float and grid.tolist() == [0.0, 0.5, 2.0]
+    for bad in ([], [[0.0, 1.0]], [0.0, math.nan], [math.nan], [0.0, math.inf],
+                [1.0, 1.0], [1.0, 0.5]):
+        with pytest.raises(ValueError):
+            model._check_grid(bad)

@@ -207,9 +207,10 @@ def test_render_empty_and_linearity():
 
 def test_render_validation():
     line = spectrum.SpectrumLine("T21", 0.5, 0.2)
-    with pytest.raises(ValueError):
-        spectrum.render_lorentzian([line], 0.0, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        spectrum.render_lorentzian([line], 0.1, [])
-    with pytest.raises(ValueError):
-        spectrum.render_lorentzian([line], 0.1, [1.0, 0.5])
+    for linewidth in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            spectrum.render_lorentzian([line], linewidth, [0.0, 1.0])
+    for grid in ([], [1.0, 0.5], [math.nan], [0.0, math.nan, 1.0], [0.0, math.inf],
+                 [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            spectrum.render_lorentzian([line], 0.1, grid)
