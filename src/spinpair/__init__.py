@@ -6,13 +6,11 @@ reconstruction of entanglement from longitudinal NMR observables.
 """
 
 from .model import (
-    DEFAULT_UNITS,
     DerivedParams,
     HBAR,
     K_BOLTZMANN,
     PRESET_RATIOS,
     SpinSystem,
-    UnitContext,
     derive,
     derive_from_sigma_delta,
     from_si,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_FLIP_ANGLE",
     "DEFAULT_LINEWIDTH",
-    "DEFAULT_UNITS",
     "DensityMatrixX",
     "DerivedParams",
     "EnergyLevels",
@@ -84,7 +81,6 @@ __all__ = [
     "SpectrumLine",
     "SpinSystem",
     "TRANSITIONS",
-    "UnitContext",
     "check_density_matrix",
     "concurrence_for_params",
     "concurrence_from_observables",

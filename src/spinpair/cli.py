@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +27,10 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_DIGITS = 12
+
+# CSV lines per stdout write: large scans neither pay one write per line
+# nor hold their whole output in memory at once.
+_CHUNK_ROWS = 4096
 
 
 def _digits() -> int:
@@ -49,6 +54,16 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
+def _emit_csv(header: str, line: str, rows) -> None:
+    """The header, then line.format(*row) for each row, _CHUNK_ROWS lines per write."""
+    write = sys.stdout.write
+    write(header + "\n")
+    fmt = (line + "\n").format
+    rows = iter(rows)
+    while chunk := [fmt(*row) for row in islice(rows, _CHUNK_ROWS)]:
+        write("".join(chunk))
+
+
 def _beta_from_args(args) -> float:
     if args.zero_temp:
         return math.inf
@@ -59,8 +74,7 @@ def _beta_from_args(args) -> float:
     return _beta_from_tau(args.tau)
 
 
-def _cmd_concurrence(args) -> int:
-    digits = _digits()
+def _cmd_concurrence(args, digits: int) -> int:
     params = derive_from_sigma_delta(args.omega_sigma, args.omega_delta, 1.0)
     beta = _beta_from_args(args)
     pops = thermo.populations(thermo.energies(params, 1.0), beta)
@@ -84,8 +98,7 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
     return [start + i * step for i in range(points)]
 
 
-def _cmd_scan(args) -> int:
-    digits = _digits()
+def _cmd_scan(args, digits: int) -> int:
     grid = _grid(args.start, args.stop, args.points)
     # Each axis reads only its own parameters: tau axes ignore --tau and
     # field axes ignore --omega-sigma.
@@ -96,14 +109,12 @@ def _cmd_scan(args) -> int:
         omega_delta=args.omega_delta,
         tau=args.tau,
     )
-    print("x,concurrence")
-    for x, c in rows:
-        print(f"{x:.{digits}g},{c:.{digits}g}")
+    g = f"{{:.{digits}g}}"
+    _emit_csv("x,concurrence", f"{g},{g}", rows)
     return EXIT_OK
 
 
-def _cmd_threshold(args) -> int:
-    digits = _digits()
+def _cmd_threshold(args, digits: int) -> int:
     if args.j_hz is not None:
         _emit_json({"t_kelvin": _sig(entangle.threshold_kelvin(args.j_hz), digits)})
         return EXIT_OK
@@ -114,8 +125,7 @@ def _cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
-    digits = _digits()
+def _cmd_spectrum(args, digits: int) -> int:
     # derive_from_sigma_delta, not SpinSystem: omega_sigma < omega_delta
     # is valid input here.
     params = derive_from_sigma_delta(args.omega_sigma, args.omega_delta, 1.0)
@@ -127,18 +137,18 @@ def _cmd_spectrum(args) -> int:
             raise ValueError("--render POINTS must be an integer")
         grid = _grid(start, stop, int(points))
         curve = spectrum.render_lorentzian(lines, args.linewidth, grid)
-    print("transition,frequency,amplitude")
-    for line in lines:
-        print(f"{line.transition},{line.frequency:.{digits}g},{line.amplitude:.{digits}g}")
+    g = f"{{:.{digits}g}}"
+    _emit_csv(
+        "transition,frequency,amplitude",
+        f"{{}},{g},{g}",
+        ((line.transition, line.frequency, line.amplitude) for line in lines),
+    )
     if args.render is not None:
-        print("f,intensity")
-        for f, value in zip(grid, curve):
-            print(f"{f:.{digits}g},{value:.{digits}g}")
+        _emit_csv("f,intensity", f"{g},{g}", zip(grid, curve))
     return EXIT_OK
 
 
-def _cmd_crossing(args) -> int:
-    digits = _digits()
+def _cmd_crossing(args, digits: int) -> int:
     if args.preset is not None:
         system = preset(args.preset, 1.0)
         omega1, omega2 = system.omega1, system.omega2
@@ -154,8 +164,7 @@ def _cmd_crossing(args) -> int:
     return EXIT_OK
 
 
-def _cmd_reconstruct(args) -> int:
-    digits = _digits()
+def _cmd_reconstruct(args, digits: int) -> int:
     theta = math.radians(args.theta_deg)
     obs = observe.Observables(args.p1z, args.p2z, args.p1z2z)
     pops = observe.reconstruct_populations(obs, theta)
@@ -235,7 +244,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _digits())
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first.
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SpinSystem, derive, derive_from_sigma_delta
+from .model import PRESET_RATIOS, SpinSystem, derive, derive_from_sigma_delta
 from . import thermo
 
-# Critical field in units of J / gamma_1 for the presets that do cross:
-# B_crit * gamma_1 / J = (1 + r) / (2 r) with r = omega2 / omega1.
-FIELD_RATIOS = {"hh": 1.0, "hc": 2.5, "hp": 1.75}
-
-_NO_CROSSING_PRESETS = ("hyperfine", "positronium")
+# Critical field in units of J / gamma_1 for the presets that do cross
+# (r = omega2 / omega1 > 0): B_crit * gamma_1 / J = (1 + r) / (2 r),
+# written as 0.5 / r + 0.5 so that hp gives exactly 1.75.
+FIELD_RATIOS = {name: 0.5 / r + 0.5 for name, r in PRESET_RATIOS.items() if r > 0.0}
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ def critical_field_ratio(name: str) -> float:
     """B_crit * gamma_1 / J for a named preset."""
     if name in FIELD_RATIOS:
         return FIELD_RATIOS[name]
-    if name in _NO_CROSSING_PRESETS:
+    if name in PRESET_RATIOS:
         raise ValueError(f"preset {name!r} has no level crossing")
     raise ValueError(f"unknown preset {name!r}")
 

@@ -23,15 +23,14 @@ import math
 from itertools import repeat
 
 from .model import (
-    DEFAULT_UNITS,
+    K_BOLTZMANN,
     DerivedParams,
     SpinSystem,
-    UnitContext,
     _beta_from_tau,
     _check_grid,
+    _energy_scale,
     derive,
     derive_from_sigma_delta,
-    from_si,
 )
 from . import thermo
 from .thermo import _EXP_MAX, _exp, _probs
@@ -158,10 +157,9 @@ def threshold_tau(omega_delta: float, coupling: float = 1.0) -> float | None:
     return 1.0 / (beta_star * coupling)
 
 
-def threshold_kelvin(j_hz: float, units: UnitContext = DEFAULT_UNITS) -> float:
+def threshold_kelvin(j_hz: float) -> float:
     """Homonuclear threshold in Kelvin for a coupling quoted in Hz."""
-    _, energy_scale = from_si(0.0, 0.0, j_hz, units)
-    return energy_scale / (units.k_boltzmann * math.log(3.0))
+    return _energy_scale(j_hz) / (K_BOLTZMANN * math.log(3.0))
 
 
 def sweep(

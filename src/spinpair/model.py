@@ -1,9 +1,11 @@
 """Physical parameters of a scalar-coupled spin-1/2 pair.
 
 A pair is specified by the two Larmor angular frequencies omega1, omega2
-and the scalar coupling J >= 0, all in the same angular-frequency units.
-In dimensionless mode everything is quoted in units of J (so J itself
-is 1). The quantities every formula downstream consumes are
+and the scalar coupling J >= 0, all in the same angular-frequency units,
+usually units of J (so J itself is 1). The one SI bridge is a coupling
+quoted in Hz, meaning J / 2 pi, turned into the energy hbar J in Joule
+with the CODATA constants below. The quantities every formula downstream
+consumes are
 
     omega_sigma = omega1 + omega2
     omega_delta = omega1 - omega2
@@ -20,15 +22,14 @@ coupling-dependent terms vanish in the uncoupled limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 HBAR = 1.054571817e-34      # J*s
 TWO_PI = 2.0 * math.pi
-
-_UNIT_MODES = ("dimensionless", "si")
 
 # omega2 : omega1 ratios for the named systems. hc and hp follow the
 # gyromagnetic ratios gamma_H ~ 4 gamma_C and gamma_H ~ 2.5 gamma_P;
@@ -41,22 +42,6 @@ PRESET_RATIOS = {
     "hyperfine": 0.0,
     "positronium": -1.0,
 }
-
-
-@dataclass(frozen=True)
-class UnitContext:
-    """Physical constants plus the Hz convention for SI-mode input.
-
-    ``hz_convention=True`` means frequencies quoted in Hz are
-    (angular frequency)/2pi and get multiplied by 2pi internally.
-    """
-
-    k_boltzmann: float = K_BOLTZMANN
-    hbar: float = HBAR
-    hz_convention: bool = True
-
-
-DEFAULT_UNITS = UnitContext()
 
 
 @dataclass(frozen=True)
@@ -73,13 +58,10 @@ class SpinSystem:
     omega1: float
     omega2: float
     coupling: float
-    unit_mode: str = "dimensionless"
-    swapped: bool = False
+    swapped: bool = field(default=False, init=False)
     antiparallel: bool = False
 
     def __post_init__(self):
-        if self.unit_mode not in _UNIT_MODES:
-            raise ValueError(f"unknown unit_mode {self.unit_mode!r}")
         for name in ("omega1", "omega2", "coupling"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -158,6 +140,8 @@ def _check_theta(theta: float) -> None:
 
 def _beta_from_tau(tau: float, coupling: float = 1.0) -> float:
     """beta = 1/(tau J); only tau = 0 gives the exact limit beta = inf, never an overflow."""
+    if not coupling > 0.0:
+        raise ValueError("tau = k_B T / J needs J > 0")
     if not tau >= 0.0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
@@ -198,17 +182,22 @@ def preset(name: str, field_omega: float, coupling: float = 1.0) -> SpinSystem:
     return SpinSystem(field_omega, omega2, coupling)
 
 
-def from_si(
-    nu1_hz: float, nu2_hz: float, j_hz: float, units: UnitContext = DEFAULT_UNITS
-) -> tuple[SpinSystem, float]:
+def _energy_scale(j_hz: float) -> float:
+    """hbar J in Joule for a coupling quoted in Hz (J = 2 pi j_hz)."""
+    if not 0.0 < j_hz < math.inf:
+        raise ValueError("j_hz must be finite and > 0")
+    energy_scale = HBAR * TWO_PI * j_hz
+    if energy_scale < sys.float_info.min:
+        raise ArithmeticError(f"energy scale hbar * 2 pi * j_hz underflows at j_hz = {j_hz!r}")
+    return energy_scale
+
+
+def from_si(nu1_hz: float, nu2_hz: float, j_hz: float) -> tuple[SpinSystem, float]:
     """Normalise Hz-quoted inputs to a dimensionless system in units of J.
 
     Returns the system (coupling 1, omega_i = nu_i / j_hz) together with
     the energy scale hbar * J in Joule, which converts dimensionless
     beta*J products to absolute temperature.
     """
-    if not 0.0 < j_hz < math.inf:
-        raise ValueError("j_hz must be finite and > 0")
-    factor = TWO_PI if units.hz_convention else 1.0
-    energy_scale = units.hbar * factor * j_hz
+    energy_scale = _energy_scale(j_hz)
     return SpinSystem(nu1_hz / j_hz, nu2_hz / j_hz, 1.0), energy_scale

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
+import pytest
 
-from spinpair import entangle, model, observe, thermo
+from spinpair import cli, entangle, model, observe, thermo
 from spinpair.cli import main
 
 
@@ -373,3 +375,65 @@ def test_spectrum_rejects_bad_flip_angle_and_render(capsys):
         code, out, _ = run_cli(capsys, *base, *extra)
         assert code == 2, extra
         assert out == ""
+
+
+def test_threshold_kelvin_underflow_exits_numerical(capsys):
+    # Below about 3.4e-275 Hz the energy scale hbar 2 pi j_hz is subnormal.
+    for j_hz in ("1e-280", "1e-300"):
+        code, out, err = run_cli(capsys, "threshold", "--j-hz", j_hz)
+        assert code == 3, j_hz
+        assert out == ""
+        assert "numerical failure" in err
+    code, out, _ = run_cli(capsys, "threshold", "--j-hz", "1e-270")
+    assert code == 0
+    assert 0.0 < json.loads(out)["t_kelvin"] < math.inf
+
+
+# stdout of each README example at the default precision: the full text of
+# the JSON commands, the sha256 of the CSV ones.
+README_OUTPUT = {
+    "concurrence --omega-sigma 2 --omega-delta 0 --tau 0.5":
+        '{"concurrence": 0.275807998496, "populations": '
+        '[0.0085044603564, 0.0628399346646, 0.46432780249, 0.46432780249]}\n',
+    "concurrence --omega-sigma 0 --omega-delta 0 --zero-temp":
+        '{"concurrence": 1.0, "populations": [0.0, 0.0, 1.0, 0.0]}\n',
+    "scan --axis tau --from 0.01 --to 1.2 --points 200 --omega-sigma 0":
+        "e6db98d146fbbb3eae03723d2c0edc7f1822a8490458e255032b7f59abfd6b88",
+    "scan --axis field --from 3.0 --to 4.4 --points 141 --omega-delta 2.5 --tau 0.01":
+        "586742cd739a212df39d6df886b45409c46955775c93cbec17e81cee490d624e",
+    "threshold --omega-delta 0": '{"tau_t": 0.910239226627}\n',
+    "threshold --j-hz 3096": '{"t_kelvin": 1.35247499953e-07}\n',
+    "spectrum --omega-sigma 1 --omega-delta 0.577 --zero-temp --phi 5 --linewidth 0.05 "
+    "--render 0 3 301":
+        "f8c947afc6a993388d02e0b064ecf76d78f47608d8d4adbbec4bbc3da89dbc83",
+    "crossing --preset hc": '{"j_cross": 0.4, "field_ratio": 2.5}\n',
+    "crossing --omega1 4 --omega2 1": '{"j_cross": 1.6}\n',
+    "reconstruct --p1z 1 --p2z 1 --p1z2z 1 --theta-deg 30":
+        '{"populations": [1.0, 0.0, 0.0, 0.0], "concurrence": 0.0}\n',
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_OUTPUT))
+def test_readme_examples_are_byte_identical(capsys, monkeypatch, command):
+    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    expected = README_OUTPUT[command]
+    if expected.startswith("{"):
+        assert out == expected
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_scan_chunks_match_row_by_row_format(capsys, monkeypatch):
+    # More rows than one write chunk, and a partial last chunk.
+    monkeypatch.setenv("SPINPAIR_PRECISION", "17")
+    points = 2 * cli._CHUNK_ROWS + 3
+    code, out, _ = run_cli(
+        capsys, "scan", "--axis", "field", "--from", "0", "--to", "5",
+        "--points", str(points), "--omega-delta", "1", "--tau", "0.3",
+    )
+    assert code == 0
+    grid = cli._grid(0.0, 5.0, points)
+    rows = entangle.sweep("field", grid, omega_delta=1.0, tau=0.3)
+    assert out == "x,concurrence\n" + "".join(f"{x:.17g},{c:.17g}\n" for x, c in rows)

@@ -142,6 +142,11 @@ def test_threshold_kelvin_values():
     for j_hz in (math.inf, math.nan):
         with pytest.raises(ValueError):
             entangle.threshold_kelvin(j_hz)
+    # The answer is a positive temperature, but hbar 2 pi j_hz underflows.
+    assert entangle.threshold_kelvin(1e-270) > 0.0
+    for j_hz in (1e-280, 1e-300):
+        with pytest.raises(ArithmeticError):
+            entangle.threshold_kelvin(j_hz)
 
 
 def test_temperature_sweep_homonuclear():
@@ -256,3 +261,13 @@ def test_sweep_tau_overflow_is_numerical():
         entangle.sweep("field", [0.0, 1.0], omega_delta=0.0, tau=math.nan)
     with pytest.raises(ValueError):
         entangle.sweep("field", [-1.0, 1.0], omega_delta=0.0, tau=0.5)
+
+
+def test_sweep_rejects_zero_coupling():
+    # tau = k_B T / J is undefined at J = 0: invalid input, not an overflow.
+    for taus in ([0.5], [0.0, 0.5]):
+        with pytest.raises(ValueError):
+            entangle.sweep("temperature", taus, omega_sigma=1.0, omega_delta=1.0, coupling=0.0)
+    for tau in (0.0, 0.5):
+        with pytest.raises(ValueError):
+            entangle.sweep("field", [0.0, 1.0], omega_delta=1.0, tau=tau, coupling=0.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpair import model
+from spinpair import entangle, model
 
 
 def test_derive_homonuclear_angle_is_exact():
@@ -46,9 +46,17 @@ def test_invalid_inputs_raise():
     with pytest.raises(ValueError):
         model.SpinSystem(1.0, -0.5, 1.0)
     with pytest.raises(ValueError):
-        model.SpinSystem(1.0, 1.0, 1.0, unit_mode="cgs")
-    with pytest.raises(ValueError):
         model.SpinSystem(math.nan, 1.0, 1.0)
+
+
+def test_spin_system_takes_no_unit_or_swap_setting():
+    # Frequencies are in one convention only, and swapped records what
+    # the constructor did; neither is a caller's choice.
+    with pytest.raises(TypeError):
+        model.SpinSystem(2.0, 1.0, 1.0, unit_mode="si")
+    with pytest.raises(TypeError):
+        model.SpinSystem(2.0, 1.0, 1.0, swapped=True)
+    assert not model.SpinSystem(2.0, 1.0, 1.0).swapped
 
 
 def test_derive_rejects_non_finite_coupling():
@@ -141,19 +149,17 @@ def test_from_si_rejects_nonpositive_coupling():
         model.from_si(0.0, 0.0, -3.0)
 
 
-def test_unit_context_defaults():
-    units = model.UnitContext()
-    assert units.k_boltzmann == 1.380649e-23
-    assert units.hbar == 1.054571817e-34
-    assert units.hz_convention
+def test_si_constants():
+    assert model.K_BOLTZMANN == 1.380649e-23
+    assert model.HBAR == 1.054571817e-34
+    assert model.TWO_PI == 2.0 * math.pi
+    # Hz means J / 2 pi: T_t = hbar 2 pi j_hz / (k_B ln 3).
+    assert f"{entangle.threshold_kelvin(3096.0):.12g}" == "1.35247499953e-07"
 
 
 def test_value_types_are_immutable():
     import dataclasses
 
-    units = model.UnitContext()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        units.hbar = 1.0
     system = model.SpinSystem(2.0, 1.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         system.coupling = 2.0
@@ -165,6 +171,16 @@ def test_from_si_rejects_non_finite_coupling():
             model.from_si(0.0, 0.0, j_hz)
 
 
+def test_energy_scale_underflow_is_numerical():
+    # Below about 3.4e-275 Hz, hbar 2 pi j_hz is subnormal or 0.
+    assert model._energy_scale(1e-270) == model.HBAR * model.TWO_PI * 1e-270
+    for j_hz in (1e-280, 1e-300, 5e-324):
+        with pytest.raises(ArithmeticError):
+            model._energy_scale(j_hz)
+        with pytest.raises(ArithmeticError):
+            model.from_si(0.0, 0.0, j_hz)
+
+
 def test_beta_from_tau():
     assert model._beta_from_tau(0.0) == math.inf
     assert model._beta_from_tau(0.5) == 2.0
@@ -173,6 +189,11 @@ def test_beta_from_tau():
     for tau in (-0.1, -math.inf, math.nan):
         with pytest.raises(ValueError):
             model._beta_from_tau(tau)
+    # tau = k_B T / J is undefined unless J > 0.
+    for tau in (0.0, 0.5):
+        for coupling in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                model._beta_from_tau(tau, coupling)
     # A tau too small for a finite beta is a numerical failure, not the
     # zero-temperature limit.
     for tau, coupling in ((1e-320, 1.0), (1e-200, 1e-200)):
