@@ -20,7 +20,6 @@ The homonuclear case collapses to C = max{0, (e^{beta J} - 3) /
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 from .model import (
     K_BOLTZMANN,
@@ -33,7 +32,16 @@ from .model import (
     derive_from_sigma_delta,
 )
 from . import thermo
-from .thermo import _EXP_MAX, _exp, _probs
+from .thermo import _probs
+
+# math.exp overflows just above this argument.
+_EXP_MAX = 709.0
+
+
+def _exp(x: float) -> float:
+    # exp that saturates instead of raising; large-beta evaluations push
+    # arguments past float range on the non-entangled side.
+    return math.exp(x) if x < _EXP_MAX else math.inf
 
 
 def _sinh(x: float) -> float:
@@ -184,26 +192,28 @@ def sweep(
         if omega_sigma is None or omega_delta is None:
             raise ValueError("temperature sweeps need omega_sigma and omega_delta")
         params = derive_from_sigma_delta(omega_sigma, omega_delta, coupling)
-        fields = repeat(params.omega_sigma)
-        betas = map(_beta_from_tau, points, repeat(coupling))
-    elif axis == "field":
+        # In an increasing grid only points[0] can be 0, and 1/(tau J) overflows
+        # first at the smallest positive tau: checking it validates the grid.
+        zero = points[0] == 0.0
+        taus = points[1:] if zero else points
+        _beta_from_tau(taus[0] if taus else 0.0, coupling)
+        rows = [(points[0], concurrence_for_params(params, coupling, math.inf))] if zero else []
+        ws, d, s = params.omega_sigma, params.d_coupling, params.sin_2theta
+        rows += [(t, _ratio_form(ws, d, s, coupling, 1.0 / (t * coupling))) for t in taus]
+        return rows
+    if axis == "field":
         if omega_delta is None or tau is None:
             raise ValueError("field sweeps need omega_delta and tau")
         # D and theta do not depend on omega_sigma, and validating the
         # lowest field of the increasing grid validates every field.
         params = derive_from_sigma_delta(points[0], omega_delta, coupling)
-        fields = points
-        betas = repeat(_beta_from_tau(tau, coupling))
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-
-    d, theta, s = params.d_coupling, params.theta, params.sin_2theta
-    rows = []
-    for x, ws, beta in zip(points, fields, betas):
+        beta = _beta_from_tau(tau, coupling)
+        wd, d, theta = params.omega_delta, params.d_coupling, params.theta
         if beta == math.inf:
-            limit = DerivedParams(ws, params.omega_delta, d, theta)
-            c = concurrence_for_params(limit, coupling, beta)
-        else:
-            c = _ratio_form(ws, d, s, coupling, beta)
-        rows.append((x, c))
-    return rows
+            return [
+                (x, concurrence_for_params(DerivedParams(x, wd, d, theta), coupling, beta))
+                for x in points
+            ]
+        s = params.sin_2theta
+        return [(x, _ratio_form(x, d, s, coupling, beta)) for x in points]
+    raise ValueError(f"unknown sweep axis {axis!r}")

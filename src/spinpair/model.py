@@ -51,15 +51,15 @@ class SpinSystem:
     Stored in canonical orientation omega1 >= omega2 >= 0; the
     constructor swaps the spin labels if the inputs violate this and
     records the swap. The one sanctioned exception is the antiparallel
-    configuration (positronium), where omega2 = -omega1 is kept as
-    given so that omega_sigma is exactly zero.
+    configuration (positronium): omega2 = -omega1 < 0 after the swap is
+    kept, so that omega_sigma is exactly zero, and marked antiparallel.
     """
 
     omega1: float
     omega2: float
     coupling: float
     swapped: bool = field(default=False, init=False)
-    antiparallel: bool = False
+    antiparallel: bool = field(default=False, init=False)
 
     def __post_init__(self):
         for name in ("omega1", "omega2", "coupling"):
@@ -67,20 +67,18 @@ class SpinSystem:
                 raise ValueError(f"{name} must be finite")
         if not self.coupling >= 0.0:
             raise ValueError("coupling must be >= 0")
-        if self.antiparallel:
-            if self.omega2 != -self.omega1:
-                raise ValueError("antiparallel systems require omega2 == -omega1")
-            return
         if self.omega2 > self.omega1:
             o1, o2 = self.omega1, self.omega2
             object.__setattr__(self, "omega1", o2)
             object.__setattr__(self, "omega2", o1)
             object.__setattr__(self, "swapped", True)
         if self.omega2 < 0.0:
-            raise ValueError(
-                "negative Larmor frequencies are only supported for the "
-                "positronium (antiparallel) configuration"
-            )
+            if self.omega2 != -self.omega1:
+                raise ValueError(
+                    "negative Larmor frequencies are only supported for the "
+                    "positronium (antiparallel) configuration"
+                )
+            object.__setattr__(self, "antiparallel", True)
 
 
 @dataclass(frozen=True)
@@ -176,10 +174,7 @@ def preset(name: str, field_omega: float, coupling: float = 1.0) -> SpinSystem:
         ) from None
     if not field_omega >= 0.0:
         raise ValueError("field_omega must be >= 0")
-    omega2 = ratio * field_omega
-    if name == "positronium":
-        return SpinSystem(field_omega, omega2, coupling, antiparallel=True)
-    return SpinSystem(field_omega, omega2, coupling)
+    return SpinSystem(field_omega, ratio * field_omega, coupling)
 
 
 def _energy_scale(j_hz: float) -> float:

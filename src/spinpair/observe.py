@@ -13,11 +13,8 @@ gives entanglement directly in terms of observables:
     C = max{0, |P1z - P2z| |tan 2theta|
               - sqrt((1 + P1z,2z)^2 - (P1z + P2z)^2)} / 2
 
-The radicand above equals 16 p1 p4 identically. A variant with
-radicand 1 + P1z,2z^2 - (P1z + P2z)^2 circulates; it drops the cross
-term 2 P1z,2z and disagrees with the population route whenever
-P1z,2z != 0, so it is kept only behind ``printed_radicand=True`` for
-side-by-side comparison.
+The radicand above equals 16 p1 p4 identically; a circulating variant
+without the cross term 2 P1z,2z disagrees with the population route.
 """
 
 from __future__ import annotations
@@ -74,10 +71,8 @@ def _check_regular(theta: float) -> float:
 def reconstruct_populations(obs: Observables, theta: float) -> Populations:
     """Invert the three observables into populations.
 
-    The result carries nan for z and beta: a reconstructed vector has
-    no thermal provenance. Values outside [0, 1] by more than a
-    rounding margin mean the observables cannot come from any valid
-    state and raise.
+    Values outside [0, 1] by more than a rounding margin mean the
+    observables cannot come from any valid state and raise.
     """
     c = _check_regular(theta)
     skew = (obs.p1z - obs.p2z) / c
@@ -92,15 +87,10 @@ def reconstruct_populations(obs: Observables, theta: float) -> Populations:
     return Populations(*(min(max(p, 0.0), 1.0) for p in ps))
 
 
-def concurrence_from_observables(
-    obs: Observables, theta: float, printed_radicand: bool = False
-) -> float:
+def concurrence_from_observables(obs: Observables, theta: float) -> float:
     """Concurrence straight from the three observables."""
-    c = _check_regular(theta)
-    if printed_radicand:
-        radicand = 1.0 + obs.p1z2z**2 - (obs.p1z + obs.p2z) ** 2
-    else:
-        radicand = (1.0 + obs.p1z2z) ** 2 - (obs.p1z + obs.p2z) ** 2
+    _check_regular(theta)
+    radicand = (1.0 + obs.p1z2z) ** 2 - (obs.p1z + obs.p2z) ** 2
     if radicand < RADICAND_FLOOR:
         raise ValueError("observables are inconsistent: negative radicand")
     radicand = max(radicand, 0.0)

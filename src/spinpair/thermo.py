@@ -12,6 +12,9 @@ Boltzmann weights p_i = exp(-beta E_i) / Z with the closed form
     Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
                          + cosh(beta D/2)].
 
+Both forms compute log Z first; where Z leaves float range (log Z >
+709.78) they raise ArithmeticError instead of returning inf.
+
 The equilibrium state in the product basis is X-shaped: four real
 diagonals plus one real coherence between |ab> and |ba>. beta = inf is
 an explicit zero-temperature mode: probability collapses onto the
@@ -21,6 +24,7 @@ lowest level, spread uniformly over exact degeneracies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +35,8 @@ from .model import DerivedParams
 # zero-temperature limit.
 DEGENERACY_RTOL = 1e-12
 
-# math.exp overflows just above this argument.
-_EXP_MAX = 709.0
-
-
-def _exp(x: float) -> float:
-    # exp that saturates instead of raising; large-beta evaluations push
-    # arguments past float range on the non-entangled side.
-    return math.exp(x) if x < _EXP_MAX else math.inf
+# math.exp(x) is finite exactly for x <= log(float max).
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -54,21 +52,12 @@ class EnergyLevels:
 
 @dataclass(frozen=True)
 class Populations:
-    """Boltzmann occupations of the four eigenstates.
-
-    ``z`` is the partition function; in the zero-temperature limit it
-    holds the ground-state multiplicity (the limit of Z * exp(beta*E_min))
-    and ``zero_temp`` is set. Population vectors reconstructed from
-    observables carry nan for z and beta, they have no thermal origin.
-    """
+    """Occupations p1..p4 of the four eigenstates, thermal or reconstructed."""
 
     p1: float
     p2: float
     p3: float
     p4: float
-    z: float = math.nan
-    beta: float = math.nan
-    zero_temp: bool = False
 
     @property
     def probs(self) -> tuple[float, float, float, float]:
@@ -110,31 +99,48 @@ def energies(params: DerivedParams, coupling: float) -> EnergyLevels:
     )
 
 
-def partition(levels: EnergyLevels, beta: float) -> float:
-    """Partition function Z = sum_i exp(-beta E_i).
-
-    The sum runs relative to the lowest level so it cannot overflow on
-    its own; only the final rescaling saturates to inf when beta*|E|
-    genuinely exceeds float range. The zero-temperature limit lives in
-    populations(), not here.
-    """
+def _check_finite_beta(beta: float) -> None:
     if not beta >= 0.0 or math.isinf(beta):
         raise ValueError("beta must be finite and >= 0")
-    return populations(levels, beta).z
+
+
+def _z_from_log(log_z: float) -> float:
+    """Z = exp(log Z); a Z beyond float range raises instead of saturating to inf."""
+    # log Z is nan only as inf - inf once beta J overflows, where Z is out of range too.
+    if not log_z <= _LOG_FLOAT_MAX:
+        raise ArithmeticError(f"partition function exceeds float range: log Z = {log_z!r}")
+    return math.exp(log_z)
+
+
+def _shifted_weights(es: tuple[float, ...], beta: float) -> tuple[float, list[float]]:
+    """The lowest level and exp(-beta (E_i - E_min)); no weight exceeds 1."""
+    emin = min(es)
+    return emin, [math.exp(-beta * (e - emin)) for e in es]
+
+
+def _log_2cosh(x: float) -> float:
+    """log(2 cosh x), finite wherever x is."""
+    return abs(x) + math.log1p(math.exp(-2.0 * abs(x)))
+
+
+def partition(levels: EnergyLevels, beta: float) -> float:
+    """Z = sum_i exp(-beta E_i) at finite beta >= 0, summed relative to the lowest level."""
+    _check_finite_beta(beta)
+    emin, weights = _shifted_weights(levels.as_tuple(), beta)
+    return _z_from_log(-beta * emin + math.log(sum(weights)))
 
 
 def partition_closed(params: DerivedParams, coupling: float, beta: float) -> float:
-    """Closed form of Z, used as the cross-check against the direct sum."""
-    if not beta >= 0.0 or math.isinf(beta):
-        raise ValueError("beta must be finite and >= 0")
-    return (
-        2.0
-        * math.exp(0.25 * beta * coupling)
-        * (
-            math.exp(-0.5 * beta * coupling) * math.cosh(0.5 * beta * params.omega_sigma)
-            + math.cosh(0.5 * beta * params.d_coupling)
-        )
-    )
+    """Closed form of Z, used as the cross-check against the direct sum.
+
+    log Z = beta J/4 + log(exp(-beta J/2) 2 cosh(beta omega_sigma/2)
+    + 2 cosh(beta D/2)), the two terms added in log space.
+    """
+    _check_finite_beta(beta)
+    a = -0.5 * beta * coupling + _log_2cosh(0.5 * beta * params.omega_sigma)
+    b = _log_2cosh(0.5 * beta * params.d_coupling)
+    hi, lo = (a, b) if a >= b else (b, a)
+    return _z_from_log(0.25 * beta * coupling + hi + math.log1p(math.exp(lo - hi)))
 
 
 def populations(levels: EnergyLevels, beta: float) -> Populations:
@@ -143,15 +149,12 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
     if math.isinf(beta):
         ground = _ground_levels(es)
         share = 1.0 / len(ground)
-        ps = [share if i in ground else 0.0 for i in range(4)]
-        return Populations(*ps, z=float(len(ground)), beta=math.inf, zero_temp=True)
+        return Populations(*(share if i in ground else 0.0 for i in range(4)))
     if not beta >= 0.0:
         raise ValueError("beta must be >= 0")
-    emin = min(es)
-    weights = [math.exp(-beta * (e - emin)) for e in es]
+    _, weights = _shifted_weights(es, beta)
     total = sum(weights)
-    ps = [w / total for w in weights]
-    return Populations(*ps, z=_exp(-beta * emin + math.log(total)), beta=beta)
+    return Populations(*(w / total for w in weights))
 
 
 def _ground_levels(es: tuple[float, ...]) -> list[int]:

@@ -59,6 +59,19 @@ def test_spin_system_takes_no_unit_or_swap_setting():
     assert not model.SpinSystem(2.0, 1.0, 1.0).swapped
 
 
+def test_antiparallel_is_derived():
+    # omega2 == -omega1 < 0 after the usual swap marks the antiparallel pair
+    system = model.SpinSystem(-1.0, 1.0, 1.0)
+    assert (system.omega1, system.omega2) == (1.0, -1.0)
+    assert system.swapped and system.antiparallel
+    assert model.derive(system).omega_sigma == 0.0
+    with pytest.raises(ValueError):
+        model.SpinSystem(1.0, -0.5, 1.0)
+    with pytest.raises(TypeError):
+        model.SpinSystem(-1.0, 1.0, 1.0, antiparallel=True)
+    assert not model.SpinSystem(2.0, 1.0, 1.0).antiparallel
+
+
 def test_derive_rejects_non_finite_coupling():
     for coupling in (math.inf, math.nan):
         with pytest.raises(ValueError):

@@ -103,9 +103,9 @@ def test_concurrence_matches_thermal_route():
 
 
 def test_printed_radicand_disagrees():
-    # the variant without the 2*P1z2z cross term is kept for comparison
-    # only; with nonzero two-spin order it departs from the population
-    # route while the default form stays consistent
+    # the circulating variant radicand 1 + P1z2z^2 - (P1z + P2z)^2 drops
+    # the 2*P1z2z cross term; with nonzero two-spin order it departs from
+    # the population route while the kept form stays consistent
     theta = 0.7 * (math.pi / 4)
     wd = 1.0 / math.tan(2.0 * theta)
     params = model.derive_from_sigma_delta(1.2, wd, 1.0)
@@ -113,10 +113,12 @@ def test_printed_radicand_disagrees():
     obs = observe.polarizations(pops, params.theta)
     assert abs(obs.p1z2z) > 0.1
     consistent = observe.concurrence_from_observables(obs, params.theta)
-    printed = observe.concurrence_from_observables(obs, params.theta, printed_radicand=True)
+    variant_radicand = 1.0 + obs.p1z2z**2 - (obs.p1z + obs.p2z) ** 2
+    variant = abs(obs.p1z - obs.p2z) * abs(math.tan(2.0 * params.theta))
+    variant = 0.5 * max(variant - math.sqrt(max(variant_radicand, 0.0)), 0.0)
     route = entangle.concurrence_from_populations(pops, params.theta)
     assert abs(consistent - route) <= 1e-12
-    assert abs(printed - route) > 0.1
+    assert abs(variant - route) > 0.1
 
 
 def test_negative_radicand_rejected():

@@ -75,6 +75,33 @@ def test_partition_ground_state_dominance():
     assert math.isclose(math.log(z), -100.0, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("omega_sigma", [14.4, 14.69])
+def test_partition_forms_agree_near_float_max(omega_sigma):
+    # Z = 6.83e301 and 1.35e308 at J = omega_delta = 1, beta = 100
+    params = _params(omega_sigma, 1.0)
+    z_sum = thermo.partition(thermo.energies(params, 1.0), 100.0)
+    z_closed = thermo.partition_closed(params, 1.0, 100.0)
+    assert math.isfinite(z_sum) and math.isfinite(z_closed)
+    assert math.isclose(z_sum, z_closed, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "omega_sigma,coupling,beta",
+    [
+        (14.8, 1.0, 100.0),  # log Z = 715 > log(float max) = 709.78
+        (1e10, 1e10, 1e300),  # beta J and beta omega_sigma overflow to inf
+    ],
+)
+def test_partition_beyond_float_range_is_numerical(omega_sigma, coupling, beta):
+    params = _params(omega_sigma, 1.0, coupling)
+    with pytest.raises(ArithmeticError) as exc:
+        thermo.partition(thermo.energies(params, coupling), beta)
+    assert not isinstance(exc.value, OverflowError)
+    with pytest.raises(ArithmeticError) as exc:
+        thermo.partition_closed(params, coupling, beta)
+    assert not isinstance(exc.value, OverflowError)
+
+
 def test_partition_rejects_negative_or_infinite_beta():
     levels = thermo.EnergyLevels(0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -87,15 +114,15 @@ def test_populations_infinite_temperature():
     levels = thermo.energies(_params(2.0, 1.0), 1.0)
     pops = thermo.populations(levels, 0.0)
     assert pops.probs == (0.25, 0.25, 0.25, 0.25)
-    assert pops.z == 4.0
 
 
 def test_populations_zero_temperature_unique_ground():
     levels = thermo.energies(_params(1.0, 0.0, 1.0), 1.0)
     pops = thermo.populations(levels, math.inf)
     assert pops.probs == (0.0, 0.0, 1.0, 0.0)
-    assert pops.zero_temp
-    assert pops.z == 1.0
+    # Z exp(beta E_min) tends to the ground-state multiplicity
+    z_shifted = thermo.partition(levels, 200.0) * math.exp(200.0 * levels.e3)
+    assert math.isclose(z_shifted, 1.0, rel_tol=1e-12)
 
 
 def test_populations_zero_temperature_degenerate_pair():
@@ -103,7 +130,8 @@ def test_populations_zero_temperature_degenerate_pair():
     levels = thermo.energies(_params(2.0, 0.0, 1.0), 1.0)
     pops = thermo.populations(levels, math.inf)
     assert pops.probs == (0.0, 0.0, 0.5, 0.5)
-    assert pops.z == 2.0
+    z_shifted = thermo.partition(levels, 200.0) * math.exp(200.0 * levels.e3)
+    assert math.isclose(z_shifted, 2.0, rel_tol=1e-12)
 
 
 def test_populations_sum_and_range():
