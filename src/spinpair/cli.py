@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-delta", type=float, required=True)
     p.add_argument("--tau", type=float)
     p.add_argument("--zero-temp", action="store_true")
-    p.add_argument("--phi", type=float, default=5.0, help="flip angle in degrees")
+    phi_deg = math.degrees(spectrum.DEFAULT_FLIP_ANGLE)
+    p.add_argument("--phi", type=float, default=phi_deg, help="flip angle in degrees")
     p.add_argument("--linewidth", type=float, default=spectrum.DEFAULT_LINEWIDTH)
     p.add_argument(
         "--render",

@@ -37,10 +37,13 @@ def crossing_coupling(omega1: float, omega2: float) -> float | None:
     """Coupling at which E3 and E4 cross, or None when no crossing exists."""
     if not (math.isfinite(omega1) and math.isfinite(omega2)):
         raise ValueError("frequencies must be finite")
-    total = omega1 + omega2
-    if total == 0.0:
+    if omega1 + omega2 == 0.0:
         return None
-    j_cross = 2.0 * omega1 * omega2 / total
+    # 2 w1 w2 / (w1 + w2) with |small / big| <= 1: only an out-of-range result overflows.
+    small, big = sorted((omega1, omega2), key=abs)
+    j_cross = small / (0.5 + 0.5 * (small / big))
+    if j_cross == math.inf:
+        raise ArithmeticError(f"crossing coupling overflows at {omega1!r}, {omega2!r}")
     return j_cross if j_cross > 0.0 else None
 
 
@@ -58,7 +61,10 @@ def critical_omega_sigma(omega_delta: float, coupling: float) -> float:
     if not coupling > 0.0:
         raise ValueError("coupling must be > 0")
     # derive_from_sigma_delta validates omega_delta and J; D = hypot(omega_delta, J).
-    return coupling + derive_from_sigma_delta(0.0, omega_delta, coupling).d_coupling
+    omega_sigma = coupling + derive_from_sigma_delta(0.0, omega_delta, coupling).d_coupling
+    if omega_sigma == math.inf:
+        raise ArithmeticError(f"critical omega_sigma overflows at {omega_delta!r}")
+    return omega_sigma
 
 
 def ground_state(system: SpinSystem) -> GroundState:

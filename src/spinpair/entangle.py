@@ -13,8 +13,8 @@ Entanglement survives while sinh(beta D/2) sin(2 theta) > exp(-beta J/2);
 the left side grows and the right side shrinks with beta, so for J > 0
 there is a unique threshold beta* and a threshold temperature
 tau_t = k_B T_t / J = 1 / (beta* J). For J = 0 the pair never entangles.
-The homonuclear case collapses to C = max{0, (e^{beta J} - 3) /
-(2 cosh(beta omega) + e^{beta J} + 1)}, giving tau_t = 1/ln 3.
+The homonuclear case omega_delta = 0 (D = J, sin 2theta = 1) collapses to
+C = max{0, (e^{beta J} - 3) / (2 cosh(beta omega) + e^{beta J} + 1)}, so tau_t = 1/ln 3.
 """
 
 from __future__ import annotations
@@ -26,31 +26,27 @@ from .model import (
     DerivedParams,
     SpinSystem,
     _beta_from_tau,
+    _check_coupling,
     _check_grid,
     _energy_scale,
     derive,
     derive_from_sigma_delta,
 )
 from . import thermo
-from .thermo import _probs
+from .thermo import _LOG_FLOAT_MAX
 
-# math.exp overflows just above this argument.
-_EXP_MAX = 709.0
+# math.sinh(x) is finite exactly for x <= log(2 float max).
+_LOG_2_FLOAT_MAX = _LOG_FLOAT_MAX + math.log(2.0)
 
 
 def _exp(x: float) -> float:
-    # exp that saturates instead of raising; large-beta evaluations push
-    # arguments past float range on the non-entangled side.
-    return math.exp(x) if x < _EXP_MAX else math.inf
-
-
-def _sinh(x: float) -> float:
-    return math.sinh(x) if x < _EXP_MAX else math.inf
+    # Saturates exactly where math.exp overflows, on the non-entangled side at large beta.
+    return math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf
 
 
 def concurrence_from_populations(pops, theta: float) -> float:
     """C = max{0, |p2 - p3| sin(2 theta) - 2 sqrt(p1 p4)}."""
-    p1, p2, p3, p4 = _probs(pops)
+    p1, p2, p3, p4 = thermo._probs(pops, theta)
     value = abs(p2 - p3) * math.sin(2.0 * theta) - 2.0 * math.sqrt(max(p1 * p4, 0.0))
     return value if value > 0.0 else 0.0
 
@@ -62,6 +58,7 @@ def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) 
     large-beta evaluation of the ratio form, which would cancel
     catastrophically at the critical point.
     """
+    _check_coupling(coupling)
     if math.isinf(beta):
         pops = thermo.populations(thermo.energies(params, coupling), math.inf)
         return concurrence_from_populations(pops, params.theta)
@@ -97,31 +94,20 @@ def concurrence_thermal(system: SpinSystem, beta: float) -> float:
 
 
 def concurrence_homonuclear(omega: float, coupling: float, beta: float) -> float:
-    """Homonuclear shortcut C = max{0, (e^{bJ} - 3)/(2 cosh(b w) + e^{bJ} + 1)}."""
-    if math.isinf(beta):
-        params = derive_from_sigma_delta(2.0 * omega, 0.0, coupling)
-        return concurrence_for_params(params, coupling, math.inf)
-    if not beta >= 0.0:
-        raise ValueError("beta must be >= 0")
-    # Same expression scaled by exp(-beta J) to stay finite at large beta.
-    num = 1.0 - 3.0 * math.exp(-beta * coupling)
-    den = (
-        _exp(beta * (omega - coupling))
-        + math.exp(-beta * (omega + coupling))
-        + 1.0
-        + math.exp(-beta * coupling)
-    )
-    value = num / den
-    return value if value > 0.0 else 0.0
+    """Homonuclear C = max{0, (e^{bJ} - 3)/(2 cosh(b w) + e^{bJ} + 1)}, as the ratio form."""
+    params = derive_from_sigma_delta(2.0 * omega, 0.0, coupling)
+    return concurrence_for_params(params, coupling, beta)
 
 
 def entanglement_gap(beta: float, d: float, sin_2theta: float, coupling: float) -> float:
     """g(beta) = sinh(beta D/2) sin(2 theta) - exp(-beta J/2).
 
     Strictly increasing with g(0+) = -1; its unique root (for J > 0)
-    marks the disappearance of entanglement.
+    marks the disappearance of entanglement; sinh saturates where math.sinh overflows.
     """
-    return _sinh(0.5 * beta * d) * sin_2theta - math.exp(-0.5 * beta * coupling)
+    x = 0.5 * beta * d
+    gain = math.sinh(x) if x <= _LOG_2_FLOAT_MAX else math.inf
+    return gain * sin_2theta - math.exp(-0.5 * beta * coupling)
 
 
 def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None:

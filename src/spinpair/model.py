@@ -62,11 +62,10 @@ class SpinSystem:
     antiparallel: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        for name in ("omega1", "omega2", "coupling"):
+        for name in ("omega1", "omega2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not self.coupling >= 0.0:
-            raise ValueError("coupling must be >= 0")
+        _check_coupling(self.coupling)
         if self.omega2 > self.omega1:
             o1, o2 = self.omega1, self.omega2
             object.__setattr__(self, "omega1", o2)
@@ -122,13 +121,17 @@ def derive_from_sigma_delta(
         raise ValueError("omega_sigma must be >= 0")
     if omega_delta < 0.0:
         raise ValueError("omega_delta must be >= 0")
-    if not 0.0 <= coupling < math.inf:
-        raise ValueError("coupling must be finite and >= 0")
+    _check_coupling(coupling)
     d = math.hypot(omega_delta, coupling)
     # atan2(0, 0) = 0 fixes the degenerate J = 0, omega_delta = 0 case;
     # atan2(J, 0) = pi/2 makes the homonuclear angle exactly pi/4.
     theta = 0.5 * math.atan2(coupling, omega_delta)
     return DerivedParams(omega_sigma, omega_delta, d, theta)
+
+
+def _check_coupling(coupling: float) -> None:
+    if not 0.0 <= coupling < math.inf:
+        raise ValueError("coupling must be finite and >= 0")
 
 
 def _check_theta(theta: float) -> None:

@@ -48,8 +48,7 @@ class Observables:
 
 
 def polarizations(pops, theta: float) -> Observables:
-    _check_theta(theta)
-    p1, p2, p3, p4 = _probs(pops)
+    p1, p2, p3, p4 = _probs(pops, theta)
     c = math.cos(2.0 * theta)
     return Observables(
         p1z=p1 - p4 + (p2 - p3) * c,

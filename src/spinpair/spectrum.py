@@ -53,7 +53,7 @@ def transition_frequencies(levels: thermo.EnergyLevels) -> dict[str, float]:
 def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:
     """Signed amplitudes of the four lines after a pulse of flip angle phi."""
     _check_flip_angle(phi)
-    p1, p2, p3, p4 = thermo._probs(pops)
+    p1, p2, p3, p4 = thermo._probs(pops, theta)
     s = math.sin(2.0 * theta)
     c2 = math.cos(2.0 * theta) ** 2
     sp2 = math.sin(0.5 * phi) ** 2

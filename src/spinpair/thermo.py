@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams
+from .model import DerivedParams, _check_theta
 
 # Relative scale for deciding two levels are exactly degenerate in the
 # zero-temperature limit.
@@ -146,6 +146,8 @@ def partition_closed(params: DerivedParams, coupling: float, beta: float) -> flo
 def populations(levels: EnergyLevels, beta: float) -> Populations:
     """Boltzmann occupations; beta = inf selects the exact ground-state limit."""
     es = levels.as_tuple()
+    if not all(map(math.isfinite, es)):
+        raise ValueError("energy levels must be finite")
     if math.isinf(beta):
         ground = _ground_levels(es)
         share = 1.0 / len(ground)
@@ -164,22 +166,24 @@ def _ground_levels(es: tuple[float, ...]) -> list[int]:
     return [i for i, e in enumerate(es) if e - emin <= DEGENERACY_RTOL * scale]
 
 
-def _probs(pops) -> tuple[float, float, float, float]:
-    """The four populations of a Populations or of any length-4 sequence."""
+def _probs(pops, theta: float) -> tuple[float, float, float, float]:
+    """Populations (a Populations or 4-sequence) each in [0, 1], with theta in [0, pi/4]."""
+    _check_theta(theta)
     probs = getattr(pops, "probs", None)
     if probs is None:
         probs = tuple(float(v) for v in pops)
-        if len(probs) != 4:
-            raise ValueError("expected four populations")
+    p1, p2, p3, p4 = probs  # ValueError unless there are exactly four
+    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0 and 0.0 <= p3 <= 1.0 and 0.0 <= p4 <= 1.0):
+        raise ValueError(f"populations must lie in [0, 1], got {probs!r}")
     return probs
 
 
-def density_matrix(pops: Populations, theta: float) -> DensityMatrixX:
+def density_matrix(pops, theta: float) -> DensityMatrixX:
     """Equilibrium state in the product basis {aa, ab, ba, bb}."""
+    p1, p2, p3, p4 = _probs(pops, theta)
     sin_t = math.sin(theta)
     cos_t = math.cos(theta)
     s2, c2 = sin_t * sin_t, cos_t * cos_t
-    p1, p2, p3, p4 = pops.probs
     return DensityMatrixX(
         rho11=p1,
         rho22=p2 * c2 + p3 * s2,

@@ -256,6 +256,22 @@ def test_crossing_explicit_frequencies(capsys):
     assert json.loads(out)["j_cross"] == 1.6
 
 
+@pytest.mark.parametrize(
+    "omega1, omega2, want",
+    [("1e300", "1e10", 2e10), ("1e200", "1e200", 1e200),
+     ("1e308", "1e308", 1e308), ("1e-200", "1e-200", 1e-200)],
+)
+def test_crossing_extreme_frequencies(capsys, omega1, omega2, want):
+    code, out, _ = run_cli(capsys, "crossing", "--omega1", omega1, "--omega2", omega2)
+    assert code == 0
+    assert json.loads(out) == {"j_cross": want}
+
+
+def test_spectrum_default_flip_angle_is_five_degrees(capsys):
+    argv = ("spectrum", "--omega-sigma", "1.5", "--omega-delta", "0.5", "--tau", "0.2")
+    assert run_cli(capsys, *argv)[1] == run_cli(capsys, *argv, "--phi", "5")[1]
+
+
 def test_crossing_usage_errors(capsys):
     assert run_cli(capsys, "crossing", "--preset", "bogus")[0] == 2
     assert run_cli(capsys, "crossing", "--omega1", "4")[0] == 2

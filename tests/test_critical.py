@@ -14,6 +14,24 @@ def test_crossing_examples():
     assert critical.crossing_coupling(1.0, -1.0) is None  # positronium
 
 
+@pytest.mark.parametrize(
+    "omega1, omega2, want",
+    [(1e300, 1e10, 2e10), (1e10, 1e300, 2e10), (1e200, 1e200, 1e200),
+     (1e308, 1e308, 1e308), (1e-200, 1e-200, 1e-200), (1e300, 1e-20, 2e-20)],
+)
+def test_crossing_coupling_stays_in_float_range(omega1, omega2, want):
+    # The intermediates of 2 w1 w2 / (w1 + w2) leave float range here; the result does not.
+    assert critical.crossing_coupling(omega1, omega2) == pytest.approx(want, rel=1e-15)
+
+
+def test_out_of_range_critical_values_are_numerical():
+    with pytest.raises(ArithmeticError):
+        critical.critical_omega_sigma(1e308, 1e308)
+    # Opposite signs: the true crossing coupling exceeds float range.
+    with pytest.raises(ArithmeticError):
+        critical.crossing_coupling(1e300, -1.0000000001e300)
+
+
 def test_field_ratios_exact():
     assert critical.critical_field_ratio("hh") == 1.0
     assert critical.critical_field_ratio("hc") == 2.5

@@ -60,6 +60,47 @@ def test_homonuclear_form():
         assert abs(c_special - c_general) <= 1e-12
 
 
+def test_homonuclear_matches_paper_closed_form():
+    rng = np.random.default_rng(26)
+    for _ in range(500):
+        omega, beta = rng.uniform(0.0, 5.0), rng.uniform(0.0, 40.0)
+        e = math.exp(beta)
+        paper = max((e - 3.0) / (2.0 * math.cosh(beta * omega) + e + 1.0), 0.0)
+        assert abs(entangle.concurrence_homonuclear(omega, 1.0, beta) - paper) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "omega, coupling",
+    [(math.nan, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, -1.0), (0.0, math.inf)],
+)
+def test_homonuclear_rejects_invalid_inputs(omega, coupling):
+    for beta in (1.0, math.inf):
+        with pytest.raises(ValueError):
+            entangle.concurrence_homonuclear(omega, coupling, beta)
+
+
+def test_concurrence_for_params_rejects_invalid_coupling():
+    params = _params(2.0, 0.5)
+    for coupling in (math.nan, math.inf, -1.0):
+        for beta in (1.0, math.inf):
+            with pytest.raises(ValueError):
+                entangle.concurrence_for_params(params, coupling, beta)
+
+
+@pytest.mark.parametrize("theta", [math.nan, -1.0, 2.0])
+def test_population_form_rejects_bad_theta(theta):
+    with pytest.raises(ValueError):
+        entangle.concurrence_from_populations((0.0, 0.0, 1.0, 0.0), theta)
+
+
+@pytest.mark.parametrize(
+    "pops", [(math.nan, 1.0, 0.0, 0.0), (-1.0, 1.0, 0.0, 1.0), (0.0, 1.5, 0.0, 0.0), (0.5, 0.5)]
+)
+def test_population_form_rejects_bad_populations(pops):
+    with pytest.raises(ValueError):
+        entangle.concurrence_from_populations(pops, math.pi / 4)
+
+
 def test_homonuclear_zero_boundary():
     # concurrence turns on exactly at beta J = ln 3
     assert entangle.concurrence_homonuclear(1.0, 1.0, math.log(3.0) * (1.0 - 1e-9)) == 0.0
@@ -212,13 +253,16 @@ def _mp_threshold_tau(omega_delta, coupling):
         return float(1 / (2 * x * s))
 
 
+# At J <= 3e-308 the root x = beta* D / 2 lies near 710, above log(float max)
+# = 709.78 but below log(2 float max) = 710.48, where sinh overflows.
 @pytest.mark.parametrize(
     "omega_delta, coupling",
-    [(0.0, 1.0), (1.0, 1.0), (1e26, 1.0), (1e30, 1.0), (1e300, 1.0), (1.0, 1e-300)],
+    [(0.0, 1.0), (1.0, 1.0), (1e26, 1.0), (1e30, 1.0), (1e300, 1.0), (1.0, 1e-300),
+     (1.0, 3e-308), (1.0, 2e-308), (1.0, 1.5e-308)],
 )
 def test_threshold_matches_mpmath_root(omega_delta, coupling):
     want = _mp_threshold_tau(omega_delta, coupling)
-    assert math.isclose(entangle.threshold_tau(omega_delta, coupling), want, rel_tol=1e-14)
+    assert math.isclose(entangle.threshold_tau(omega_delta, coupling), want, rel_tol=1e-15)
 
 
 def test_threshold_numerical_failures():

@@ -64,6 +64,13 @@ def _reference(omega_sigma, omega_delta, beta):
 @hypothesis.example(omega_sigma=14.6955, omega_delta=1.0, beta=100.0)
 @hypothesis.example(omega_sigma=14.6957, omega_delta=1.0, beta=100.0)
 @hypothesis.example(omega_sigma=14.697, omega_delta=1.0, beta=100.0)
+# Exact homonuclear points, where concurrence_homonuclear must take the same
+# route: below, at (omega_sigma = 2 J) and above the crossing, and near beta J = ln 3.
+@hypothesis.example(omega_sigma=1.0, omega_delta=0.0, beta=5.0)
+@hypothesis.example(omega_sigma=2.0, omega_delta=0.0, beta=100.0)
+@hypothesis.example(omega_sigma=2.5, omega_delta=0.0, beta=1000.0)
+@hypothesis.example(omega_sigma=0.01, omega_delta=0.0, beta=1.1)
+@hypothesis.example(omega_sigma=1e4, omega_delta=0.0, beta=1e-3)
 @hypothesis.given(
     omega_sigma=_log_uniform(1e-3, 1e4),
     omega_delta=_log_uniform(1e-3, 1e4),
@@ -84,6 +91,8 @@ def test_closed_forms_match_mpmath(omega_sigma, omega_delta, beta):
     assert abs(c - c_ref) <= C_ABS * tol, (c, c_ref)
     if c_ref >= sys.float_info.min:
         assert abs(c - c_ref) <= C_REL * tol * kappa * c_ref, (c, c_ref, kappa)
+    if omega_delta == 0.0:
+        assert entangle.concurrence_homonuclear(0.5 * omega_sigma, 1.0, beta) == c
     c_pop = entangle.concurrence_from_populations(pops, params.theta)
     assert abs(c_pop - c_ref) <= C_POP_ABS * tol, (c_pop, c_ref)
 
@@ -102,3 +111,14 @@ def test_closed_forms_match_mpmath(omega_sigma, omega_delta, beta):
             assert log_z_ref > LOG_FLOAT_MAX - bound, (exc, log_z_ref)
         else:
             assert abs(math.log(z) - log_z_ref) <= bound, (z, log_z_ref)
+
+
+def test_subnormal_concurrence_is_resolved():
+    # A tau-scan point whose ratio-form denominator is just below float max:
+    # C is subnormal, not 0, and keeps the digits the subnormal range allows.
+    omega_sigma, omega_delta, beta = 3.5077, 0.36347, 1.0 / 0.001017
+    _, c_ref, _, _ = _reference(omega_sigma, omega_delta, beta)
+    params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
+    c = entangle.concurrence_for_params(params, 1.0, beta)
+    assert 0.0 < c_ref < sys.float_info.min
+    assert math.isclose(c, c_ref, rel_tol=1e-12), (c, c_ref)

@@ -214,3 +214,12 @@ def test_render_validation():
                  [[0.0, 1.0]]):
         with pytest.raises(ValueError):
             spectrum.render_lorentzian([line], 0.1, grid)
+
+
+@pytest.mark.parametrize(
+    "pops, theta",
+    [((0.1, 0.2, 0.3, 0.4), math.nan), ((0.1, 0.2, 0.3, 0.4), 2.0), ((math.nan, 1.0, 0.0, 0.0), 0.3)],
+)
+def test_transition_amplitudes_reject_bad_inputs(pops, theta):
+    with pytest.raises(ValueError):
+        spectrum.transition_amplitudes(pops, theta, 0.5)

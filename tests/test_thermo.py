@@ -200,3 +200,31 @@ def test_density_matrix_trace_and_positivity():
         half_gap = 0.5 * (rho.rho22 - rho.rho33)
         small_eig = 0.5 * (rho.rho22 + rho.rho33) - math.hypot(half_gap, rho.rho23)
         assert small_eig >= -1e-14
+
+
+def test_density_matrix_accepts_a_sequence():
+    pops = (0.1, 0.2, 0.3, 0.4)
+    assert thermo.density_matrix(pops, 0.4) == thermo.density_matrix(thermo.Populations(*pops), 0.4)
+
+
+@pytest.mark.parametrize(
+    "pops, theta",
+    [
+        ((0.1, 0.2, 0.3, 0.4), math.nan),
+        ((0.1, 0.2, 0.3, 0.4), -1.0),
+        ((0.1, 0.2, 0.3, 0.4), 2.0),
+        ((math.nan, 1.0, 0.0, 0.0), 0.3),
+        ((-1.0, 1.0, 0.0, 1.0), 0.3),
+        (thermo.Populations(0.0, math.inf, 0.0, 0.0), 0.3),
+    ],
+)
+def test_density_matrix_rejects_bad_inputs(pops, theta):
+    with pytest.raises(ValueError):
+        thermo.density_matrix(pops, theta)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+def test_populations_reject_non_finite_levels(beta):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            thermo.populations(thermo.EnergyLevels(0.0, bad, 1.0, 2.0), beta)
