@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from itertools import islice
 
@@ -178,8 +179,21 @@ def _cmd_reconstruct(args, digits: int) -> int:
     return EXIT_OK
 
 
+# argparse (Python 3.10 to 3.13) reads a negative number as a value only
+# in the forms -1 and -1.5, and takes -1e300 for an unknown option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, that reads -1e300 as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinpair",
         description="Thermal entanglement of a scalar-coupled spin-1/2 pair.",
     )

@@ -13,6 +13,10 @@ Entanglement survives while sinh(beta D/2) sin(2 theta) > exp(-beta J/2);
 the left side grows and the right side shrinks with beta, so for J > 0
 there is a unique threshold beta* and a threshold temperature
 tau_t = k_B T_t / J = 1 / (beta* J). For J = 0 the pair never entangles.
+In x = beta D / 2 with s = sin 2theta = J / D the gap is
+g(x) = s sinh(x) - exp(-x s), and g''(x) = s sinh(x) - s^2 exp(-x s). At and
+above the root s sinh(x) >= exp(-x s) >= s exp(-x s), so g is convex there:
+Newton's method started above the root descends onto it without overshooting.
 The homonuclear case omega_delta = 0 (D = J, sin 2theta = 1) collapses to
 C = max{0, (e^{beta J} - 3) / (2 cosh(beta omega) + e^{beta J} + 1)}, so tau_t = 1/ln 3.
 """
@@ -20,6 +24,7 @@ C = max{0, (e^{beta J} - 3) / (2 cosh(beta omega) + e^{beta J} + 1)}, so tau_t =
 from __future__ import annotations
 
 import math
+import sys
 
 from .model import (
     K_BOLTZMANN,
@@ -37,11 +42,6 @@ from .thermo import _LOG_FLOAT_MAX
 
 # math.sinh(x) is finite exactly for x <= log(2 float max).
 _LOG_2_FLOAT_MAX = _LOG_FLOAT_MAX + math.log(2.0)
-
-
-def _exp(x: float) -> float:
-    # Saturates exactly where math.exp overflows, on the non-entangled side at large beta.
-    return math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf
 
 
 def concurrence_from_populations(pops, theta: float) -> float:
@@ -77,14 +77,14 @@ def _ratio_form(
     e_d = math.exp(-beta * d)
     # Ratio form rescaled by 2 exp(-beta D / 2): every exponent is
     # non-positive below the level crossing, so nothing overflows there,
-    # and beyond the crossing the single growing term drives C -> 0.
+    # and beyond the crossing the single growing term exp(a) drives C -> 0.
     num = sin_2theta * (1.0 - e_d) - 2.0 * math.exp(-half * (d + coupling))
-    den = (
-        _exp(-half * (d + coupling - omega_sigma))
-        + math.exp(-half * (d + coupling + omega_sigma))
-        + 1.0
-        + e_d
-    )
+    a = -half * (d + coupling - omega_sigma)
+    if a > _LOG_FLOAT_MAX:
+        # exp(a) overflows and the other three terms of den (at most 3) are
+        # below its rounding, so C = num exp(-a), down to the subnormal range.
+        return math.exp(math.log(num) - a) if num > 0.0 else 0.0
+    den = math.exp(a) + math.exp(-half * (d + coupling + omega_sigma)) + 1.0 + e_d
     value = num / den
     return value if value > 0.0 else 0.0
 
@@ -95,7 +95,10 @@ def concurrence_thermal(system: SpinSystem, beta: float) -> float:
 
 def concurrence_homonuclear(omega: float, coupling: float, beta: float) -> float:
     """Homonuclear C = max{0, (e^{bJ} - 3)/(2 cosh(b w) + e^{bJ} + 1)}, as the ratio form."""
-    params = derive_from_sigma_delta(2.0 * omega, 0.0, coupling)
+    omega_sigma = 2.0 * omega
+    if math.isinf(omega_sigma) and math.isfinite(omega):
+        raise ArithmeticError("omega_sigma = 2 omega overflows")
+    params = derive_from_sigma_delta(omega_sigma, 0.0, coupling)
     return concurrence_for_params(params, coupling, beta)
 
 
@@ -117,6 +120,13 @@ def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None
     sinh(x) s - exp(-x s). Where sinh(x) s = 2 the gap is at least
     2 - 1 > 0; where sinh(x) s = e^-2 it is at most e^-2 - exp(-e^-2) < 0,
     because x s <= sinh(x) s. Both bracket ends are closed forms in x.
+
+    The gap is increasing, and convex at and above its root, where
+    s sinh(x) >= exp(-x s) >= s exp(-x s) makes g'' = s sinh(x) - s^2 exp(-x s)
+    non-negative. Newton's method on g(beta), started at the upper end,
+    therefore steps down monotonically onto the root and never crosses it.
+    It stops at the first beta whose gap rounds to <= 0, or once the next
+    step makes no progress inside the bracket.
     """
     if coupling == 0.0:
         return None
@@ -126,15 +136,23 @@ def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None
     hi = 2.0 * math.asinh(2.0 / sin_2theta) / d
     if not math.isfinite(hi):
         raise ArithmeticError(f"threshold bracket is not finite: [{lo!r}, {hi!r}]")
-    for _ in range(300):
-        if hi - lo <= 1e-15 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if entanglement_gap(mid, d, sin_2theta, coupling) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # beta D / 2 can round up to an ulp above asinh(2 / s), which may be
+    # log(2 float max), where sinh and cosh overflow. 4 eps lower they stay
+    # finite, and the gap is still about 1.
+    beta = hi * (1.0 - 4.0 * sys.float_info.epsilon)
+    for _ in range(100):
+        gap = entanglement_gap(beta, d, sin_2theta, coupling)
+        if not gap > 0.0:
+            return beta
+        slope = 0.5 * (
+            d * sin_2theta * math.cosh(0.5 * beta * d)
+            + coupling * math.exp(-0.5 * beta * coupling)
+        )
+        next_beta = beta - gap / slope
+        if not lo < next_beta < beta:
+            return beta
+        beta = next_beta
+    raise ArithmeticError(f"threshold Newton iteration did not converge from {hi!r}")
 
 
 def threshold_temperature(system: SpinSystem) -> float | None:

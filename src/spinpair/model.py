@@ -99,12 +99,16 @@ class DerivedParams:
 
 
 def derive(system: SpinSystem) -> DerivedParams:
-    """Derived quantities for a system; total after canonicalisation."""
-    return derive_from_sigma_delta(
-        system.omega1 + system.omega2,
-        system.omega1 - system.omega2,
-        system.coupling,
-    )
+    """Derived quantities for a system.
+
+    The frequencies are finite, so an infinite omega1 +- omega2 is an overflow:
+    ArithmeticError, not invalid input.
+    """
+    omega_sigma = system.omega1 + system.omega2
+    omega_delta = system.omega1 - system.omega2
+    if math.isinf(omega_sigma) or math.isinf(omega_delta):
+        raise ArithmeticError("omega1 +- omega2 overflows")
+    return derive_from_sigma_delta(omega_sigma, omega_delta, system.coupling)
 
 
 def derive_from_sigma_delta(

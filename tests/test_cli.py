@@ -267,6 +267,39 @@ def test_crossing_extreme_frequencies(capsys, omega1, omega2, want):
     assert json.loads(out) == {"j_cross": want}
 
 
+# One valid command per float flag; each flag is given -1e0 in turn.
+FLOAT_FLAGS = [
+    ("concurrence --omega-sigma 2 --omega-delta 0 --tau 0.5", "--omega-sigma --omega-delta --tau"),
+    ("scan --axis field --from 1 --to 3 --points 5 --omega-sigma 2 --omega-delta 1 --tau 0.5",
+     "--from --to --omega-sigma --omega-delta --tau"),
+    ("threshold --omega-delta 1 --coupling 1", "--omega-delta --coupling"),
+    ("threshold --j-hz 3096", "--j-hz"),
+    ("spectrum --omega-sigma 1 --omega-delta 0.5 --tau 1 --phi 5 --linewidth 0.05",
+     "--omega-sigma --omega-delta --tau --phi --linewidth"),
+    ("crossing --omega1 4 --omega2 1", "--omega1 --omega2"),
+    ("reconstruct --p1z 1 --p2z 1 --p1z2z 1 --theta-deg 30", "--p1z --p2z --p1z2z --theta-deg"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in FLOAT_FLAGS for f in flags.split()]
+)
+def test_negative_exponent_form_is_a_value(capsys, command, flag):
+    argv = command.split()
+    at = argv.index(flag)
+    spaced = argv[:at] + [flag, "-1e0"] + argv[at + 2:]
+    joined = argv[:at] + [f"{flag}=-1e0"] + argv[at + 2:]
+    # stdout, exit code and stderr: a usage error from argparse differs in stderr.
+    assert run_cli(capsys, *spaced) == run_cli(capsys, *joined)
+
+
+def test_negative_exponent_form_values_parse(capsys):
+    code, out, _ = run_cli(capsys, "crossing", "--omega1", "1e300", "--omega2", "-1e300")
+    assert (code, out) == (0, '{"j_cross": "none"}\n')
+    base = ("spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--tau", "1", "--render")
+    assert run_cli(capsys, *base, "-1e0", "1", "3") == run_cli(capsys, *base, "-1", "1", "3")
+
+
 def test_spectrum_default_flip_angle_is_five_degrees(capsys):
     argv = ("spectrum", "--omega-sigma", "1.5", "--omega-delta", "0.5", "--tau", "0.2")
     assert run_cli(capsys, *argv)[1] == run_cli(capsys, *argv, "--phi", "5")[1]

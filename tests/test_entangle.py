@@ -126,7 +126,7 @@ def test_concurrence_bounds():
 
 def test_threshold_homonuclear():
     tau = entangle.threshold_tau(0.0)
-    assert abs(tau - 1.0 / math.log(3.0)) <= 1e-9
+    assert math.isclose(tau, 1.0 / math.log(3.0), rel_tol=1e-15)
     beta_star = 1.0 / tau
     assert abs(entangle.entanglement_gap(beta_star, 1.0, 1.0, 1.0)) <= 1e-12
 
@@ -168,6 +168,44 @@ def test_gap_is_monotone_with_unit_start():
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
         # bracket expansion terminates: a root is found for every J > 0
         assert entangle.threshold_beta(params.d_coupling, s, j) is not None
+
+
+def test_threshold_takes_few_gap_evaluations(monkeypatch):
+    # Newton from the upper bracket end: about 6 gap evaluations per root.
+    calls = []
+    gap = entangle.entanglement_gap
+
+    def counted(*args):
+        calls.append(args)
+        return gap(*args)
+
+    monkeypatch.setattr(entangle, "entanglement_gap", counted)
+    rng = np.random.default_rng(26)
+    pairs = [(0.0, 1.0), (0.0, 1e-300), (1e300, 1.0), (1e307, 1e2), (1.0, 1e-300),
+             (1.0, 1.2e-308), (1.0, 1.11254e-308), (678176.1171011522, 7.544959748128799e-303)]
+    for _ in range(250):
+        coupling = math.exp(rng.uniform(math.log(1e-300), math.log(1e2)))
+        ratio = math.exp(rng.uniform(math.log(1e-3), math.log(1e300)))
+        pairs.append((ratio * coupling, coupling))
+    counts = []
+    for omega_delta, coupling in pairs:
+        calls.clear()
+        assert entangle.threshold_tau(omega_delta, coupling) > 0.0
+        counts.append(len(calls))
+    assert sum(counts) / len(counts) <= 10.0
+    assert max(counts) <= 12
+
+
+def test_derived_frequency_overflow_is_numerical():
+    # Valid finite inputs whose derived omega_sigma = 2 omega or omega1 + omega2
+    # leaves float range: a numerical failure, not invalid input.
+    with pytest.raises(ArithmeticError):
+        entangle.concurrence_homonuclear(1e308, 1.0, 1.0)
+    with pytest.raises(ArithmeticError):
+        model.derive(model.SpinSystem(1e308, 1e308, 1.0))
+    for omega in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError):
+            entangle.concurrence_homonuclear(omega, 1.0, 1.0)
 
 
 def test_threshold_kelvin_values():

@@ -10,6 +10,7 @@ random points, some of them within 1e-6 of the E3/E4 crossing:
 populations 0.27 absolute and 1.0 relative, ratio-form C 0.21 absolute,
 population-form C 0.18 absolute, log Z 2.0. Both forms of Z are compared
 in log space up to log(float max), and must raise ArithmeticError above it.
+The threshold tau_t is checked against a 50-digit root of the entanglement gap.
 """
 
 import math
@@ -113,12 +114,54 @@ def test_closed_forms_match_mpmath(omega_sigma, omega_delta, beta):
             assert abs(math.log(z) - log_z_ref) <= bound, (z, log_z_ref)
 
 
+def _mp_threshold_tau(omega_delta, coupling):
+    """tau_t = 1 / (beta* J) from the 50-digit root x* = beta* D / 2 of s sinh(x) - exp(-x s)."""
+    with mp.workdps(50):
+        wd, j = mp.mpf(omega_delta), mp.mpf(coupling)
+        s = j / mp.sqrt(wd * wd + j * j)
+        x = mp.findroot(
+            lambda x: s * mp.sinh(x) - mp.exp(-x * s),
+            (mp.asinh(mp.exp(-2) / s), mp.asinh(2 / s)),
+            solver="anderson",
+        )
+        return float(1 / (2 * x * s))
+
+
+# omega_delta / J up to 8e307, where the upper bracket end asinh(2 / s) / D
+# nears log(2 float max); J from 1e-300 up. The ratio alone sets tau_t.
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+# Just inside the finite-bracket limit 2 / s <= float max, with J subnormal.
+@hypothesis.example(pair=(1.0, 1.2e-308))
+@hypothesis.example(pair=(1.0, 1.11254e-308))
+# beta D / 2 at the upper bracket end rounds to an ulp above log(2 float max).
+@hypothesis.example(pair=(678176.1171011522, 7.544959748128799e-303))
+@hypothesis.example(pair=(0.0, 1e-300))
+@hypothesis.given(
+    pair=st.tuples(
+        st.one_of(st.just(0.0), _log_uniform(1e-3, 8e307)), _log_uniform(1e-300, 1e2)
+    )
+    .map(lambda rj: (rj[0] * rj[1], rj[1]))
+    .filter(lambda pair: math.isfinite(pair[0]))
+)
+def test_threshold_matches_mpmath(pair):
+    omega_delta, coupling = pair
+    want = _mp_threshold_tau(omega_delta, coupling)
+    got = entangle.threshold_tau(omega_delta, coupling)
+    assert math.isclose(got, want, rel_tol=1e-15), (got, want)
+
+
 def test_subnormal_concurrence_is_resolved():
-    # A tau-scan point whose ratio-form denominator is just below float max:
-    # C is subnormal, not 0, and keeps the digits the subnormal range allows.
-    omega_sigma, omega_delta, beta = 3.5077, 0.36347, 1.0 / 0.001017
-    _, c_ref, _, _ = _reference(omega_sigma, omega_delta, beta)
-    params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
-    c = entangle.concurrence_for_params(params, 1.0, beta)
-    assert 0.0 < c_ref < sys.float_info.min
-    assert math.isclose(c, c_ref, rel_tol=1e-12), (c, c_ref)
+    # Two tau-scan points where C is subnormal, not 0, and keeps the digits the
+    # subnormal range allows: the ratio-form denominator just below float max,
+    # and beyond it (bench scan 37 of seed 1), where its growing term exp(a),
+    # a = 729.5, overflows and C = num exp(-a) = 1.44e-317.
+    for omega_sigma, omega_delta, tau in (
+        (3.5077, 0.36347, 0.001017),
+        (3.507696550576163, 0.363465299581727, 0.0009895177440392843),
+    ):
+        beta = 1.0 / tau
+        _, c_ref, _, _ = _reference(omega_sigma, omega_delta, beta)
+        params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
+        c = entangle.concurrence_for_params(params, 1.0, beta)
+        assert 0.0 < c_ref < sys.float_info.min
+        assert math.isclose(c, c_ref, rel_tol=1e-12, abs_tol=1e-323), (c, c_ref)
