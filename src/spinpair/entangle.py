@@ -96,7 +96,7 @@ def concurrence_thermal(system: SpinSystem, beta: float) -> float:
 def concurrence_homonuclear(omega: float, coupling: float, beta: float) -> float:
     """Homonuclear C = max{0, (e^{bJ} - 3)/(2 cosh(b w) + e^{bJ} + 1)}, as the ratio form."""
     omega_sigma = 2.0 * omega
-    if math.isinf(omega_sigma) and math.isfinite(omega):
+    if omega_sigma == math.inf and math.isfinite(omega):
         raise ArithmeticError("omega_sigma = 2 omega overflows")
     params = derive_from_sigma_delta(omega_sigma, 0.0, coupling)
     return concurrence_for_params(params, coupling, beta)
@@ -134,8 +134,9 @@ def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None
         raise ArithmeticError("sin 2theta underflowed to 0 although J > 0")
     lo = 2.0 * math.asinh(math.exp(-2.0) / sin_2theta) / d
     hi = 2.0 * math.asinh(2.0 / sin_2theta) / d
-    if not math.isfinite(hi):
-        raise ArithmeticError(f"threshold bracket is not finite: [{lo!r}, {hi!r}]")
+    # hi = 0 only for D = inf: sqrt(omega_delta^2 + J^2) overflowed.
+    if not 0.0 < hi < math.inf:
+        raise ArithmeticError(f"threshold bracket is out of float range: [{lo!r}, {hi!r}]")
     # beta D / 2 can round up to an ulp above asinh(2 / s), which may be
     # log(2 float max), where sinh and cosh overflow. 4 eps lower they stay
     # finite, and the gap is still about 1.
@@ -144,11 +145,12 @@ def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None
         gap = entanglement_gap(beta, d, sin_2theta, coupling)
         if not gap > 0.0:
             return beta
-        slope = 0.5 * (
-            d * sin_2theta * math.cosh(0.5 * beta * d)
-            + coupling * math.exp(-0.5 * beta * coupling)
-        )
-        next_beta = beta - gap / slope
+        # g'(beta) = (D / 2) s (cosh x + exp(-x s)). The step is taken as
+        # gap / (s (cosh x + exp(-x s))) <= 1, times 2 / D: the slope itself
+        # overflows once D exceeds float max / 2.
+        x = 0.5 * beta * d
+        step = gap / (sin_2theta * (math.cosh(x) + math.exp(-0.5 * beta * coupling)))
+        next_beta = beta - step * (2.0 / d)
         if not lo < next_beta < beta:
             return beta
         beta = next_beta
@@ -156,17 +158,30 @@ def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None
 
 
 def threshold_temperature(system: SpinSystem) -> float | None:
-    """Dimensionless threshold tau_t = k_B T_t / J, or None when J = 0."""
-    return threshold_tau(system.omega1 - system.omega2, system.coupling)
+    """Dimensionless threshold tau_t = k_B T_t / J, or None when J = 0.
+
+    Raises ArithmeticError where derive does: omega1 +- omega2 overflows.
+    """
+    return _threshold_tau(derive(system), system.coupling)
 
 
 def threshold_tau(omega_delta: float, coupling: float = 1.0) -> float | None:
     """threshold_temperature from (omega_delta, J) alone; omega_sigma drops out."""
-    params = derive_from_sigma_delta(0.0, omega_delta, coupling)
-    beta_star = threshold_beta(params.d_coupling, params.sin_2theta, coupling)
+    return _threshold_tau(derive_from_sigma_delta(0.0, omega_delta, coupling), coupling)
+
+
+def _threshold_tau(params: DerivedParams, coupling: float) -> float | None:
+    d, j = params.d_coupling, coupling
+    if j > 1.0:
+        # The gap depends on beta only through beta D and beta J. Dividing D
+        # and J by the power of two that puts J in [0.5, 1) is exact and keeps
+        # beta* out of the subnormal range when J nears float max.
+        scale = math.frexp(j)[1]
+        d, j = math.ldexp(d, -scale), math.ldexp(j, -scale)
+    beta_star = threshold_beta(d, params.sin_2theta, j)
     if beta_star is None:
         return None
-    return 1.0 / (beta_star * coupling)
+    return 1.0 / (beta_star * j)
 
 
 def threshold_kelvin(j_hz: float) -> float:

@@ -182,7 +182,8 @@ def test_threshold_takes_few_gap_evaluations(monkeypatch):
     monkeypatch.setattr(entangle, "entanglement_gap", counted)
     rng = np.random.default_rng(26)
     pairs = [(0.0, 1.0), (0.0, 1e-300), (1e300, 1.0), (1e307, 1e2), (1.0, 1e-300),
-             (1.0, 1.2e-308), (1.0, 1.11254e-308), (678176.1171011522, 7.544959748128799e-303)]
+             (1.0, 1.2e-308), (1.0, 1.11254e-308), (678176.1171011522, 7.544959748128799e-303),
+             (0.0, 1.7e308), (1e308, 2.0)]
     for _ in range(250):
         coupling = math.exp(rng.uniform(math.log(1e-300), math.log(1e2)))
         ratio = math.exp(rng.uniform(math.log(1e-3), math.log(1e300)))
@@ -197,13 +198,19 @@ def test_threshold_takes_few_gap_evaluations(monkeypatch):
 
 
 def test_derived_frequency_overflow_is_numerical():
-    # Valid finite inputs whose derived omega_sigma = 2 omega or omega1 + omega2
+    # Valid finite inputs whose derived 2 omega, omega1 +- omega2 or D
     # leaves float range: a numerical failure, not invalid input.
     with pytest.raises(ArithmeticError):
         entangle.concurrence_homonuclear(1e308, 1.0, 1.0)
-    with pytest.raises(ArithmeticError):
-        model.derive(model.SpinSystem(1e308, 1e308, 1.0))
-    for omega in (math.inf, math.nan, -1.0):
+    for system in (model.SpinSystem(1e308, 1e308, 1.0), model.SpinSystem(1e308, -1e308, 1.0)):
+        with pytest.raises(ArithmeticError):
+            model.derive(system)
+        with pytest.raises(ArithmeticError):
+            entangle.threshold_temperature(system)
+    # D = sqrt(omega_delta^2 + J^2) overflows although both inputs are finite.
+    with pytest.raises(ArithmeticError, match="out of float range"):
+        entangle.threshold_tau(1.7e308, 1e308)
+    for omega in (math.inf, math.nan, -1.0, -1e308):
         with pytest.raises(ValueError):
             entangle.concurrence_homonuclear(omega, 1.0, 1.0)
 

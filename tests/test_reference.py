@@ -128,8 +128,16 @@ def _mp_threshold_tau(omega_delta, coupling):
 
 
 # omega_delta / J up to 8e307, where the upper bracket end asinh(2 / s) / D
-# nears log(2 float max); J from 1e-300 up. The ratio alone sets tau_t.
+# nears log(2 float max); J from 1e-300 up to float max, with D finite.
+# The ratio alone sets tau_t.
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+# D near float max: the slope g'(beta) = (D / 2) s (cosh x + exp(-x s)) would
+# overflow, and beta* itself would be subnormal without rescaling J.
+@hypothesis.example(pair=(0.0, 1e308))
+@hypothesis.example(pair=(0.0, 1.7e308))
+@hypothesis.example(pair=(0.0, sys.float_info.max))
+@hypothesis.example(pair=(0.0, 1.7317192461649184e308))
+@hypothesis.example(pair=(1e308, 2.0))
 # Just inside the finite-bracket limit 2 / s <= float max, with J subnormal.
 @hypothesis.example(pair=(1.0, 1.2e-308))
 @hypothesis.example(pair=(1.0, 1.11254e-308))
@@ -138,10 +146,11 @@ def _mp_threshold_tau(omega_delta, coupling):
 @hypothesis.example(pair=(0.0, 1e-300))
 @hypothesis.given(
     pair=st.tuples(
-        st.one_of(st.just(0.0), _log_uniform(1e-3, 8e307)), _log_uniform(1e-300, 1e2)
+        st.one_of(st.just(0.0), _log_uniform(1e-3, 8e307)),
+        _log_uniform(1e-300, sys.float_info.max),
     )
     .map(lambda rj: (rj[0] * rj[1], rj[1]))
-    .filter(lambda pair: math.isfinite(pair[0]))
+    .filter(lambda pair: math.isfinite(math.hypot(*pair)))
 )
 def test_threshold_matches_mpmath(pair):
     omega_delta, coupling = pair
