@@ -68,8 +68,6 @@ def _emit_csv(header: str, line: str, rows) -> None:
 def _beta_from_args(args) -> float:
     if args.zero_temp:
         return math.inf
-    if args.tau is None:
-        raise ValueError("either --tau or --zero-temp is required")
     if args.tau == 0.0:
         raise ValueError("--tau must be > 0 (use --zero-temp for the limit)")
     return _beta_from_tau(args.tau)
@@ -79,10 +77,9 @@ def _cmd_concurrence(args, digits: int) -> int:
     params = derive_from_sigma_delta(args.omega_sigma, args.omega_delta, 1.0)
     beta = _beta_from_args(args)
     pops = thermo.populations(thermo.energies(params, 1.0), beta)
-    c = entangle.concurrence_from_populations(pops, params.theta)
     _emit_json(
         {
-            "concurrence": _sig(c, digits),
+            "concurrence": _sig(entangle.concurrence_for_params(params, 1.0, beta), digits),
             "populations": [_sig(p, digits) for p in pops.probs],
         }
     )
@@ -119,8 +116,6 @@ def _cmd_threshold(args, digits: int) -> int:
     if args.j_hz is not None:
         _emit_json({"t_kelvin": _sig(entangle.threshold_kelvin(args.j_hz), digits)})
         return EXIT_OK
-    if args.omega_delta is None:
-        raise ValueError("either --omega-delta or --j-hz is required")
     tau_t = entangle.threshold_tau(args.omega_delta, args.coupling)
     _emit_json({"tau_t": "never" if tau_t is None else _sig(tau_t, digits)})
     return EXIT_OK
@@ -151,6 +146,8 @@ def _cmd_spectrum(args, digits: int) -> int:
 
 def _cmd_crossing(args, digits: int) -> int:
     if args.preset is not None:
+        if args.omega1 is not None or args.omega2 is not None:
+            raise ValueError("--preset excludes --omega1 and --omega2")
         system = preset(args.preset, 1.0)
         omega1, omega2 = system.omega1, system.omega2
     elif args.omega1 is None or args.omega2 is None:
@@ -202,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("concurrence", help="concurrence and populations at one point")
     p.add_argument("--omega-sigma", type=float, required=True)
     p.add_argument("--omega-delta", type=float, required=True)
-    p.add_argument("--tau", type=float, help="k_B T / J")
-    p.add_argument("--zero-temp", action="store_true")
+    temperature = p.add_mutually_exclusive_group(required=True)
+    temperature.add_argument("--tau", type=float, help="k_B T / J")
+    temperature.add_argument("--zero-temp", action="store_true")
     p.set_defaults(func=_cmd_concurrence)
 
     p = sub.add_parser("scan", help="CSV sweep of concurrence over tau or field")
@@ -217,16 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("threshold", help="threshold temperature")
-    p.add_argument("--omega-delta", type=float)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--omega-delta", type=float)
+    mode.add_argument("--j-hz", type=float, help="coupling/2pi in Hz (SI mode)")
     p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--j-hz", type=float, help="coupling/2pi in Hz (SI mode)")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("spectrum", help="line list, optionally a rendered curve")
     p.add_argument("--omega-sigma", type=float, required=True)
     p.add_argument("--omega-delta", type=float, required=True)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--zero-temp", action="store_true")
+    temperature = p.add_mutually_exclusive_group(required=True)
+    temperature.add_argument("--tau", type=float)
+    temperature.add_argument("--zero-temp", action="store_true")
     phi_deg = math.degrees(spectrum.DEFAULT_FLIP_ANGLE)
     p.add_argument("--phi", type=float, default=phi_deg, help="flip angle in degrees")
     p.add_argument("--linewidth", type=float, default=spectrum.DEFAULT_LINEWIDTH)

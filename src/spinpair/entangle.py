@@ -59,11 +59,9 @@ def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) 
     catastrophically at the critical point.
     """
     _check_coupling(coupling)
-    if math.isinf(beta):
+    if thermo._is_zero_temperature(beta):
         pops = thermo.populations(thermo.energies(params, coupling), math.inf)
         return concurrence_from_populations(pops, params.theta)
-    if not beta >= 0.0:
-        raise ValueError("beta must be >= 0")
     return _ratio_form(
         params.omega_sigma, params.d_coupling, params.sin_2theta, coupling, beta
     )
@@ -134,7 +132,7 @@ def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None
         raise ArithmeticError("sin 2theta underflowed to 0 although J > 0")
     lo = 2.0 * math.asinh(math.exp(-2.0) / sin_2theta) / d
     hi = 2.0 * math.asinh(2.0 / sin_2theta) / d
-    # hi = 0 only for D = inf: sqrt(omega_delta^2 + J^2) overflowed.
+    # hi = inf where 2 / s overflows; D is finite, so hi > 0.
     if not 0.0 < hi < math.inf:
         raise ArithmeticError(f"threshold bracket is out of float range: [{lo!r}, {hi!r}]")
     # beta D / 2 can round up to an ulp above asinh(2 / s), which may be
@@ -205,8 +203,7 @@ def sweep(
     axis="field": grid holds omega_sigma values at fixed omega_delta, tau.
     The grid must be non-empty, finite and strictly increasing.
     """
-    points = [float(x) for x in grid]
-    _check_grid(points)
+    points = _check_grid(grid).tolist()
     if axis == "temperature":
         if omega_sigma is None or omega_delta is None:
             raise ValueError("temperature sweeps need omega_sigma and omega_delta")

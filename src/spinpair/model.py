@@ -127,6 +127,8 @@ def derive_from_sigma_delta(
         raise ValueError("omega_delta must be >= 0")
     _check_coupling(coupling)
     d = math.hypot(omega_delta, coupling)
+    if d == math.inf:
+        raise ArithmeticError("D = hypot(omega_delta, J) is out of float range")
     # atan2(0, 0) = 0 fixes the degenerate J = 0, omega_delta = 0 case;
     # atan2(J, 0) = pi/2 makes the homonuclear angle exactly pi/4.
     theta = 0.5 * math.atan2(coupling, omega_delta)
@@ -152,10 +154,9 @@ def _beta_from_tau(tau: float, coupling: float = 1.0) -> float:
     if tau == 0.0:
         return math.inf
     scaled = tau * coupling
-    beta = 1.0 / scaled if scaled > 0.0 else math.inf
-    if math.isinf(beta):
+    if scaled == 0.0 or 1.0 / scaled == math.inf:
         raise ArithmeticError(f"beta = 1/(tau J) overflows at tau = {tau!r}")
-    return beta
+    return 1.0 / scaled
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -202,4 +203,6 @@ def from_si(nu1_hz: float, nu2_hz: float, j_hz: float) -> tuple[SpinSystem, floa
     beta*J products to absolute temperature.
     """
     energy_scale = _energy_scale(j_hz)
+    if any(math.isfinite(nu) and math.isinf(nu / j_hz) for nu in (nu1_hz, nu2_hz)):
+        raise ArithmeticError(f"nu / j_hz overflows at j_hz = {j_hz!r}")
     return SpinSystem(nu1_hz / j_hz, nu2_hz / j_hz, 1.0), energy_scale

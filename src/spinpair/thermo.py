@@ -1,6 +1,7 @@
 """Thermal-equilibrium state of the coupled pair.
 
-Energy levels (hbar = 1, in the units of the input frequencies):
+Energy levels (hbar = 1, in the units of the input frequencies; each term
+is halved before the sum, so the levels are finite for every valid input):
 
     E1 = (omega_sigma + J/2) / 2          |aa>
     E2 = (D - J/2) / 2                    cos(t)|ab> + sin(t)|ba>
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams, _check_theta
+from .model import DerivedParams, _check_coupling, _check_theta
 
 # Relative scale for deciding two levels are exactly degenerate in the
 # zero-temperature limit.
@@ -90,18 +91,16 @@ class DensityMatrixX:
 
 
 def energies(params: DerivedParams, coupling: float) -> EnergyLevels:
-    half_j = 0.5 * coupling
-    return EnergyLevels(
-        0.5 * (params.omega_sigma + half_j),
-        0.5 * (params.d_coupling - half_j),
-        -0.5 * (params.d_coupling + half_j),
-        0.5 * (-params.omega_sigma + half_j),
-    )
+    _check_coupling(coupling)
+    ws, d, j = 0.5 * params.omega_sigma, 0.5 * params.d_coupling, 0.25 * coupling
+    return EnergyLevels(ws + j, d - j, -d - j, -ws + j)
 
 
-def _check_finite_beta(beta: float) -> None:
-    if not beta >= 0.0 or math.isinf(beta):
-        raise ValueError("beta must be finite and >= 0")
+def _is_zero_temperature(beta: float) -> bool:
+    """Whether beta is the exact limit beta = inf; ValueError unless beta lies in [0, inf]."""
+    if not 0.0 <= beta <= math.inf:
+        raise ValueError(f"beta must lie in [0, inf], got {beta!r}")
+    return beta == math.inf
 
 
 def _z_from_log(log_z: float) -> float:
@@ -112,9 +111,16 @@ def _z_from_log(log_z: float) -> float:
     return math.exp(log_z)
 
 
+def _lowest_level(es: tuple[float, ...]) -> float:
+    """min(es); ValueError unless every level is finite."""
+    if not all(map(math.isfinite, es)):
+        raise ValueError("energy levels must be finite")
+    return min(es)
+
+
 def _shifted_weights(es: tuple[float, ...], beta: float) -> tuple[float, list[float]]:
     """The lowest level and exp(-beta (E_i - E_min)); no weight exceeds 1."""
-    emin = min(es)
+    emin = _lowest_level(es)
     return emin, [math.exp(-beta * (e - emin)) for e in es]
 
 
@@ -125,7 +131,8 @@ def _log_2cosh(x: float) -> float:
 
 def partition(levels: EnergyLevels, beta: float) -> float:
     """Z = sum_i exp(-beta E_i) at finite beta >= 0, summed relative to the lowest level."""
-    _check_finite_beta(beta)
+    if _is_zero_temperature(beta):
+        raise ValueError("Z needs a finite beta")
     emin, weights = _shifted_weights(levels.as_tuple(), beta)
     return _z_from_log(-beta * emin + math.log(sum(weights)))
 
@@ -136,7 +143,9 @@ def partition_closed(params: DerivedParams, coupling: float, beta: float) -> flo
     log Z = beta J/4 + log(exp(-beta J/2) 2 cosh(beta omega_sigma/2)
     + 2 cosh(beta D/2)), the two terms added in log space.
     """
-    _check_finite_beta(beta)
+    _check_coupling(coupling)
+    if _is_zero_temperature(beta):
+        raise ValueError("Z needs a finite beta")
     a = -0.5 * beta * coupling + _log_2cosh(0.5 * beta * params.omega_sigma)
     b = _log_2cosh(0.5 * beta * params.d_coupling)
     hi, lo = (a, b) if a >= b else (b, a)
@@ -146,14 +155,9 @@ def partition_closed(params: DerivedParams, coupling: float, beta: float) -> flo
 def populations(levels: EnergyLevels, beta: float) -> Populations:
     """Boltzmann occupations; beta = inf selects the exact ground-state limit."""
     es = levels.as_tuple()
-    if not all(map(math.isfinite, es)):
-        raise ValueError("energy levels must be finite")
-    if math.isinf(beta):
+    if _is_zero_temperature(beta):
         ground = _ground_levels(es)
-        share = 1.0 / len(ground)
-        return Populations(*(share if i in ground else 0.0 for i in range(4)))
-    if not beta >= 0.0:
-        raise ValueError("beta must be >= 0")
+        return Populations(*(1.0 / len(ground) if i in ground else 0.0 for i in range(4)))
     _, weights = _shifted_weights(es, beta)
     total = sum(weights)
     return Populations(*(w / total for w in weights))
@@ -161,7 +165,7 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
 
 def _ground_levels(es: tuple[float, ...]) -> list[int]:
     """0-based indices of the levels exactly degenerate with the lowest one."""
-    emin = min(es)
+    emin = _lowest_level(es)
     scale = max(1.0, max(abs(e) for e in es))
     return [i for i, e in enumerate(es) if e - emin <= DEGENERACY_RTOL * scale]
 

@@ -52,6 +52,43 @@ def test_concurrence_requires_temperature(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "concurrence --omega-sigma 2 --omega-delta 0 --tau 0.5 --zero-temp",
+        "spectrum --omega-sigma 2 --omega-delta 0 --tau 0.5 --zero-temp",
+        "threshold --omega-delta 1 --j-hz 7",
+        "crossing --preset hc --omega1 4 --omega2 1",
+        "crossing --preset hc --omega2 1",
+    ],
+)
+def test_conflicting_flags_are_usage_errors(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert (code, out) == (2, "")
+
+
+def test_concurrence_agrees_with_scan_beyond_the_crossing(capsys):
+    # Far beyond the crossing the population form cancels; both commands use
+    # the ratio form. 60-digit reference: 4.03546793523e-180.
+    mpmath = pytest.importorskip("mpmath")
+    ws, tau = "553.7013048759595", "0.6696219470040682"
+    code, out, _ = run_cli(
+        capsys, "concurrence", "--omega-sigma", ws, "--omega-delta", "0", "--tau", tau
+    )
+    assert code == 0
+    c = json.loads(out)["concurrence"]
+    code, out, _ = run_cli(
+        capsys, "scan", "--axis", "field", "--from", ws, "--to", ws, "--points", "1",
+        "--omega-delta", "0", "--tau", tau,
+    )
+    assert code == 0
+    assert float(out.split("\n")[1].split(",")[1]) == c
+    with mpmath.workdps(60):
+        b, w = 1 / mpmath.mpf(tau), mpmath.mpf(ws) / 2
+        want = (mpmath.exp(b) - 3) / (2 * mpmath.cosh(b * w) + mpmath.exp(b) + 1)
+    assert abs(c - float(want)) <= 1e-11 * float(want)
+
+
 def test_scan_temperature_axis(capsys):
     code, out, _ = run_cli(
         capsys,

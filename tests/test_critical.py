@@ -132,6 +132,9 @@ def test_ground_state_classification():
     assert at.degenerate_pair == (3, 4)
     above = classify(ws_crit + 0.5)
     assert above.index == 4 and above.degenerate_pair is None
+    # omega_sigma + J/2 leaves float range; E3 = -7.7e307 is still the lowest level.
+    near_max = critical.ground_state(model.SpinSystem(1e308, 0.7e308, 1e308))
+    assert near_max.index == 3 and near_max.degenerate_pair is None
 
 
 def test_non_finite_frequencies_rejected():

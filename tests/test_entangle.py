@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpair import entangle, model, thermo
+from spinpair import entangle, model, spectrum, thermo
 
 
 def _params(omega_sigma, omega_delta, coupling=1.0):
@@ -85,6 +85,21 @@ def test_concurrence_for_params_rejects_invalid_coupling():
         for beta in (1.0, math.inf):
             with pytest.raises(ValueError):
                 entangle.concurrence_for_params(params, coupling, beta)
+
+
+@pytest.mark.parametrize("beta", [-math.inf, -1.0, math.nan])
+def test_beta_outside_zero_to_inf_is_rejected_everywhere(beta):
+    params = _params(1.0, 0.5)
+    calls = (
+        lambda: entangle.concurrence_for_params(params, 1.0, beta),
+        lambda: _thermal_pops(params, 1.0, beta),
+        lambda: entangle.concurrence_homonuclear(0.5, 1.0, beta),
+        lambda: spectrum.simulate_spectrum(model.SpinSystem(0.75, 0.25, 1.0), beta),
+        lambda: thermo.partition(thermo.energies(params, 1.0), beta),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="beta"):
+            call()
 
 
 @pytest.mark.parametrize("theta", [math.nan, -1.0, 2.0])
@@ -210,6 +225,11 @@ def test_derived_frequency_overflow_is_numerical():
     # D = sqrt(omega_delta^2 + J^2) overflows although both inputs are finite.
     with pytest.raises(ArithmeticError, match="out of float range"):
         entangle.threshold_tau(1.7e308, 1e308)
+    with pytest.raises(ArithmeticError, match="out of float range"):
+        model.derive_from_sigma_delta(0.0, 1.7e308, 1e308)
+    # omega_sigma + J/2 overflows, but the levels are halved term by term.
+    system = model.SpinSystem(1e308, 0.7e308, 1e308)
+    assert entangle.concurrence_thermal(system, math.inf) == model.derive(system).sin_2theta
     for omega in (math.inf, math.nan, -1.0, -1e308):
         with pytest.raises(ValueError):
             entangle.concurrence_homonuclear(omega, 1.0, 1.0)
@@ -350,6 +370,10 @@ def test_sweep_tau_overflow_is_numerical():
         entangle.sweep("field", [0.0, 1.0], omega_delta=0.0, tau=math.nan)
     with pytest.raises(ValueError):
         entangle.sweep("field", [-1.0, 1.0], omega_delta=0.0, tau=0.5)
+    # A nested grid is invalid input, as in render_lorentzian.
+    for grid in ([[0.5, 1.0]], [[0.5], [1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            entangle.sweep("temperature", grid, omega_sigma=1.0, omega_delta=0.0)
 
 
 def test_sweep_rejects_zero_coupling():

@@ -184,6 +184,16 @@ def test_from_si_rejects_non_finite_coupling():
             model.from_si(0.0, 0.0, j_hz)
 
 
+def test_from_si_frequency_overflow_is_numerical():
+    # Valid inputs; only nu / j_hz leaves float range.
+    for nu1, nu2 in ((1e300, 0.0), (1e300, -1e300)):
+        with pytest.raises(ArithmeticError):
+            model.from_si(nu1, nu2, 1e-10)
+    for nu1 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            model.from_si(nu1, 0.0, 1e-10)
+
+
 def test_energy_scale_underflow_is_numerical():
     # Below about 3.4e-275 Hz, hbar 2 pi j_hz is subnormal or 0.
     assert model._energy_scale(1e-270) == model.HBAR * model.TWO_PI * 1e-270

@@ -104,10 +104,37 @@ def test_partition_beyond_float_range_is_numerical(omega_sigma, coupling, beta):
 
 def test_partition_rejects_negative_or_infinite_beta():
     levels = thermo.EnergyLevels(0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        thermo.partition(levels, -1.0)
-    with pytest.raises(ValueError):
-        thermo.partition(levels, math.inf)
+    params = _params(1.0, 0.5)
+    for beta in (-1.0, -math.inf, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            thermo.partition(levels, beta)
+        with pytest.raises(ValueError):
+            thermo.partition_closed(params, 1.0, beta)
+
+
+def test_energies_and_closed_partition_reject_invalid_coupling():
+    params = _params(1.0, 0.5)
+    for coupling in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            thermo.energies(params, coupling)
+        with pytest.raises(ValueError):
+            thermo.partition_closed(params, coupling, 1.0)
+
+
+def test_levels_stay_finite_near_float_max():
+    # omega_sigma + J/2 overflows although omega_sigma, D and J are finite.
+    params = _params(1.7e308, 0.3e308, 1e308)
+    levels = thermo.energies(params, 1e308)
+    assert all(map(math.isfinite, levels.as_tuple()))
+    assert levels.e1 == 0.5 * 1.7e308 + 0.25e308
+    # Halving each term before the sum leaves normal-range levels unchanged.
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        ws, wd, j = rng.uniform(0.0, 10.0, 3)
+        params = _params(ws, wd, j)
+        d = params.d_coupling
+        old = (0.5 * (ws + 0.5 * j), 0.5 * (d - 0.5 * j), -0.5 * (d + 0.5 * j), 0.5 * (-ws + 0.5 * j))
+        assert thermo.energies(params, j).as_tuple() == old
 
 
 def test_populations_infinite_temperature():
@@ -226,5 +253,8 @@ def test_density_matrix_rejects_bad_inputs(pops, theta):
 @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
 def test_populations_reject_non_finite_levels(beta):
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            thermo.populations(thermo.EnergyLevels(0.0, bad, 1.0, 2.0), beta)
+        for levels in (thermo.EnergyLevels(0.0, bad, 1.0, 2.0), thermo.EnergyLevels(bad, 0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError):
+                thermo.populations(levels, beta)
+            with pytest.raises(ValueError):
+                thermo.partition(levels, beta)
