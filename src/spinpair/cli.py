@@ -97,13 +97,17 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
 
 
 def _cmd_scan(args, digits: int) -> int:
+    # Each axis reads only its own parameters; the tau axis takes
+    # omega_sigma = 0 unless --omega-sigma is given.
+    if args.axis == "tau" and args.tau is not None:
+        raise ValueError("--axis tau excludes --tau")
+    if args.axis == "field" and args.omega_sigma is not None:
+        raise ValueError("--axis field excludes --omega-sigma")
     grid = _grid(args.start, args.stop, args.points)
-    # Each axis reads only its own parameters: tau axes ignore --tau and
-    # field axes ignore --omega-sigma.
     rows = entangle.sweep(
         "temperature" if args.axis == "tau" else "field",
         grid,
-        omega_sigma=args.omega_sigma,
+        omega_sigma=0.0 if args.omega_sigma is None else args.omega_sigma,
         omega_delta=args.omega_delta,
         tau=args.tau,
     )
@@ -114,9 +118,12 @@ def _cmd_scan(args, digits: int) -> int:
 
 def _cmd_threshold(args, digits: int) -> int:
     if args.j_hz is not None:
+        if args.coupling is not None:
+            raise ValueError("--j-hz excludes --coupling")
         _emit_json({"t_kelvin": _sig(entangle.threshold_kelvin(args.j_hz), digits)})
         return EXIT_OK
-    tau_t = entangle.threshold_tau(args.omega_delta, args.coupling)
+    coupling = 1.0 if args.coupling is None else args.coupling
+    tau_t = entangle.threshold_tau(args.omega_delta, coupling)
     _emit_json({"tau_t": "never" if tau_t is None else _sig(tau_t, digits)})
     return EXIT_OK
 
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--omega-sigma", type=float, default=0.0)
+    p.add_argument("--omega-sigma", type=float, help="fixed omega_sigma for tau scans (default 0)")
     p.add_argument("--omega-delta", type=float, default=0.0)
     p.add_argument("--tau", type=float, help="fixed tau for field scans")
     p.set_defaults(func=_cmd_scan)
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--omega-delta", type=float)
     mode.add_argument("--j-hz", type=float, help="coupling/2pi in Hz (SI mode)")
-    p.add_argument("--coupling", type=float, default=1.0)
+    p.add_argument("--coupling", type=float, help="J for --omega-delta (default 1)")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("spectrum", help="line list, optionally a rendered curve")

@@ -7,18 +7,17 @@ product sqrt(rho) rho_tilde sqrt(rho),
 
     rho_tilde = (sy (x) sy) rho* (sy (x) sy).
 
-X-structured matrices (always the case for the thermal states built
-here) take the l_i from an exact two-block closed form. Any other state
-builds sqrt(rho) from the clipped eigendecomposition of rho and takes
-the l_i as the singular values of sqrt(rho) sqrt(rho_tilde), whose
-squares are the eigenvalues of the Hermitian product above. Singular
-values keep the small l_i accurate to rounding; square roots of the
-product's eigenvalues would amplify rounding to about 1e-8 near pure
-states.
+Inputs are checked entry by entry as Python numbers. An X-structured state
+(every thermal state built here) is two 2x2 blocks, {11, 14, 44} and
+{22, 23, 33}, with closed-form eigenvalues and l_i. Others take one eigh of
+rho, for positivity and sqrt(rho), and the l_i as singular values of sqrt(rho)
+sqrt(rho_tilde): roots of the product's eigenvalues err by 1e-8 near pure states.
 """
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
 
 import numpy as np
@@ -31,58 +30,74 @@ EIGENVALUE_FLOOR = -1e-10
 # flipping both spins reverses the basis order and these signs.
 _FLIP_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
-# Entries allowed to be nonzero in an X-structured matrix.
-_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+# Row-major indices 4i + j: the (ij, ji) pairs with i <= j, and the zeros of an X matrix.
+_UPPER = [(4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4)]
+_OFF_X = [4 * i + j for i in range(4) for j in range(4) if j not in (i, 3 - i)]
 
 
-def _as_hermitian4(matrix, error: str) -> np.ndarray:
-    """A finite complex 4x4 array; ValueError(error) unless it is Hermitian."""
+def _as_hermitian4(matrix, error: str) -> tuple[np.ndarray, list[complex]]:
+    """A finite complex 4x4 array and its row-major entries; ValueError(error) unless Hermitian."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    e = m.ravel().tolist()
+    if not all(map(cmath.isfinite, e)):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_ATOL * scale:
+    scale = skew = math.inf  # a modulus past float max: inf, as numpy's abs gives
+    with contextlib.suppress(OverflowError):
+        scale = max(1.0, *map(abs, e))
+        skew = max(abs(e[ij] - e[ji].conjugate()) for ij, ji in _UPPER)
+    if skew > HERMITICITY_ATOL * scale:
         raise ValueError(error)
-    return m
+    return m, e
+
+
+def _as_state(rho):
+    """(m, e, eigh(m)) for a valid density matrix; eigh(m) is None for an X state."""
+    m, e = _as_hermitian4(rho, "density matrix is not Hermitian")
+    trace = (e[0] + e[5]) + (e[10] + e[15])
+    if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
+        raise ValueError("density matrix must have unit trace")
+    eig = np.linalg.eigh(m) if any(e[k] for k in _OFF_X) else None
+    if not (_x_lowest(e) if eig is None else eig[0][0]) >= EIGENVALUE_FLOOR:  # NaN too
+        raise ValueError("density matrix has a negative eigenvalue")
+    return m, e, eig
+
+
+def _x_lowest(e: list[complex]) -> float:
+    # Lowest eigenvalue of an X state's blocks [[a, b*], [b, d]], read as eigvalsh reads them.
+    return min((a + d) / 2 - math.hypot((a - d) / 2, b.real, b.imag)
+               for a, b, d in ((e[0].real, e[12], e[15].real), (e[5].real, e[9], e[10].real)))
 
 
 def check_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; return as complex array."""
-    m = _as_hermitian4(rho, "density matrix is not Hermitian")
-    if abs(m.trace().real - 1.0) > TRACE_ATOL or abs(m.trace().imag) > TRACE_ATOL:
-        raise ValueError("density matrix must have unit trace")
-    if float(np.min(np.linalg.eigvalsh(m))) < EIGENVALUE_FLOOR:
-        raise ValueError("density matrix has a negative eigenvalue")
-    return m
+    return _as_state(rho)[0]
 
 
 def spin_flip(rho) -> np.ndarray:
     """rho_tilde[i, j] = s_i s_j conj(rho[3-i, 3-j]) with s = (+1, -1, -1, +1)."""
-    m = _as_hermitian4(rho, "spin flip requires a Hermitian input")
+    m, _ = _as_hermitian4(rho, "spin flip requires a Hermitian input")
     return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * np.conj(m[::-1, ::-1])
 
 
 def wootters_concurrence(rho) -> float:
     """Concurrence from the spin-flip spectrum of an arbitrary 4x4 state."""
-    m = check_density_matrix(rho)
-    if np.all(m[~_X_PATTERN] == 0.0):
-        lams = sorted(_x_state_lambdas(m), reverse=True)
+    _, e, eig = _as_state(rho)
+    if eig is None:
+        lams = sorted(_x_state_lambdas(e), reverse=True)
     else:
-        w, v = np.linalg.eigh(m)
+        w, v = eig
         sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
         lams = np.linalg.svd(sqrt_rho @ spin_flip(sqrt_rho), compute_uv=False)
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def _x_state_lambdas(m: np.ndarray) -> list[float]:
+def _x_state_lambdas(e: list[complex]) -> list[float]:
     # Square roots of the rho @ rho_tilde spectrum of an X-state, taken
     # blockwise: sqrt((sqrt(ad) +- |u|)^2) collapses to sqrt(ad) +- |u|,
     # which avoids the square-then-root cancellation near pure states.
-    outer = math.sqrt(max((m[0, 0] * m[3, 3]).real, 0.0))
-    inner = math.sqrt(max((m[1, 1] * m[2, 2]).real, 0.0))
-    a14 = abs(m[0, 3])
-    a23 = abs(m[1, 2])
+    outer = math.sqrt(max((e[0] * e[15]).real, 0.0))
+    inner = math.sqrt(max((e[5] * e[10]).real, 0.0))
+    a14, a23 = abs(e[3]), abs(e[6])
     return [outer + a14, abs(outer - a14), inner + a23, abs(inner - a23)]
-

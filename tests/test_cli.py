@@ -60,11 +60,27 @@ def test_concurrence_requires_temperature(capsys):
         "threshold --omega-delta 1 --j-hz 7",
         "crossing --preset hc --omega1 4 --omega2 1",
         "crossing --preset hc --omega2 1",
+        "threshold --j-hz 7 --coupling 2",
+        "scan --axis tau --from 0 --to 1 --points 5 --omega-sigma 2 --omega-delta 1 --tau 7",
+        "scan --axis field --from 1 --to 3 --points 5 --omega-delta 1 --tau 0.5 --omega-sigma 9",
     ],
 )
 def test_conflicting_flags_are_usage_errors(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "implicit, explicit",
+    [
+        ("threshold --omega-delta 1", "--coupling 1"),
+        ("scan --axis tau --from 0 --to 1 --points 5 --omega-delta 1", "--omega-sigma 0"),
+    ],
+)
+def test_absent_mode_flags_take_their_defaults(capsys, implicit, explicit):
+    code, out, _ = run_cli(capsys, *implicit.split())
+    assert code == 0
+    assert run_cli(capsys, *implicit.split(), *explicit.split()) == (code, out, "")
 
 
 def test_concurrence_agrees_with_scan_beyond_the_crossing(capsys):
@@ -307,8 +323,9 @@ def test_crossing_extreme_frequencies(capsys, omega1, omega2, want):
 # One valid command per float flag; each flag is given -1e0 in turn.
 FLOAT_FLAGS = [
     ("concurrence --omega-sigma 2 --omega-delta 0 --tau 0.5", "--omega-sigma --omega-delta --tau"),
-    ("scan --axis field --from 1 --to 3 --points 5 --omega-sigma 2 --omega-delta 1 --tau 0.5",
-     "--from --to --omega-sigma --omega-delta --tau"),
+    ("scan --axis tau --from 1 --to 3 --points 5 --omega-sigma 2 --omega-delta 1",
+     "--from --to --omega-sigma --omega-delta"),
+    ("scan --axis field --from 1 --to 3 --points 5 --omega-delta 1 --tau 0.5", "--tau"),
     ("threshold --omega-delta 1 --coupling 1", "--omega-delta --coupling"),
     ("threshold --j-hz 3096", "--j-hz"),
     ("spectrum --omega-sigma 1 --omega-delta 0.5 --tau 1 --phi 5 --linewidth 0.05",

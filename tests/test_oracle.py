@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,13 +67,6 @@ def test_spin_flip_involution_and_trace():
         assert abs(np.trace(flipped) - np.trace(rho)) <= 1e-12
 
 
-def test_spin_flip_rejects_non_hermitian():
-    bad = np.zeros((4, 4), dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        oracle.spin_flip(bad)
-
-
 def test_wootters_pure_states():
     assert oracle.wootters_concurrence(BELL_SINGLET) == pytest.approx(1.0, abs=1e-14)
     product = np.diag([0.0, 1.0, 0.0, 0.0])
@@ -108,24 +102,112 @@ def test_oracle_matches_closed_form():
     assert worst <= 1e-9
 
 
-def test_check_density_matrix_rejects_invalid():
-    with pytest.raises(ValueError):
-        oracle.check_density_matrix(np.eye(4))  # trace 4
-    with pytest.raises(ValueError):
-        oracle.check_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]))
-    skew = np.diag([0.25] * 4).astype(complex)
-    skew[0, 1] = 0.3
-    with pytest.raises(ValueError):
-        oracle.check_density_matrix(skew)
+@pytest.mark.parametrize("i, j", [(1, 2), (0, 3)])
+def test_x_state_with_excess_coherence_is_not_positive(i, j):
+    # Valid unit-trace diagonal, but the block {ii, ij, jj} has eigenvalue -0.05.
+    rho = np.diag([0.25] * 4).astype(complex)
+    rho[i, j] = rho[j, i] = 0.3
+    for entry in (oracle.check_density_matrix, oracle.wootters_concurrence):
+        with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
+            entry(rho)
 
 
-def test_wootters_rejects_bad_input():
-    with pytest.raises(ValueError):
-        oracle.wootters_concurrence(np.eye(3) / 3.0)
-    bad = np.eye(4) / 4.0
-    bad[0, 0] = math.nan
-    with pytest.raises(ValueError):
-        oracle.wootters_concurrence(bad)
+@pytest.mark.parametrize("i, j, sign", [(0, 3, 1.0), (0, 1, -1.0)])
+def test_moduli_past_float_max_saturate(i, j, sign):
+    # |rho_ij| exceeds float max: validation takes it as inf, as numpy's abs
+    # does, where Python's abs raises OverflowError. The dense case has NaN
+    # eigenvalues.
+    z = complex(1.7e308, 1.7e308)
+    rho = np.diag([0.25] * 4).astype(complex)
+    rho[i, j], rho[j, i] = z, z.conjugate()
+    assert oracle.spin_flip(rho)[3 - j, 3 - i] == sign * z
+    for entry in (oracle.check_density_matrix, oracle.wootters_concurrence):
+        with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
+            entry(rho)
+
+
+def _x_matrix(rng, lowest):
+    # Unit-trace Hermitian X matrix whose blocks have eigenvalues (lowest, p)
+    # and (q, r), each block rotated by a random angle and phase.
+    w = rng.uniform(0.0, 1.0, size=3)
+    p, q, r = w * (1.0 - lowest) / w.sum()
+    m = np.zeros((4, 4), dtype=complex)
+    blocks = [(0, 3), (1, 2)]
+    rng.shuffle(blocks)
+    for (i, j), (hi, lo) in zip(blocks, ((p, lowest), (q, r))):
+        t, phase = rng.uniform(0.0, math.pi, size=2)
+        c, s = math.cos(t), math.sin(t)
+        m[i, i] = hi * c * c + lo * s * s
+        m[j, j] = hi * s * s + lo * c * c
+        m[j, i] = (hi - lo) * c * s * np.exp(1j * phase)
+        m[i, j] = np.conj(m[j, i])
+    return m
+
+
+def test_x_state_positivity_matches_eigvalsh():
+    # The closed-form block minimum agrees with LAPACK to rounding, and so
+    # accepts and rejects the same states, including within 1e-12 of the floor.
+    rng = np.random.default_rng(39)
+    floor = oracle.EIGENVALUE_FLOOR
+    near = 0
+    for k in range(3000):
+        if k % 3 == 2:
+            lowest = rng.uniform(-0.5, 0.5)
+        else:
+            lowest = floor + rng.uniform(-1e-12, 1e-12)
+        m = _x_matrix(rng, lowest)
+        if k % 5 == 4:
+            m = m * 10.0 ** rng.uniform(-3, 3)  # block check only: any scale
+        tol = 1e-15 * max(1.0, float(np.max(np.abs(m))))
+        exact = float(np.linalg.eigvalsh(m)[0])
+        assert abs(oracle._x_lowest(m.ravel().tolist()) - exact) <= tol
+        if k % 5 == 4 or abs(exact - floor) <= tol:
+            continue
+        near += abs(exact - floor) <= 1e-12
+        try:
+            oracle.check_density_matrix(m)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (exact >= floor)
+    assert near > 1000
+
+
+_REJECTED = {
+    "shape (3, 3)": (np.eye(3) / 3.0, "expected a 4x4 matrix, got shape (3, 3)"),
+    "shape (4, 4, 1)": (np.eye(4)[..., None] / 4.0, "expected a 4x4 matrix, got shape (4, 4, 1)"),
+    "nan": ({(0, 0): math.nan}, "matrix entries must be finite"),
+    "inf": ({(0, 1): math.inf, (1, 0): math.inf}, "matrix entries must be finite"),
+    "complex(0, nan)": ({(2, 2): complex(0.0, math.nan)}, "matrix entries must be finite"),
+    "non-Hermitian": ({(0, 1): 1.000001e-12}, None),  # each entry point's own message
+    "trace": (np.eye(4), "density matrix must have unit trace"),
+    "negative, X": (np.diag([1.5, -0.5, 0.0, 0.0]), "density matrix has a negative eigenvalue"),
+    "negative, dense": (
+        {(0, 0): 0.5, (1, 1): 0.5, (2, 2): 0.5, (3, 3): -0.5, (0, 1): 1e-3, (1, 0): 1e-3},
+        "density matrix has a negative eigenvalue",
+    ),
+}
+_HERMITIAN_ERRORS = {
+    oracle.check_density_matrix: "density matrix is not Hermitian",
+    oracle.spin_flip: "spin flip requires a Hermitian input",
+    oracle.wootters_concurrence: "density matrix is not Hermitian",
+}
+
+
+@pytest.mark.parametrize("entry", list(_HERMITIAN_ERRORS), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_entry_points_reject_alike(entry, case):
+    rho, message = _REJECTED[case]
+    if isinstance(rho, dict):  # entries set on the maximally mixed state
+        edits, rho = rho, np.diag([0.25] * 4).astype(complex)
+        for ij, value in edits.items():
+            rho[ij] = value
+    message = message or _HERMITIAN_ERRORS[entry]
+    if entry is oracle.spin_flip and case in ("trace", "negative, X", "negative, dense"):
+        oracle.spin_flip(rho)  # a Hermitian flip needs no trace or positivity
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(rho)
 
 
 def test_dense_path_matches_x_path():
