@@ -133,7 +133,7 @@ def _cmd_spectrum(args, digits: int) -> int:
     # is valid input here.
     params = derive_from_sigma_delta(args.omega_sigma, args.omega_delta, 1.0)
     phi = math.radians(args.phi)
-    lines = spectrum._spectrum_lines(params, 1.0, _beta_from_args(args), phi)
+    lines = spectrum._spectrum_lines(params, _beta_from_args(args), phi)
     if args.render is not None:
         start, stop, points = args.render
         if not points.is_integer():

@@ -5,10 +5,10 @@ E3 = E4 requires omega_sigma = D + J, equivalently
     J = (omega_sigma^2 - omega_delta^2) / (2 omega_sigma)
       = 2 omega1 omega2 / (omega1 + omega2).
 
-A crossing exists only when that J is positive: it never happens when
-one spin carries no Zeeman term (omega2 = 0) or when the moments are
-equal and opposite (omega_sigma = 0), so those configurations have no
-zero-temperature critical point for any J >= 0.
+The crossing needs omega_sigma = D + J > 0 and J > 0, so this squared form
+is a true root only when both Larmor frequencies are positive. With one
+spin free of Zeeman terms (omega2 = 0) or opposite moments (positronium)
+there is no zero-temperature critical point for any J >= 0.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ def crossing_coupling(omega1: float, omega2: float) -> float | None:
     """Coupling at which E3 and E4 cross, or None when no crossing exists."""
     if not (math.isfinite(omega1) and math.isfinite(omega2)):
         raise ValueError("frequencies must be finite")
-    if omega1 + omega2 == 0.0:
+    if not (omega1 > 0.0 and omega2 > 0.0):
         return None
-    # 2 w1 w2 / (w1 + w2) with |small / big| <= 1: only an out-of-range result overflows.
-    small, big = sorted((omega1, omega2), key=abs)
+    # small / big <= 1: only an out-of-range result overflows.
+    small, big = sorted((omega1, omega2))
     j_cross = small / (0.5 + 0.5 * (small / big))
     if j_cross == math.inf:
         raise ArithmeticError(f"crossing coupling overflows at {omega1!r}, {omega2!r}")
-    return j_cross if j_cross > 0.0 else None
+    return j_cross
 
 
 def critical_field_ratio(name: str) -> float:

@@ -31,8 +31,8 @@ from .model import (
     DerivedParams,
     SpinSystem,
     _beta_from_tau,
-    _check_coupling,
     _check_grid,
+    _check_same_coupling,
     _energy_scale,
     derive,
     derive_from_sigma_delta,
@@ -58,7 +58,7 @@ def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) 
     large-beta evaluation of the ratio form, which would cancel
     catastrophically at the critical point.
     """
-    _check_coupling(coupling)
+    _check_same_coupling(params, coupling)
     if thermo._is_zero_temperature(beta):
         pops = thermo.populations(thermo.energies(params, coupling), math.inf)
         return concurrence_from_populations(pops, params.theta)
@@ -160,16 +160,16 @@ def threshold_temperature(system: SpinSystem) -> float | None:
 
     Raises ArithmeticError where derive does: omega1 +- omega2 overflows.
     """
-    return _threshold_tau(derive(system), system.coupling)
+    return _threshold_tau(derive(system))
 
 
 def threshold_tau(omega_delta: float, coupling: float = 1.0) -> float | None:
     """threshold_temperature from (omega_delta, J) alone; omega_sigma drops out."""
-    return _threshold_tau(derive_from_sigma_delta(0.0, omega_delta, coupling), coupling)
+    return _threshold_tau(derive_from_sigma_delta(0.0, omega_delta, coupling))
 
 
-def _threshold_tau(params: DerivedParams, coupling: float) -> float | None:
-    d, j = params.d_coupling, coupling
+def _threshold_tau(params: DerivedParams) -> float | None:
+    d, j = params.d_coupling, params.coupling
     if j > 1.0:
         # The gap depends on beta only through beta D and beta J. Dividing D
         # and J by the power of two that puts J in [0.5, 1) is exact and keeps
@@ -224,10 +224,10 @@ def sweep(
         # lowest field of the increasing grid validates every field.
         params = derive_from_sigma_delta(points[0], omega_delta, coupling)
         beta = _beta_from_tau(tau, coupling)
-        wd, d, theta = params.omega_delta, params.d_coupling, params.theta
+        wd, d, theta, j = params.omega_delta, params.d_coupling, params.theta, params.coupling
         if beta == math.inf:
             return [
-                (x, concurrence_for_params(DerivedParams(x, wd, d, theta), coupling, beta))
+                (x, concurrence_for_params(DerivedParams(x, wd, d, theta, j), j, beta))
                 for x in points
             ]
         s = params.sin_2theta

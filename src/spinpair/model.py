@@ -16,7 +16,8 @@ theta parameterises the hybridisation of the |ab>, |ba> product states
 in the coupled eigenbasis and lies in [0, pi/4]; the homonuclear case
 (omega_delta = 0, J > 0) sits exactly at pi/4, while the fully
 degenerate case J = 0, omega_delta = 0 is fixed at 0 so all
-coupling-dependent terms vanish in the uncoupled limit.
+coupling-dependent terms vanish in the uncoupled limit. DerivedParams
+keeps the J of D and theta; a function also given J rejects any other J.
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ class SpinSystem:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Sum/difference frequencies, effective splitting D, mixing angle."""
+    """Sum/difference frequencies, splitting D, mixing angle, and the J of D and theta."""
 
     omega_sigma: float
     omega_delta: float
     d_coupling: float
     theta: float
+    coupling: float
 
     @property
     def sin_2theta(self) -> float:
@@ -132,12 +134,17 @@ def derive_from_sigma_delta(
     # atan2(0, 0) = 0 fixes the degenerate J = 0, omega_delta = 0 case;
     # atan2(J, 0) = pi/2 makes the homonuclear angle exactly pi/4.
     theta = 0.5 * math.atan2(coupling, omega_delta)
-    return DerivedParams(omega_sigma, omega_delta, d, theta)
+    return DerivedParams(omega_sigma, omega_delta, d, theta, coupling)
 
 
 def _check_coupling(coupling: float) -> None:
     if not 0.0 <= coupling < math.inf:
         raise ValueError("coupling must be finite and >= 0")
+
+
+def _check_same_coupling(params: DerivedParams, coupling: float) -> None:
+    if coupling != params.coupling:
+        raise ValueError(f"coupling {coupling!r} is not the J = {params.coupling!r} of params")
 
 
 def _check_theta(theta: float) -> None:

@@ -7,17 +7,17 @@ product sqrt(rho) rho_tilde sqrt(rho),
 
     rho_tilde = (sy (x) sy) rho* (sy (x) sy).
 
-Inputs are checked entry by entry as Python numbers. An X-structured state
-(every thermal state built here) is two 2x2 blocks, {11, 14, 44} and
-{22, 23, 33}, with closed-form eigenvalues and l_i. Others take one eigh of
-rho, for positivity and sqrt(rho), and the l_i as singular values of sqrt(rho)
+Inputs are checked entry by entry as Python numbers, Hermiticity on the
+entries times 1/4 so that no modulus overflows. An X-structured state (every
+thermal state built here) is two 2x2 blocks, {11, 14, 44} and {22, 23, 33},
+with closed-form eigenvalues and l_i. Others take one eigh of rho, for
+positivity and sqrt(rho), and the l_i as singular values of sqrt(rho)
 sqrt(rho_tilde): roots of the product's eigenvalues err by 1e-8 near pure states.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 
 import numpy as np
@@ -43,11 +43,10 @@ def _as_hermitian4(matrix, error: str) -> tuple[np.ndarray, list[complex]]:
     e = m.ravel().tolist()
     if not all(map(cmath.isfinite, e)):
         raise ValueError("matrix entries must be finite")
-    scale = skew = math.inf  # a modulus past float max: inf, as numpy's abs gives
-    with contextlib.suppress(OverflowError):
-        scale = max(1.0, *map(abs, e))
-        skew = max(abs(e[ij] - e[ji].conjugate()) for ij, ji in _UPPER)
-    if skew > HERMITICITY_ATOL * scale:
+    # skew <= atol max(1, max|e|), judged on the entries times 1/4 where no modulus overflows.
+    q = [0.25 * z for z in e]
+    skew = max(abs(q[ij] - q[ji].conjugate()) for ij, ji in _UPPER)
+    if skew > HERMITICITY_ATOL * max(0.25, *map(abs, q)):
         raise ValueError(error)
     return m, e
 

@@ -98,21 +98,20 @@ def simulate_spectrum(
     system: SpinSystem, beta: float, phi: float = DEFAULT_FLIP_ANGLE
 ) -> list[SpectrumLine]:
     """Join thermal (or beta = inf limit) populations with the line table."""
-    return _spectrum_lines(derive(system), system.coupling, beta, phi)
+    return _spectrum_lines(derive(system), beta, phi)
 
 
-def _spectrum_lines(
-    params: DerivedParams, coupling: float, beta: float, phi: float
-) -> list[SpectrumLine]:
-    levels = thermo.energies(params, coupling)
+def _spectrum_lines(params: DerivedParams, beta: float, phi: float) -> list[SpectrumLine]:
+    levels = thermo.energies(params, params.coupling)
     pops = thermo.populations(levels, beta)
     freqs = transition_frequencies(levels)
     amps = transition_amplitudes(pops, params.theta, phi)
     return [SpectrumLine(t, freqs[t], amps[t]) for t in TRANSITIONS]
 
 
+@np.errstate(over="ignore")
 def render_lorentzian(lines, linewidth: float, frequency_grid) -> np.ndarray:
-    """Sampled sum of Lorentzians, peak value equal to the line amplitude."""
+    """Sampled sum of Lorentzians, peak value the amplitude; an offset past float range adds 0."""
     if not 0.0 < linewidth < math.inf:
         raise ValueError("linewidth must be finite and > 0")
     grid = _check_grid(frequency_grid)

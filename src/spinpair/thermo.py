@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams, _check_coupling, _check_theta
+from .model import DerivedParams, _check_same_coupling, _check_theta
 
 # Relative scale for deciding two levels are exactly degenerate in the
 # zero-temperature limit.
@@ -91,7 +91,7 @@ class DensityMatrixX:
 
 
 def energies(params: DerivedParams, coupling: float) -> EnergyLevels:
-    _check_coupling(coupling)
+    _check_same_coupling(params, coupling)
     ws, d, j = 0.5 * params.omega_sigma, 0.5 * params.d_coupling, 0.25 * coupling
     return EnergyLevels(ws + j, d - j, -d - j, -ws + j)
 
@@ -143,7 +143,7 @@ def partition_closed(params: DerivedParams, coupling: float, beta: float) -> flo
     log Z = beta J/4 + log(exp(-beta J/2) 2 cosh(beta omega_sigma/2)
     + 2 cosh(beta D/2)), the two terms added in log space.
     """
-    _check_coupling(coupling)
+    _check_same_coupling(params, coupling)
     if _is_zero_temperature(beta):
         raise ValueError("Z needs a finite beta")
     a = -0.5 * beta * coupling + _log_2cosh(0.5 * beta * params.omega_sigma)

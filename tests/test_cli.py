@@ -307,6 +307,9 @@ def test_crossing_explicit_frequencies(capsys):
     code, out, _ = run_cli(capsys, "crossing", "--omega1", "4", "--omega2", "1")
     assert code == 0
     assert json.loads(out)["j_cross"] == 1.6
+    # 2 w1 w2 / (w1 + w2) = 8/3 solves only the squared condition: omega_sigma = -3.
+    code, out, _ = run_cli(capsys, "crossing", "--omega1", "1", "--omega2=-4")
+    assert (code, out) == (0, '{"j_cross": "none"}\n')
 
 
 @pytest.mark.parametrize(

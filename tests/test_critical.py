@@ -12,6 +12,9 @@ def test_crossing_examples():
     assert critical.crossing_coupling(4.0, 1.0) == pytest.approx(1.6, rel=1e-15)
     assert critical.crossing_coupling(1.0, 0.4) == pytest.approx(4.0 / 7.0, rel=1e-12)
     assert critical.crossing_coupling(1.0, -1.0) is None  # positronium
+    # Opposite signs: 2 w1 w2 / (w1 + w2) = 8/3 > 0, but omega_sigma = -3 < 0.
+    assert critical.crossing_coupling(1.0, -4.0) is None
+    assert critical.crossing_coupling(-4.0, 1.0) is None
 
 
 @pytest.mark.parametrize(
@@ -27,9 +30,9 @@ def test_crossing_coupling_stays_in_float_range(omega1, omega2, want):
 def test_out_of_range_critical_values_are_numerical():
     with pytest.raises(ArithmeticError):
         critical.critical_omega_sigma(1e308, 1e308)
-    # Opposite signs: the true crossing coupling exceeds float range.
-    with pytest.raises(ArithmeticError):
-        critical.crossing_coupling(1e300, -1.0000000001e300)
+    # Opposite signs: the squared form's root exceeds float range, but omega_sigma < 0
+    # means there is no crossing at all.
+    assert critical.crossing_coupling(1e300, -1.0000000001e300) is None
 
 
 def test_field_ratios_exact():

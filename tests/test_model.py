@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpair import entangle, model
+from spinpair import entangle, model, thermo
 
 
 def test_derive_homonuclear_angle_is_exact():
@@ -18,6 +18,7 @@ def test_derive_homonuclear_angle_is_exact():
 def test_derive_pythagorean_triple():
     params = model.derive(model.SpinSystem(3.0, 0.0, 4.0))
     assert params.d_coupling == 5.0
+    assert params.coupling == 4.0
 
 
 def test_derive_heteronuclear_example():
@@ -78,6 +79,25 @@ def test_derive_rejects_non_finite_coupling():
             model.derive_from_sigma_delta(1.0, 1.0, coupling)
         with pytest.raises(ValueError):
             model.SpinSystem(1.0, 0.0, coupling)
+
+
+# The public functions that take (params, coupling), at beta = 1 where they take one.
+_PARAMS_AND_COUPLING = {
+    "energies": thermo.energies,
+    "partition_closed": lambda p, j: thermo.partition_closed(p, j, 1.0),
+    "concurrence_for_params": lambda p, j: entangle.concurrence_for_params(p, j, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARAMS_AND_COUPLING))
+def test_a_second_coupling_must_match_the_params(name):
+    # D and theta of these params come from J = 1: a J of 2 beside them
+    # would mix two systems, e.g. C = 0.1007 where J = 2 alone gives 0.4105.
+    call = _PARAMS_AND_COUPLING[name]
+    params = model.derive_from_sigma_delta(1.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="is not the J"):
+        call(params, 2.0)
+    call(params, 1.0)
 
 
 def test_derive_scale_covariance():

@@ -114,9 +114,9 @@ def test_x_state_with_excess_coherence_is_not_positive(i, j):
 
 @pytest.mark.parametrize("i, j, sign", [(0, 3, 1.0), (0, 1, -1.0)])
 def test_moduli_past_float_max_saturate(i, j, sign):
-    # |rho_ij| exceeds float max: validation takes it as inf, as numpy's abs
-    # does, where Python's abs raises OverflowError. The dense case has NaN
-    # eigenvalues.
+    # |rho_ij| exceeds float max, but validation takes moduli of the entries
+    # times 1/4, which stay finite: the pair is Hermitian. The dense case has
+    # NaN eigenvalues.
     z = complex(1.7e308, 1.7e308)
     rho = np.diag([0.25] * 4).astype(complex)
     rho[i, j], rho[j, i] = z, z.conjugate()
@@ -180,6 +180,10 @@ _REJECTED = {
     "inf": ({(0, 1): math.inf, (1, 0): math.inf}, "matrix entries must be finite"),
     "complex(0, nan)": ({(2, 2): complex(0.0, math.nan)}, "matrix entries must be finite"),
     "non-Hermitian": ({(0, 1): 1.000001e-12}, None),  # each entry point's own message
+    # Moduli past float max: rho21 = -conj(rho12) is anti-Hermitian.
+    "anti-Hermitian past float max": (
+        {(0, 1): complex(1.7e308, 1.7e308), (1, 0): -complex(1.7e308, -1.7e308)}, None,
+    ),
     "trace": (np.eye(4), "density matrix must have unit trace"),
     "negative, X": (np.diag([1.5, -0.5, 0.0, 0.0]), "density matrix has a negative eigenvalue"),
     "negative, dense": (
