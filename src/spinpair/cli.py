@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -56,13 +56,14 @@ def _emit_json(payload: dict) -> None:
 
 
 def _emit_csv(header: str, line: str, rows) -> None:
-    """The header, then line.format(*row) for each row, _CHUNK_ROWS lines per write."""
+    """The header, then line % row for each row, _CHUNK_ROWS lines per write."""
     write = sys.stdout.write
     write(header + "\n")
-    fmt = (line + "\n").format
+    line += "\n"
     rows = iter(rows)
-    while chunk := [fmt(*row) for row in islice(rows, _CHUNK_ROWS)]:
-        write("".join(chunk))
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        # One % over the chunk's rows laid end to end formats each as line % row.
+        write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
 def _beta_from_args(args) -> float:
@@ -104,14 +105,15 @@ def _cmd_scan(args, digits: int) -> int:
     if args.axis == "field" and args.omega_sigma is not None:
         raise ValueError("--axis field excludes --omega-sigma")
     grid = _grid(args.start, args.stop, args.points)
-    rows = entangle.sweep(
+    # _sweep_rows raises before it returns, so an error leaves stdout empty.
+    rows = entangle._sweep_rows(
         "temperature" if args.axis == "tau" else "field",
         grid,
         omega_sigma=0.0 if args.omega_sigma is None else args.omega_sigma,
         omega_delta=args.omega_delta,
         tau=args.tau,
     )
-    g = f"{{:.{digits}g}}"
+    g = f"%.{digits}g"
     _emit_csv("x,concurrence", f"{g},{g}", rows)
     return EXIT_OK
 
@@ -140,10 +142,10 @@ def _cmd_spectrum(args, digits: int) -> int:
             raise ValueError("--render POINTS must be an integer")
         grid = _grid(start, stop, int(points))
         curve = spectrum.render_lorentzian(lines, args.linewidth, grid)
-    g = f"{{:.{digits}g}}"
+    g = f"%.{digits}g"
     _emit_csv(
         "transition,frequency,amplitude",
-        f"{{}},{g},{g}",
+        f"%s,{g},{g}",
         ((line.transition, line.frequency, line.amplitude) for line in lines),
     )
     if args.render is not None:

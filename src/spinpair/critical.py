@@ -39,12 +39,10 @@ def crossing_coupling(omega1: float, omega2: float) -> float | None:
         raise ValueError("frequencies must be finite")
     if not (omega1 > 0.0 and omega2 > 0.0):
         return None
-    # small / big <= 1: only an out-of-range result overflows.
+    # With r = small / big <= 1 the result 2 r big / (1 + r) is at most big:
+    # it never overflows.
     small, big = sorted((omega1, omega2))
-    j_cross = small / (0.5 + 0.5 * (small / big))
-    if j_cross == math.inf:
-        raise ArithmeticError(f"crossing coupling overflows at {omega1!r}, {omega2!r}")
-    return j_cross
+    return small / (0.5 + 0.5 * (small / big))
 
 
 def critical_field_ratio(name: str) -> float:

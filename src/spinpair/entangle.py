@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import chain, repeat
+from operator import mul, truediv
 
 from .model import (
     K_BOLTZMANN,
@@ -62,29 +64,42 @@ def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) 
     if thermo._is_zero_temperature(beta):
         pops = thermo.populations(thermo.energies(params, coupling), math.inf)
         return concurrence_from_populations(pops, params.theta)
-    return _ratio_form(
-        params.omega_sigma, params.d_coupling, params.sin_2theta, coupling, beta
+    # Unpacking runs the generator to its end; next() would leave it to be closed.
+    (value,) = _ratio_form(
+        ((params.omega_sigma, beta),), params.d_coupling, params.sin_2theta, coupling
     )
+    return value
 
 
-def _ratio_form(
-    omega_sigma: float, d: float, sin_2theta: float, coupling: float, beta: float
-) -> float:
-    """Ratio form at one finite beta >= 0; the caller validates its inputs."""
-    half = 0.5 * beta
-    e_d = math.exp(-beta * d)
-    # Ratio form rescaled by 2 exp(-beta D / 2): every exponent is
-    # non-positive below the level crossing, so nothing overflows there,
-    # and beyond the crossing the single growing term exp(a) drives C -> 0.
-    num = sin_2theta * (1.0 - e_d) - 2.0 * math.exp(-half * (d + coupling))
-    a = -half * (d + coupling - omega_sigma)
-    if a > _LOG_FLOAT_MAX:
-        # exp(a) overflows and the other three terms of den (at most 3) are
-        # below its rounding, so C = num exp(-a), down to the subnormal range.
-        return math.exp(math.log(num) - a) if num > 0.0 else 0.0
-    den = math.exp(a) + math.exp(-half * (d + coupling + omega_sigma)) + 1.0 + e_d
-    value = num / den
-    return value if value > 0.0 else 0.0
+def _ratio_form(points, d: float, sin_2theta: float, coupling: float):
+    """Ratio form at each (omega_sigma, finite beta >= 0) point; the caller validates its inputs.
+
+    The terms that depend only on beta are computed again only when beta
+    changes, so once per field sweep.
+    """
+    exp = math.exp  # a local name saves two lookups per point
+    dj = d + coupling
+    last_beta = None
+    for omega_sigma, beta in points:
+        if beta != last_beta:
+            last_beta = beta
+            neg_half = -0.5 * beta
+            e_d = exp(-beta * d)
+            # Ratio form rescaled by 2 exp(-beta D / 2): every exponent is
+            # non-positive below the level crossing, so nothing overflows there,
+            # and beyond the crossing the single growing term exp(a) drives C -> 0.
+            num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_half * dj)
+        if num <= 0.0:
+            # The denominator is at least 1: C = 0 whatever it is.
+            yield 0.0
+            continue
+        a = neg_half * (dj - omega_sigma)
+        if a > _LOG_FLOAT_MAX:
+            # exp(a) overflows and the other three terms of den (at most 3) are
+            # below its rounding, so C = num exp(-a), down to the subnormal range.
+            yield exp(math.log(num) - a)
+            continue
+        yield num / (exp(a) + exp(neg_half * (dj + omega_sigma)) + 1.0 + e_d)
 
 
 def concurrence_thermal(system: SpinSystem, beta: float) -> float:
@@ -203,6 +218,19 @@ def sweep(
     axis="field": grid holds omega_sigma values at fixed omega_delta, tau.
     The grid must be non-empty, finite and strictly increasing.
     """
+    return list(
+        _sweep_rows(
+            axis, grid, omega_sigma=omega_sigma, omega_delta=omega_delta, tau=tau,
+            coupling=coupling,
+        )
+    )
+
+
+def _sweep_rows(axis, grid, *, omega_sigma=None, omega_delta=None, tau=None, coupling=1.0):
+    """sweep's rows as an iterator; every input is validated before it is returned.
+
+    Once the inputs pass, no row raises, so a caller may write rows as they come.
+    """
     points = _check_grid(grid).tolist()
     if axis == "temperature":
         if omega_sigma is None or omega_delta is None:
@@ -213,10 +241,12 @@ def sweep(
         zero = points[0] == 0.0
         taus = points[1:] if zero else points
         _beta_from_tau(taus[0] if taus else 0.0, coupling)
-        rows = [(points[0], concurrence_for_params(params, coupling, math.inf))] if zero else []
-        ws, d, s = params.omega_sigma, params.d_coupling, params.sin_2theta
-        rows += [(t, _ratio_form(ws, d, s, coupling, 1.0 / (t * coupling))) for t in taus]
-        return rows
+        head = [(points[0], concurrence_for_params(params, coupling, math.inf))] if zero else []
+        betas = map(truediv, repeat(1.0), map(mul, taus, repeat(coupling)))
+        values = _ratio_form(
+            zip(repeat(params.omega_sigma), betas), params.d_coupling, params.sin_2theta, coupling
+        )
+        return chain(head, zip(taus, values))
     if axis == "field":
         if omega_delta is None or tau is None:
             raise ValueError("field sweeps need omega_delta and tau")
@@ -226,10 +256,10 @@ def sweep(
         beta = _beta_from_tau(tau, coupling)
         wd, d, theta, j = params.omega_delta, params.d_coupling, params.theta, params.coupling
         if beta == math.inf:
-            return [
+            return (
                 (x, concurrence_for_params(DerivedParams(x, wd, d, theta, j), j, beta))
                 for x in points
-            ]
-        s = params.sin_2theta
-        return [(x, _ratio_form(x, d, s, coupling, beta)) for x in points]
+            )
+        values = _ratio_form(zip(points, repeat(beta)), d, params.sin_2theta, coupling)
+        return zip(points, values)
     raise ValueError(f"unknown sweep axis {axis!r}")

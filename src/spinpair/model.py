@@ -153,11 +153,11 @@ def _check_theta(theta: float) -> None:
 
 
 def _beta_from_tau(tau: float, coupling: float = 1.0) -> float:
-    """beta = 1/(tau J); only tau = 0 gives the exact limit beta = inf, never an overflow."""
+    """beta = 1/(tau J) for tau in [0, inf); only tau = 0 gives beta = inf, never an overflow."""
     if not coupling > 0.0:
         raise ValueError("tau = k_B T / J needs J > 0")
-    if not tau >= 0.0:
-        raise ValueError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
     if tau == 0.0:
         return math.inf
     scaled = tau * coupling

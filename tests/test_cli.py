@@ -164,14 +164,34 @@ def test_scan_single_point(capsys):
 
 
 def test_scan_invalid_range(capsys):
-    code, _, _ = run_cli(
+    code, out, _ = run_cli(
         capsys, "scan", "--axis", "tau", "--from", "1", "--to", "0", "--points", "5"
     )
     assert code == 2
-    code, _, _ = run_cli(
+    assert out == ""
+    code, out, _ = run_cli(
         capsys, "scan", "--axis", "field", "--from", "0", "--to", "1", "--points", "5"
     )
     assert code == 2  # missing --tau
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "extra, want",
+    [
+        (("--axis", "field", "--from", "0", "--to", "1", "--tau", "1e-320"), 3),
+        (("--axis", "field", "--from", "0", "--to", "1", "--tau", "nan"), 2),
+        (("--axis", "field", "--from", "1", "--to", "0", "--tau", "0.5"), 2),
+        (("--axis", "tau", "--from", "1", "--to", "1"), 2),
+        (("--axis", "field", "--from", "1", "--to", "1", "--tau", "0.5"), 2),
+    ],
+)
+def test_scan_errors_print_no_header(capsys, extra, want):
+    # Rows are written as they are computed, so every check must come first.
+    code, out, err = run_cli(capsys, "scan", "--points", "5", *extra)
+    assert code == want
+    assert out == ""
+    assert err
 
 
 def test_scan_determinism(capsys):
@@ -467,6 +487,16 @@ def test_tau_overflow_exits_numerical(capsys):
         "--omega-sigma", "1", "--omega-delta", "1",
     )
     assert code == 3 and out == ""
+
+
+def test_infinite_tau_is_usage_error(capsys):
+    # Every entry point takes tau in [0, inf), as a scan grid does.
+    for command in ("concurrence", "spectrum"):
+        code, out, _ = run_cli(
+            capsys, command, "--omega-sigma", "1", "--omega-delta", "1", "--tau", "inf"
+        )
+        assert code == 2, command
+        assert out == ""
 
 
 def test_spectrum_rejects_bad_flip_angle_and_render(capsys):

@@ -27,6 +27,15 @@ def test_crossing_coupling_stays_in_float_range(omega1, omega2, want):
     assert critical.crossing_coupling(omega1, omega2) == pytest.approx(want, rel=1e-15)
 
 
+def test_crossing_coupling_at_float_max_is_finite():
+    # 2 r big / (1 + r) with r = small / big <= 1 is at most big.
+    big = 1.7976931348623157e308
+    for omega2 in (big, math.nextafter(big, 0.0), 5e-324):
+        for pair in ((big, omega2), (omega2, big)):
+            j_cross = critical.crossing_coupling(*pair)
+            assert math.isfinite(j_cross) and 0.0 < j_cross <= max(pair)
+
+
 def test_out_of_range_critical_values_are_numerical():
     with pytest.raises(ArithmeticError):
         critical.critical_omega_sigma(1e308, 1e308)

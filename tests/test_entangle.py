@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -359,6 +360,64 @@ def test_sweep_rows_equal_pointwise_route():
             rows = entangle.sweep("field", fields, omega_delta=wd, tau=tau)
             beta = math.inf if tau == 0.0 else 1.0 / tau
             assert rows == [(x, _pointwise(x, wd, beta)) for x in fields]
+
+
+def _ratio_form_reference(omega_sigma, d, sin_2theta, coupling, beta):
+    """The ratio form one point at a time, in the kernel's order of operations."""
+    half = 0.5 * beta
+    e_d = math.exp(-beta * d)
+    num = sin_2theta * (1.0 - e_d) - 2.0 * math.exp(-half * (d + coupling))
+    a = -half * (d + coupling - omega_sigma)
+    if a > thermo._LOG_FLOAT_MAX:
+        return math.exp(math.log(num) - a) if num > 0.0 else 0.0
+    den = math.exp(a) + math.exp(-half * (d + coupling + omega_sigma)) + 1.0 + e_d
+    value = num / den
+    return value if value > 0.0 else 0.0
+
+
+# Each grid reaches a branch of the streaming kernel: the numerator <= 0 exit
+# (tau past the threshold), the log-space tail (a > log float max), a
+# subnormal C (the tail at omega_sigma in [16.7, 17.3], tau = 0.01), the tau = 0
+# head row and a one-point grid. The two dense grids make a change in the
+# order of the kernel's operations show in the last bit of some row.
+KERNEL_SWEEPS = [
+    ("temperature", np.linspace(0.0, 1.0, 1001), {"omega_sigma": 1.5, "omega_delta": 0.7}),
+    ("field", np.linspace(0.0, 8.0, 2001), {"omega_delta": 0.7, "tau": 0.3}),
+    ("temperature", [0.0, 0.3, 0.9, 0.95, 3.0], {"omega_sigma": 0.0, "omega_delta": 0.0}),
+    ("temperature", [0.0, 0.01, 0.0105, 0.5], {"omega_sigma": 16.5, "omega_delta": 0.0}),
+    ("temperature", [0.5], {"omega_sigma": 2.0, "omega_delta": 1.0}),
+    ("field", np.linspace(0.0, 1e4, 401), {"omega_delta": 0.0, "tau": 0.01}),
+    ("field", np.linspace(16.7, 17.3, 201), {"omega_delta": 1.0, "tau": 0.01}),
+    ("field", [0.0, 1.0, 2.0, 5.0], {"omega_delta": 1.0, "tau": 2.0}),
+    ("field", [3.0], {"omega_delta": 0.5, "tau": 0.3}),
+]
+
+
+def test_sweep_kernel_branches_equal_pointwise_route():
+    seen = set()
+    for axis, grid, kwargs in KERNEL_SWEEPS:
+        rows = entangle.sweep(axis, grid, **kwargs)
+        assert [x for x, _ in rows] == list(map(float, grid))
+        for x, c in rows:
+            ws = x if axis == "field" else kwargs["omega_sigma"]
+            tau = kwargs["tau"] if axis == "field" else x
+            beta = math.inf if tau == 0.0 else 1.0 / tau
+            params = _params(ws, kwargs["omega_delta"])
+            assert c.hex() == entangle.concurrence_for_params(params, 1.0, beta).hex()
+            if beta == math.inf:
+                seen.add("head")
+                continue
+            d, s = params.d_coupling, params.sin_2theta
+            assert c.hex() == _ratio_form_reference(ws, d, s, 1.0, beta).hex()
+            if s * (1.0 - math.exp(-beta * d)) <= 2.0 * math.exp(-0.5 * beta * (d + 1.0)):
+                seen.add("numerator <= 0")
+            if -0.5 * beta * (d + 1.0 - ws) > thermo._LOG_FLOAT_MAX:
+                seen.add("log-space tail")
+            if 0.0 < c < sys.float_info.min:
+                seen.add("subnormal")
+        if len(grid) == 1:
+            seen.add("one point")
+    assert seen == {"numerator <= 0", "log-space tail", "subnormal", "head", "one point"}
 
 
 def test_sweep_tau_overflow_is_numerical():

@@ -228,8 +228,8 @@ def test_beta_from_tau():
     assert model._beta_from_tau(0.0) == math.inf
     assert model._beta_from_tau(0.5) == 2.0
     assert model._beta_from_tau(0.5, 4.0) == 0.5
-    assert model._beta_from_tau(math.inf) == 0.0
-    for tau in (-0.1, -math.inf, math.nan):
+    # tau = inf (beta = 0) is outside [0, inf), as on a scan grid.
+    for tau in (math.inf, -0.1, -math.inf, math.nan):
         with pytest.raises(ValueError):
             model._beta_from_tau(tau)
     # tau = k_B T / J is undefined unless J > 0.
