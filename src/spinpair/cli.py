@@ -94,7 +94,11 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
         return [start]
     # The consumer's grid check rejects a non-increasing or non-finite grid.
     step = (stop - start) / (points - 1)
-    return [start + i * step for i in range(points)]
+    grid = [start + i * step for i in range(points)]
+    # Finite ends, but the span or the last point overflows.
+    if grid[-1] == math.inf and stop != math.inf:
+        raise ArithmeticError(f"grid span from {start!r} to {stop!r} overflows")
+    return grid
 
 
 def _cmd_scan(args, digits: int) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import mul, truediv
 
 from .model import (
@@ -54,16 +54,13 @@ def concurrence_from_populations(pops, theta: float) -> float:
 
 
 def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) -> float:
-    """Thermal concurrence from derived parameters.
+    """Thermal concurrence at beta in [0, inf], from the one kernel that sweeps use too.
 
-    beta = inf routes through the exact limit populations rather than a
-    large-beta evaluation of the ratio form, which would cancel
-    catastrophically at the critical point.
+    beta = inf is the exact zero-temperature limit, which the kernel decides
+    from the ground levels.
     """
     _check_same_coupling(params, coupling)
-    if thermo._is_zero_temperature(beta):
-        pops = thermo.populations(thermo.energies(params, coupling), math.inf)
-        return concurrence_from_populations(pops, params.theta)
+    thermo._is_zero_temperature(beta)  # ValueError unless beta lies in [0, inf]
     # Unpacking runs the generator to its end; next() would leave it to be closed.
     (value,) = _ratio_form(
         ((params.omega_sigma, beta),), params.d_coupling, params.sin_2theta, coupling
@@ -72,23 +69,37 @@ def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) 
 
 
 def _ratio_form(points, d: float, sin_2theta: float, coupling: float):
-    """Ratio form at each (omega_sigma, finite beta >= 0) point; the caller validates its inputs.
+    """C at each (omega_sigma >= 0, beta in [0, inf]) point; the caller validates its inputs.
 
     The terms that depend only on beta are computed again only when beta
-    changes, so once per field sweep.
+    changes, so once per field sweep. beta = inf is the exact limit, not a
+    large-beta ratio form, which would cancel catastrophically at the level
+    crossing: the state is spread evenly over the ground levels, so C is
+    sin 2theta when E3 alone is lowest, half of it when E3 and E4 are
+    degenerate, and 0 for every other ground set, since E4 <= E1 and E3 <= E2.
     """
-    exp = math.exp  # a local name saves two lookups per point
+    # Local names save two lookups per point.
+    exp, levels, ground_levels = math.exp, thermo._levels, thermo._ground_levels
     dj = d + coupling
     last_beta = None
     for omega_sigma, beta in points:
         if beta != last_beta:
             last_beta = beta
-            neg_half = -0.5 * beta
-            e_d = exp(-beta * d)
-            # Ratio form rescaled by 2 exp(-beta D / 2): every exponent is
-            # non-positive below the level crossing, so nothing overflows there,
-            # and beyond the crossing the single growing term exp(a) drives C -> 0.
-            num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_half * dj)
+            zero = beta == math.inf
+            if zero:
+                # C when E3 alone is lowest, max{0, sin 2theta}: +0.0 also at J = -0.0.
+                pure = sin_2theta if sin_2theta > 0.0 else 0.0
+            else:
+                neg_half = -0.5 * beta
+                e_d = exp(-beta * d)
+                # Ratio form rescaled by 2 exp(-beta D / 2): every exponent is
+                # non-positive below the level crossing, so nothing overflows there,
+                # and beyond the crossing the single growing term exp(a) drives C -> 0.
+                num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_half * dj)
+        if zero:
+            ground = ground_levels(levels(omega_sigma, d, coupling))
+            yield pure if ground == [2] else 0.5 * pure if ground == [2, 3] else 0.0
+            continue
         if num <= 0.0:
             # The denominator is at least 1: C = 0 whatever it is.
             yield 0.0
@@ -231,35 +242,25 @@ def _sweep_rows(axis, grid, *, omega_sigma=None, omega_delta=None, tau=None, cou
 
     Once the inputs pass, no row raises, so a caller may write rows as they come.
     """
-    points = _check_grid(grid).tolist()
+    points = _check_grid(grid)
     if axis == "temperature":
         if omega_sigma is None or omega_delta is None:
             raise ValueError("temperature sweeps need omega_sigma and omega_delta")
         params = derive_from_sigma_delta(omega_sigma, omega_delta, coupling)
-        # In an increasing grid only points[0] can be 0, and 1/(tau J) overflows
-        # first at the smallest positive tau: checking it validates the grid.
-        zero = points[0] == 0.0
-        taus = points[1:] if zero else points
-        _beta_from_tau(taus[0] if taus else 0.0, coupling)
-        head = [(points[0], concurrence_for_params(params, coupling, math.inf))] if zero else []
-        betas = map(truediv, repeat(1.0), map(mul, taus, repeat(coupling)))
-        values = _ratio_form(
-            zip(repeat(params.omega_sigma), betas), params.d_coupling, params.sin_2theta, coupling
-        )
-        return chain(head, zip(taus, values))
-    if axis == "field":
+        # In an increasing grid only points[0] can be 0 (beta = inf), and 1/(tau J)
+        # overflows first at the smallest positive tau: the first two points
+        # validate the grid.
+        head = [_beta_from_tau(tau, coupling) for tau in points[:2]]
+        tail = map(truediv, repeat(1.0), map(mul, islice(points, 2, None), repeat(coupling)))
+        omega_sigmas, betas = repeat(params.omega_sigma), chain(head, tail)
+    elif axis == "field":
         if omega_delta is None or tau is None:
             raise ValueError("field sweeps need omega_delta and tau")
         # D and theta do not depend on omega_sigma, and validating the
         # lowest field of the increasing grid validates every field.
         params = derive_from_sigma_delta(points[0], omega_delta, coupling)
-        beta = _beta_from_tau(tau, coupling)
-        wd, d, theta, j = params.omega_delta, params.d_coupling, params.theta, params.coupling
-        if beta == math.inf:
-            return (
-                (x, concurrence_for_params(DerivedParams(x, wd, d, theta, j), j, beta))
-                for x in points
-            )
-        values = _ratio_form(zip(points, repeat(beta)), d, params.sin_2theta, coupling)
-        return zip(points, values)
-    raise ValueError(f"unknown sweep axis {axis!r}")
+        omega_sigmas, betas = points, repeat(_beta_from_tau(tau, coupling))
+    else:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    values = _ratio_form(zip(omega_sigmas, betas), params.d_coupling, params.sin_2theta, coupling)
+    return zip(points, values)

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import islice
+from operator import lt
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 HBAR = 1.054571817e-34      # J*s
@@ -166,12 +166,16 @@ def _beta_from_tau(tau: float, coupling: float = 1.0) -> float:
     return 1.0 / scaled
 
 
-def _check_grid(grid) -> np.ndarray:
-    """The grid as a float array; it must be non-empty, finite and strictly increasing."""
-    points = np.asarray(grid, dtype=float)
-    if not (points.ndim == 1 and points.size and np.isfinite(points).all()):
+def _check_grid(grid) -> list[float]:
+    """The grid as a list of floats; it must be non-empty, finite and strictly increasing."""
+    try:
+        # Older numpy only warns on float() of a one-element array row.
+        points = list(map(float, grid)) if getattr(grid, "ndim", 1) == 1 else []
+    except TypeError:  # a scalar, or a nested sequence
+        points = []
+    if not (points and all(map(math.isfinite, points))):
         raise ValueError("grid must be a non-empty 1-D sequence of finite values")
-    if (np.diff(points) <= 0.0).any():
+    if not all(map(lt, points, islice(points, 1, None))):
         raise ValueError("grid must be strictly increasing")
     return points
 

@@ -114,7 +114,7 @@ def render_lorentzian(lines, linewidth: float, frequency_grid) -> np.ndarray:
     """Sampled sum of Lorentzians, peak value the amplitude; an offset past float range adds 0."""
     if not 0.0 < linewidth < math.inf:
         raise ValueError("linewidth must be finite and > 0")
-    grid = _check_grid(frequency_grid)
+    grid = np.asarray(_check_grid(frequency_grid))
     half = 0.5 * linewidth
     intensity = np.zeros_like(grid)
     for line in lines:

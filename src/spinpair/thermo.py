@@ -92,8 +92,13 @@ class DensityMatrixX:
 
 def energies(params: DerivedParams, coupling: float) -> EnergyLevels:
     _check_same_coupling(params, coupling)
-    ws, d, j = 0.5 * params.omega_sigma, 0.5 * params.d_coupling, 0.25 * coupling
-    return EnergyLevels(ws + j, d - j, -d - j, -ws + j)
+    return EnergyLevels(*_levels(params.omega_sigma, params.d_coupling, coupling))
+
+
+def _levels(omega_sigma: float, d: float, coupling: float) -> tuple[float, float, float, float]:
+    """(E1, E2, E3, E4) from omega_sigma, D and J."""
+    ws, d, j = 0.5 * omega_sigma, 0.5 * d, 0.25 * coupling
+    return (ws + j, d - j, -d - j, -ws + j)
 
 
 def _is_zero_temperature(beta: float) -> bool:
@@ -166,8 +171,8 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
 def _ground_levels(es: tuple[float, ...]) -> list[int]:
     """0-based indices of the levels exactly degenerate with the lowest one."""
     emin = _lowest_level(es)
-    scale = max(1.0, max(abs(e) for e in es))
-    return [i for i, e in enumerate(es) if e - emin <= DEGENERACY_RTOL * scale]
+    tol = DEGENERACY_RTOL * max(1.0, max(es), -emin)  # max(max E_i, -min E_i) is max |E_i|
+    return [i for i, e in enumerate(es) if e - emin <= tol]
 
 
 def _probs(pops, theta: float) -> tuple[float, float, float, float]:

@@ -513,6 +513,23 @@ def test_spectrum_rejects_bad_flip_angle_and_render(capsys):
         assert out == ""
 
 
+def test_overflowing_grid_span_exits_numerical(capsys):
+    # Every input is finite, but the span, or the last point, leaves float range.
+    spectrum_argv = ("spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--tau", "1")
+    scan_argv = ("scan", "--axis", "field", "--omega-delta", "0", "--tau", "1")
+    for argv in (
+        (*spectrum_argv, "--render", "-1e308", "1e308", "3"),
+        (*spectrum_argv, "--render", "0", "1.7976931348623157e308", "4"),
+        (*scan_argv, "--from", "-1e308", "--to", "1e308", "--points", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "overflows" in err
+    # A non-finite end stays invalid input.
+    code, out, err = run_cli(capsys, *spectrum_argv, "--render", "0", "inf", "3")
+    assert (code, out) == (2, "") and "finite" in err
+
+
 def test_threshold_kelvin_underflow_exits_numerical(capsys):
     # Below about 3.4e-275 Hz the energy scale hbar 2 pi j_hz is subnormal.
     for j_hz in ("1e-280", "1e-300"):

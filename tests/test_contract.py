@@ -2,8 +2,8 @@
 
 Every run exits 0, 2 or 3, prints to stdout only when it exits 0, and never
 prints a non-finite number. "never" needs J = 0, and a numeric crossing
-coupling needs two positive Larmor frequencies. A one-point tau scan prints
-the concurrence that `concurrence` prints.
+coupling needs two positive Larmor frequencies. A one-point scan on either
+axis prints the concurrence that `concurrence` prints.
 """
 
 import contextlib
@@ -119,17 +119,22 @@ def test_cli_contract(invocation):
 @hypothesis.example("2", "0", "0.5")
 @hypothesis.example("0", "0", None)
 @hypothesis.example("2", "0", "inf")
+@hypothesis.example("2.25", "0.75", None)  # at the E3/E4 crossing, C = sin(2 theta) / 2
 def test_one_point_scan_prints_the_concurrence(omega_sigma, omega_delta, tau):
     frequencies = [f"--omega-sigma={omega_sigma}", f"--omega-delta={omega_delta}"]
     temperature = ["--zero-temp"] if tau is None else [f"--tau={tau}"]
     code, out = _run(["concurrence", *frequencies, *temperature])
     at = "0" if tau is None else tau  # a scan's tau = 0 is the zero-temperature limit
-    scan_code, scan_out = _run(
-        ["scan", "--axis", "tau", f"--from={at}", f"--to={at}", "--points", "1", *frequencies]
+    scans = (
+        ["scan", "--axis", "tau", f"--from={at}", f"--to={at}", "--points", "1", *frequencies],
+        ["scan", "--axis", "field", f"--from={omega_sigma}", f"--to={omega_sigma}",
+         "--points", "1", f"--omega-delta={omega_delta}", f"--tau={at}"],
     )
-    # --tau 0 asks for --zero-temp; every other tau is accepted or rejected alike.
-    if tau is None or float(tau) != 0.0:
-        assert scan_code == code
-    if code == 0 and scan_code == 0:
-        header, row = scan_out.splitlines()
-        assert float(row.split(",")[1]) == json.loads(out)["concurrence"]
+    for scan in scans:
+        scan_code, scan_out = _run(scan)
+        # --tau 0 asks for --zero-temp; every other tau is accepted or rejected alike.
+        if tau is None or float(tau) != 0.0:
+            assert scan_code == code
+        if code == 0 and scan_code == 0:
+            header, row = scan_out.splitlines()
+            assert float(row.split(",")[1]) == json.loads(out)["concurrence"]

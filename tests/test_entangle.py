@@ -38,6 +38,18 @@ def test_thermal_zero_temperature_limits():
     assert entangle.concurrence_thermal(system, math.inf) == 1.0
 
 
+def test_uncoupled_pair_is_unentangled():
+    # D = 0 (J = 0, omega_delta = 0): at omega_sigma = 0 all four levels are
+    # degenerate, above it |bb> alone is lowest. Both give C = +0.0 at every
+    # beta, and no step may warn (warnings are errors in this suite). So does
+    # J = -0.0, whose sin 2theta is -0.0.
+    for omega_sigma, omega_delta, coupling in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 1.0, -0.0)):
+        params = _params(omega_sigma, omega_delta, coupling)
+        for beta in (0.0, 1.0, math.inf):
+            c = entangle.concurrence_for_params(params, coupling, beta)
+            assert c.hex() == "0x0.0p+0"
+
+
 def test_thermal_equals_population_route():
     rng = np.random.default_rng(21)
     worst = 0.0
@@ -343,6 +355,11 @@ def test_threshold_numerical_failures():
 
 def _pointwise(omega_sigma, omega_delta, beta):
     params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
+    if beta == math.inf:
+        # concurrence_for_params is the kernel itself: at beta = inf compare
+        # with the independent route through the limit populations.
+        pops = _thermal_pops(params, 1.0, math.inf)
+        return entangle.concurrence_from_populations(pops, params.theta)
     return entangle.concurrence_for_params(params, 1.0, beta)
 
 
@@ -352,14 +369,14 @@ def test_sweep_rows_equal_pointwise_route():
         ws, wd = rng.uniform(0.0, 6.0), rng.uniform(0.0, 4.0)
         taus = np.concatenate(([0.0], np.sort(rng.uniform(1e-3, 3.0, 60))))
         rows = entangle.sweep("temperature", taus, omega_sigma=ws, omega_delta=wd)
-        assert rows == [
-            (t, _pointwise(ws, wd, math.inf if t == 0.0 else 1.0 / t)) for t in taus
-        ]
+        want = [(t, _pointwise(ws, wd, math.inf if t == 0.0 else 1.0 / t)) for t in taus]
+        assert [(x, c.hex()) for x, c in rows] == [(x, c.hex()) for x, c in want]
         fields = np.sort(rng.uniform(0.0, 8.0, 60))
         for tau in (0.0, rng.uniform(1e-3, 3.0)):
             rows = entangle.sweep("field", fields, omega_delta=wd, tau=tau)
             beta = math.inf if tau == 0.0 else 1.0 / tau
-            assert rows == [(x, _pointwise(x, wd, beta)) for x in fields]
+            want = [(x, _pointwise(x, wd, beta)) for x in fields]
+            assert [(x, c.hex()) for x, c in rows] == [(x, c.hex()) for x, c in want]
 
 
 def _ratio_form_reference(omega_sigma, d, sin_2theta, coupling, beta):
@@ -377,9 +394,14 @@ def _ratio_form_reference(omega_sigma, d, sin_2theta, coupling, beta):
 
 # Each grid reaches a branch of the streaming kernel: the numerator <= 0 exit
 # (tau past the threshold), the log-space tail (a > log float max), a
-# subnormal C (the tail at omega_sigma in [16.7, 17.3], tau = 0.01), the tau = 0
-# head row and a one-point grid. The two dense grids make a change in the
-# order of the kernel's operations show in the last bit of some row.
+# subnormal C (the tail at omega_sigma in [16.7, 17.3], tau = 0.01), beta = inf
+# on both axes and a one-point grid. The two dense grids make a change in the
+# order of the kernel's operations show in the last bit of some row. At tau = 0
+# the field grids reach the E3/E4 crossing omega_sigma = D + J (2.25 at
+# omega_delta = 0.75, 2 at omega_delta = 0) exactly, within DEGENERACY_RTOL of
+# it, where the two levels count as degenerate, and 4 DEGENERACY_RTOL away.
+_EPS = thermo.DEGENERACY_RTOL
+_NEAR_CROSSING = [2.25 * (1.0 + k * _EPS) for k in (-4, -1, -0.5, 0, 0.5, 1, 4)]
 KERNEL_SWEEPS = [
     ("temperature", np.linspace(0.0, 1.0, 1001), {"omega_sigma": 1.5, "omega_delta": 0.7}),
     ("field", np.linspace(0.0, 8.0, 2001), {"omega_delta": 0.7, "tau": 0.3}),
@@ -390,6 +412,9 @@ KERNEL_SWEEPS = [
     ("field", np.linspace(16.7, 17.3, 201), {"omega_delta": 1.0, "tau": 0.01}),
     ("field", [0.0, 1.0, 2.0, 5.0], {"omega_delta": 1.0, "tau": 2.0}),
     ("field", [3.0], {"omega_delta": 0.5, "tau": 0.3}),
+    ("field", [0.0, 2.0, *_NEAR_CROSSING, 2.5, 1e300], {"omega_delta": 0.75, "tau": 0.0}),
+    ("field", np.linspace(0.0, 4.0, 401), {"omega_delta": 0.0, "tau": 0.0}),
+    ("field", [2.25], {"omega_delta": 0.75, "tau": 0.0}),
 ]
 
 
@@ -403,11 +428,12 @@ def test_sweep_kernel_branches_equal_pointwise_route():
             tau = kwargs["tau"] if axis == "field" else x
             beta = math.inf if tau == 0.0 else 1.0 / tau
             params = _params(ws, kwargs["omega_delta"])
-            assert c.hex() == entangle.concurrence_for_params(params, 1.0, beta).hex()
-            if beta == math.inf:
-                seen.add("head")
-                continue
+            assert c.hex() == _pointwise(ws, kwargs["omega_delta"], beta).hex()
             d, s = params.d_coupling, params.sin_2theta
+            if beta == math.inf:
+                seen.add({s: "sin 2theta", 0.5 * s: "half sin 2theta", 0.0: "zero"}[c])
+                continue
+            assert c.hex() == entangle.concurrence_for_params(params, 1.0, beta).hex()
             assert c.hex() == _ratio_form_reference(ws, d, s, 1.0, beta).hex()
             if s * (1.0 - math.exp(-beta * d)) <= 2.0 * math.exp(-0.5 * beta * (d + 1.0)):
                 seen.add("numerator <= 0")
@@ -417,7 +443,10 @@ def test_sweep_kernel_branches_equal_pointwise_route():
                 seen.add("subnormal")
         if len(grid) == 1:
             seen.add("one point")
-    assert seen == {"numerator <= 0", "log-space tail", "subnormal", "head", "one point"}
+    assert seen == {
+        "numerator <= 0", "log-space tail", "subnormal", "one point",
+        "sin 2theta", "half sin 2theta", "zero",
+    }
 
 
 def test_sweep_tau_overflow_is_numerical():

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -246,8 +247,11 @@ def test_beta_from_tau():
 
 def test_check_grid():
     grid = model._check_grid([0, 0.5, 2])
-    assert grid.dtype == float and grid.tolist() == [0.0, 0.5, 2.0]
-    for bad in ([], [[0.0, 1.0]], [0.0, math.nan], [math.nan], [0.0, math.inf],
-                [1.0, 1.0], [1.0, 0.5]):
+    assert grid == [0.0, 0.5, 2.0] and all(type(x) is float for x in grid)
+    # A list of floats is not copied point by point: the check keeps its float objects.
+    floats = [0.25, 0.5]
+    assert all(map(operator.is_, model._check_grid(floats), floats))
+    for bad in ([], 1.0, [[0.0, 1.0]], np.array([[0.0], [1.0]]), [0.0, math.nan], [math.nan],
+                [0.0, math.inf], [1.0, 1.0], [1.0, 0.5]):
         with pytest.raises(ValueError):
             model._check_grid(bad)

@@ -161,6 +161,14 @@ def test_populations_zero_temperature_degenerate_pair():
     assert math.isclose(z_shifted, 2.0, rel_tol=1e-12)
 
 
+def test_degeneracy_scale_is_the_largest_level_magnitude():
+    # The tolerance is DEGENERACY_RTOL max(1, |E_i|), also where a negative level is largest.
+    levels = thermo.EnergyLevels(-1e6, -1e6 + 5e-7, 5.0, 3.0)
+    assert thermo.populations(levels, math.inf).probs == (0.5, 0.5, 0.0, 0.0)
+    levels = thermo.EnergyLevels(-1e6, -1e6 + 2e-6, 5.0, 3.0)
+    assert thermo.populations(levels, math.inf).probs == (1.0, 0.0, 0.0, 0.0)
+
+
 def test_populations_sum_and_range():
     rng = np.random.default_rng(4)
     for _ in range(300):
