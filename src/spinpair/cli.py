@@ -21,7 +21,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import critical, entangle, observe, spectrum, thermo
-from .model import PRESET_RATIOS, _beta_from_tau, derive_from_sigma_delta, preset
+from .model import PRESET_RATIOS, _beta_from_tau, _check_grid, derive_from_sigma_delta, preset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,8 +95,10 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
     # The consumer's grid check rejects a non-increasing or non-finite grid.
     step = (stop - start) / (points - 1)
     grid = [start + i * step for i in range(points)]
-    # Finite ends, but the span or the last point overflows.
-    if grid[-1] == math.inf and stop != math.inf:
+    # Finite ends, but the span or the last point overflows: invalid input if
+    # the ends are in the wrong order, else a numerical failure.
+    if math.isinf(grid[-1]) and math.isfinite(stop):
+        _check_grid((start, stop))
         raise ArithmeticError(f"grid span from {start!r} to {stop!r} overflows")
     return grid
 

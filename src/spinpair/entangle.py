@@ -9,14 +9,12 @@ Ratio form, obtained by inserting the Boltzmann weights and Z:
     C = max{0, [sinh(beta D/2) sin(2 theta) - exp(-beta J/2)]
               / [exp(-beta J/2) cosh(beta omega_sigma/2) + cosh(beta D/2)]}
 
-Entanglement survives while sinh(beta D/2) sin(2 theta) > exp(-beta J/2);
-the left side grows and the right side shrinks with beta, so for J > 0
-there is a unique threshold beta* and a threshold temperature
-tau_t = k_B T_t / J = 1 / (beta* J). For J = 0 the pair never entangles.
-In x = beta D / 2 with s = sin 2theta = J / D the gap is
-g(x) = s sinh(x) - exp(-x s), and g''(x) = s sinh(x) - s^2 exp(-x s). At and
-above the root s sinh(x) >= exp(-x s) >= s exp(-x s), so g is convex there:
-Newton's method started above the root descends onto it without overshooting.
+Entanglement survives while sinh(beta D/2) sin(2 theta) > exp(-beta J/2).
+With s = sin 2theta = J / D that condition depends on beta only through
+beta D, so the threshold is solved once at unit splitting D = 1, J = s:
+the root beta_hat = beta* D of s sinh(beta/2) = exp(-beta s/2) is unique for
+s > 0, and tau_t = k_B T_t / J = 1 / (beta* J) = 1 / (beta_hat s) depends on
+s alone. For J = 0 the pair never entangles.
 The homonuclear case omega_delta = 0 (D = J, sin 2theta = 1) collapses to
 C = max{0, (e^{beta J} - 3) / (2 cosh(beta omega) + e^{beta J} + 1)}, so tau_t = 1/ln 3.
 """
@@ -41,9 +39,6 @@ from .model import (
 )
 from . import thermo
 from .thermo import _LOG_FLOAT_MAX
-
-# math.sinh(x) is finite exactly for x <= log(2 float max).
-_LOG_2_FLOAT_MAX = _LOG_FLOAT_MAX + math.log(2.0)
 
 
 def concurrence_from_populations(pops, theta: float) -> float:
@@ -86,10 +81,7 @@ def _ratio_form(points, d: float, sin_2theta: float, coupling: float):
         if beta != last_beta:
             last_beta = beta
             zero = beta == math.inf
-            if zero:
-                # C when E3 alone is lowest, max{0, sin 2theta}: +0.0 also at J = -0.0.
-                pure = sin_2theta if sin_2theta > 0.0 else 0.0
-            else:
+            if not zero:
                 neg_half = -0.5 * beta
                 e_d = exp(-beta * d)
                 # Ratio form rescaled by 2 exp(-beta D / 2): every exponent is
@@ -98,7 +90,7 @@ def _ratio_form(points, d: float, sin_2theta: float, coupling: float):
                 num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_half * dj)
         if zero:
             ground = ground_levels(levels(omega_sigma, d, coupling))
-            yield pure if ground == [2] else 0.5 * pure if ground == [2, 3] else 0.0
+            yield sin_2theta if ground == [2] else 0.5 * sin_2theta if ground == [2, 3] else 0.0
             continue
         if num <= 0.0:
             # The denominator is at least 1: C = 0 whatever it is.
@@ -126,55 +118,44 @@ def concurrence_homonuclear(omega: float, coupling: float, beta: float) -> float
     return concurrence_for_params(params, coupling, beta)
 
 
-def entanglement_gap(beta: float, d: float, sin_2theta: float, coupling: float) -> float:
-    """g(beta) = sinh(beta D/2) sin(2 theta) - exp(-beta J/2).
+def entanglement_gap(beta: float, s: float) -> float:
+    """g(beta) = s sinh(beta/2) - exp(-beta s/2), the gap at unit splitting D = 1, J = s.
 
-    Strictly increasing with g(0+) = -1; its unique root (for J > 0)
-    marks the disappearance of entanglement; sinh saturates where math.sinh overflows.
+    Strictly increasing with g(0+) = -1; its unique root (for s > 0)
+    marks the disappearance of entanglement.
     """
-    x = 0.5 * beta * d
-    gain = math.sinh(x) if x <= _LOG_2_FLOAT_MAX else math.inf
-    return gain * sin_2theta - math.exp(-0.5 * beta * coupling)
+    return s * math.sinh(0.5 * beta) - math.exp(-0.5 * beta * s)
 
 
-def threshold_beta(d: float, sin_2theta: float, coupling: float) -> float | None:
-    """Root of the entanglement gap, or None when no root exists (J = 0).
+def threshold_beta(s: float) -> float:
+    """Root of the entanglement gap at unit splitting, for s = sin 2theta in (0, 1].
 
-    With x = beta D / 2 and s = sin 2theta = J / D the gap is
-    sinh(x) s - exp(-x s). Where sinh(x) s = 2 the gap is at least
-    2 - 1 > 0; where sinh(x) s = e^-2 it is at most e^-2 - exp(-e^-2) < 0,
-    because x s <= sinh(x) s. Both bracket ends are closed forms in x.
+    With x = beta / 2 the gap is s sinh(x) - exp(-x s). Where s sinh(x) = 2
+    it is at least 2 - 1 > 0; where s sinh(x) = e^-2 it is at most
+    e^-2 - exp(-e^-2) < 0, because x s <= s sinh(x). Both bracket ends are
+    closed forms in x.
 
     The gap is increasing, and convex at and above its root, where
-    s sinh(x) >= exp(-x s) >= s exp(-x s) makes g'' = s sinh(x) - s^2 exp(-x s)
-    non-negative. Newton's method on g(beta), started at the upper end,
-    therefore steps down monotonically onto the root and never crosses it.
-    It stops at the first beta whose gap rounds to <= 0, or once the next
-    step makes no progress inside the bracket.
+    s sinh(x) >= exp(-x s) >= s exp(-x s) makes g'' = (s sinh(x) - s^2 exp(-x s)) / 4
+    non-negative. Newton's method started at the upper end therefore steps
+    down monotonically onto the root and never crosses it. It stops at the
+    first beta whose gap rounds to <= 0, or once the next step makes no
+    progress inside the bracket. It only decreases from its start below
+    2 asinh(2 / s) <= 2 log(2 float max), so sinh and cosh stay finite.
     """
-    if coupling == 0.0:
-        return None
-    if not sin_2theta > 0.0:
-        raise ArithmeticError("sin 2theta underflowed to 0 although J > 0")
-    lo = 2.0 * math.asinh(math.exp(-2.0) / sin_2theta) / d
-    hi = 2.0 * math.asinh(2.0 / sin_2theta) / d
-    # hi = inf where 2 / s overflows; D is finite, so hi > 0.
-    if not 0.0 < hi < math.inf:
+    lo = 2.0 * math.asinh(math.exp(-2.0) / s)
+    hi = 2.0 * math.asinh(2.0 / s)
+    if not hi < math.inf:  # 2 / s overflows
         raise ArithmeticError(f"threshold bracket is out of float range: [{lo!r}, {hi!r}]")
-    # beta D / 2 can round up to an ulp above asinh(2 / s), which may be
-    # log(2 float max), where sinh and cosh overflow. 4 eps lower they stay
-    # finite, and the gap is still about 1.
+    # asinh(2 / s) may round up to where sinh overflows; 4 eps lower the gap is about 1.
     beta = hi * (1.0 - 4.0 * sys.float_info.epsilon)
     for _ in range(100):
-        gap = entanglement_gap(beta, d, sin_2theta, coupling)
+        gap = entanglement_gap(beta, s)
         if not gap > 0.0:
             return beta
-        # g'(beta) = (D / 2) s (cosh x + exp(-x s)). The step is taken as
-        # gap / (s (cosh x + exp(-x s))) <= 1, times 2 / D: the slope itself
-        # overflows once D exceeds float max / 2.
-        x = 0.5 * beta * d
-        step = gap / (sin_2theta * (math.cosh(x) + math.exp(-0.5 * beta * coupling)))
-        next_beta = beta - step * (2.0 / d)
+        # g'(beta) = s (cosh(beta/2) + exp(-beta s/2)) / 2.
+        x = 0.5 * beta
+        next_beta = beta - 2.0 * gap / (s * (math.cosh(x) + math.exp(-x * s)))
         if not lo < next_beta < beta:
             return beta
         beta = next_beta
@@ -195,17 +176,13 @@ def threshold_tau(omega_delta: float, coupling: float = 1.0) -> float | None:
 
 
 def _threshold_tau(params: DerivedParams) -> float | None:
-    d, j = params.d_coupling, params.coupling
-    if j > 1.0:
-        # The gap depends on beta only through beta D and beta J. Dividing D
-        # and J by the power of two that puts J in [0.5, 1) is exact and keeps
-        # beta* out of the subnormal range when J nears float max.
-        scale = math.frexp(j)[1]
-        d, j = math.ldexp(d, -scale), math.ldexp(j, -scale)
-    beta_star = threshold_beta(d, params.sin_2theta, j)
-    if beta_star is None:
+    """tau_t = 1 / (beta_hat s), with beta_hat = beta* D the root at unit splitting."""
+    if params.coupling == 0.0:
         return None
-    return 1.0 / (beta_star * j)
+    s = params.sin_2theta
+    if not s > 0.0:
+        raise ArithmeticError("sin 2theta underflowed to 0 although J > 0")
+    return 1.0 / (threshold_beta(s) * s)
 
 
 def threshold_kelvin(j_hz: float) -> float:

@@ -132,8 +132,9 @@ def derive_from_sigma_delta(
     if d == math.inf:
         raise ArithmeticError("D = hypot(omega_delta, J) is out of float range")
     # atan2(0, 0) = 0 fixes the degenerate J = 0, omega_delta = 0 case;
-    # atan2(J, 0) = pi/2 makes the homonuclear angle exactly pi/4.
-    theta = 0.5 * math.atan2(coupling, omega_delta)
+    # atan2(J, 0) = pi/2 makes the homonuclear angle exactly pi/4. Adding +0.0
+    # turns a signed zero into +0.0: atan2(0, -0.0) = pi, atan2(-0.0, 1) = -0.0.
+    theta = 0.5 * math.atan2(coupling + 0.0, omega_delta + 0.0)
     return DerivedParams(omega_sigma, omega_delta, d, theta, coupling)
 
 

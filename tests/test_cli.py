@@ -528,6 +528,14 @@ def test_overflowing_grid_span_exits_numerical(capsys):
     # A non-finite end stays invalid input.
     code, out, err = run_cli(capsys, *spectrum_argv, "--render", "0", "inf", "3")
     assert (code, out) == (2, "") and "finite" in err
+    # So does a decreasing span, whose step overflows to -inf.
+    for argv in (
+        (*scan_argv, "--from", "1e308", "--to=-1e308", "--points", "3"),
+        (*spectrum_argv, "--render", "1e308", "-1e308", "2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "strictly increasing" in err, err
 
 
 def test_threshold_kelvin_underflow_exits_numerical(capsys):

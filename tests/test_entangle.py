@@ -42,7 +42,7 @@ def test_uncoupled_pair_is_unentangled():
     # D = 0 (J = 0, omega_delta = 0): at omega_sigma = 0 all four levels are
     # degenerate, above it |bb> alone is lowest. Both give C = +0.0 at every
     # beta, and no step may warn (warnings are errors in this suite). So does
-    # J = -0.0, whose sin 2theta is -0.0.
+    # J = -0.0, which derive turns into theta = +0.0.
     for omega_sigma, omega_delta, coupling in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 1.0, -0.0)):
         params = _params(omega_sigma, omega_delta, coupling)
         for beta in (0.0, 1.0, math.inf):
@@ -155,8 +155,11 @@ def test_concurrence_bounds():
 def test_threshold_homonuclear():
     tau = entangle.threshold_tau(0.0)
     assert math.isclose(tau, 1.0 / math.log(3.0), rel_tol=1e-15)
-    beta_star = 1.0 / tau
-    assert abs(entangle.entanglement_gap(beta_star, 1.0, 1.0, 1.0)) <= 1e-12
+    # At s = 1 the root at unit splitting is beta* J = 1 / tau_t = ln 3.
+    beta_hat = entangle.threshold_beta(1.0)
+    assert math.isclose(beta_hat, math.log(3.0), rel_tol=1e-15)
+    assert abs(entangle.entanglement_gap(beta_hat, 1.0)) <= 1e-12
+    assert abs(entangle.entanglement_gap(1.0 / tau, 1.0)) <= 1e-12
 
 
 def test_threshold_heteronuclear():
@@ -188,14 +191,19 @@ def test_gap_is_monotone_with_unit_start():
     rng = np.random.default_rng(24)
     for _ in range(100):
         wd, j = rng.uniform(0.0, 5.0), rng.uniform(1e-3, 5.0)
-        params = _params(0.0, wd, j)
-        s = params.sin_2theta
-        assert abs(entangle.entanglement_gap(1e-12, params.d_coupling, s, j) + 1.0) <= 1e-9
-        betas = np.linspace(1e-3, 30.0 / j, 50)
-        gaps = [entangle.entanglement_gap(b, params.d_coupling, s, j) for b in betas]
+        s = _params(0.0, wd, j).sin_2theta
+        assert abs(entangle.entanglement_gap(1e-12, s) + 1.0) <= 1e-9
+        beta_hat = entangle.threshold_beta(s)
+        betas = np.linspace(1e-3, 2.0 * beta_hat, 50)
+        gaps = [entangle.entanglement_gap(b, s) for b in betas]
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
-        # bracket expansion terminates: a root is found for every J > 0
-        assert entangle.threshold_beta(params.d_coupling, s, j) is not None
+        assert abs(entangle.entanglement_gap(beta_hat, s)) <= 1e-12 < gaps[-1]
+    # A root exists for every s in (0, 1], down to the smallest s whose bracket
+    # 2 asinh(2 / s) is finite.
+    for s in (1.0, 0.5, 1e-3, 1e-100, 1e-300, 1.11254e-308):
+        beta_hat = entangle.threshold_beta(s)
+        assert 0.0 < beta_hat < math.inf
+        assert abs(entangle.entanglement_gap(beta_hat, s)) <= 1e-12
 
 
 def test_threshold_takes_few_gap_evaluations(monkeypatch):
@@ -317,28 +325,17 @@ def test_sweep_validation():
         entangle.sweep("temperature", [-0.1, 0.5], omega_sigma=0.0, omega_delta=0.0)
 
 
-def _mp_threshold_tau(omega_delta, coupling):
-    """50-digit root of the gap, solved in x = beta D / 2 where s = J / D."""
-    mp = pytest.importorskip("mpmath").mp
-    with mp.workdps(50):
-        wd, j = mp.mpf(omega_delta), mp.mpf(coupling)
-        s = j / mp.sqrt(wd**2 + j**2)
-        x = mp.findroot(
-            lambda x: mp.sinh(x) * s - mp.exp(-x * s),
-            (mp.asinh(mp.exp(-2) / s), mp.asinh(2 / s)),
-            solver="anderson",
-        )
-        return float(1 / (2 * x * s))
-
-
-# At J <= 3e-308 the root x = beta* D / 2 lies near 710, above log(float max)
-# = 709.78 but below log(2 float max) = 710.48, where sinh overflows.
+# At J <= 3e-308 (s = J) the root beta_hat / 2 lies within 1 of
+# log(float max) = 709.78. The 50-digit reference is the one in
+# test_reference.py.
 @pytest.mark.parametrize(
     "omega_delta, coupling",
     [(0.0, 1.0), (1.0, 1.0), (1e26, 1.0), (1e30, 1.0), (1e300, 1.0), (1.0, 1e-300),
      (1.0, 3e-308), (1.0, 2e-308), (1.0, 1.5e-308)],
 )
 def test_threshold_matches_mpmath_root(omega_delta, coupling):
+    from test_reference import _mp_threshold_tau
+
     want = _mp_threshold_tau(omega_delta, coupling)
     assert math.isclose(entangle.threshold_tau(omega_delta, coupling), want, rel_tol=1e-15)
 
@@ -347,10 +344,13 @@ def test_threshold_numerical_failures():
     # J > 0 below float range: the bracket overflows.
     with pytest.raises(ArithmeticError):
         entangle.threshold_tau(1.0, 1e-320)
+    with pytest.raises(ArithmeticError, match="out of float range"):
+        entangle.threshold_beta(1e-320)
     # sin 2theta underflows to 0 although J > 0.
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="underflowed"):
         entangle.threshold_tau(1e300, 1e-300)
-    assert entangle.threshold_beta(1.0, 0.0, 0.0) is None
+    assert entangle.threshold_tau(1.0, 0.0) is None
+    assert entangle.threshold_tau(0.0, 0.0) is None
 
 
 def _pointwise(omega_sigma, omega_delta, beta):

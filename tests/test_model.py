@@ -4,7 +4,7 @@ import operator
 import numpy as np
 import pytest
 
-from spinpair import entangle, model, thermo
+from spinpair import entangle, model, spectrum, thermo
 
 
 def test_derive_homonuclear_angle_is_exact():
@@ -34,6 +34,18 @@ def test_degenerate_system_has_zero_angle():
     params = model.derive(model.SpinSystem(0.0, 0.0, 0.0))
     assert params.theta == 0.0
     assert params.sin_2theta == 0.0
+
+
+def test_signed_zero_inputs_give_zero_angle():
+    # atan2 sees the sign of a zero: unnormalised, (-0.0, 0.0) would give
+    # theta = pi/2 and a -0.0 coupling theta = -0.0, both outside [0, pi/4].
+    for omega_delta, coupling in ((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+        params = model.derive_from_sigma_delta(1.0, omega_delta, coupling)
+        assert params.theta.hex() == "0x0.0p+0"
+        assert params.sin_2theta.hex() == "0x0.0p+0"
+        pops = thermo.populations(thermo.energies(params, coupling), 1.0)
+        amps = spectrum.transition_amplitudes(pops, params.theta, 0.5 * math.pi)
+        assert all(math.isfinite(a) for a in amps.values())
 
 
 def test_swap_is_recorded():

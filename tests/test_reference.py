@@ -127,12 +127,13 @@ def _mp_threshold_tau(omega_delta, coupling):
         return float(1 / (2 * x * s))
 
 
-# omega_delta / J up to 8e307, where the upper bracket end asinh(2 / s) / D
+# omega_delta / J up to 8e307, where the upper bracket end asinh(2 / s)
 # nears log(2 float max); J from 1e-300 up to float max, with D finite.
 # The ratio alone sets tau_t.
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
-# D near float max: the slope g'(beta) = (D / 2) s (cosh x + exp(-x s)) would
-# overflow, and beta* itself would be subnormal without rescaling J.
+# D near float max: tau_t depends on s alone, because the root is solved at
+# unit splitting D = 1, J = s and tau_t = 1 / (beta_hat s); at the actual D
+# the slope of the gap would overflow and beta* would be subnormal.
 @hypothesis.example(pair=(0.0, 1e308))
 @hypothesis.example(pair=(0.0, 1.7e308))
 @hypothesis.example(pair=(0.0, sys.float_info.max))
@@ -141,7 +142,8 @@ def _mp_threshold_tau(omega_delta, coupling):
 # Just inside the finite-bracket limit 2 / s <= float max, with J subnormal.
 @hypothesis.example(pair=(1.0, 1.2e-308))
 @hypothesis.example(pair=(1.0, 1.11254e-308))
-# beta D / 2 at the upper bracket end rounds to an ulp above log(2 float max).
+# The upper bracket end beta_hat / 2 = asinh(2 / s) rounds to log(2 float max),
+# where sinh is barely finite; Newton starts 4 eps below it.
 @hypothesis.example(pair=(678176.1171011522, 7.544959748128799e-303))
 @hypothesis.example(pair=(0.0, 1e-300))
 @hypothesis.given(
