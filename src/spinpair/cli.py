@@ -33,6 +33,9 @@ DEFAULT_DIGITS = 12
 # nor hold their whole output in memory at once.
 _CHUNK_ROWS = 4096
 
+# Exponents e-308 .. e-324: every subnormal prints with one, no value >= 1e-307 does.
+_TINY_EXPONENT = re.compile(r"e-3(?:0[89]|[12]\d)")
+
 
 def _digits() -> int:
     raw = os.environ.get("SPINPAIR_PRECISION")
@@ -55,15 +58,36 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
-def _emit_csv(header: str, line: str, rows) -> None:
-    """The header, then line % row for each row, _CHUNK_ROWS lines per write."""
+def _emit_csv(header: str, rows, digits: int, text_columns: int = 0) -> None:
+    """The header, then one line per row, _CHUNK_ROWS lines per write.
+
+    The first text_columns columns are text, the rest numbers to digits
+    significant digits, or to the fewer digits that a subnormal carries.
+    """
+    numbers = header.count(",") + 1 - text_columns
+    line = ",".join(["%s"] * text_columns + [f"%.{digits}g"] * numbers) + "\n"
     write = sys.stdout.write
     write(header + "\n")
-    line += "\n"
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         # One % over the chunk's rows laid end to end formats each as line % row.
-        write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
+        text = line * len(chunk) % tuple(chain.from_iterable(chunk))
+        if "e-3" in text and _TINY_EXPONENT.search(text):
+            text = "".join(
+                ",".join([_csv_field(v, digits) for v in row]) + "\n"
+                if _TINY_EXPONENT.search(printed) else printed
+                for printed, row in zip(text.splitlines(True), chunk)
+            )
+        write(text)
+
+
+def _csv_field(value, digits: int) -> str:
+    """A field as _emit_csv's line prints it; a subnormal k 2^-1074 to its floor(log10 k) digits."""
+    if isinstance(value, str):
+        return value
+    if 0.0 < abs(value) < sys.float_info.min:
+        digits = max(1, min(digits, int(math.log10(abs(value) / 5e-324))))
+    return f"{value:.{digits}g}"
 
 
 def _beta_from_args(args) -> float:
@@ -119,8 +143,7 @@ def _cmd_scan(args, digits: int) -> int:
         omega_delta=args.omega_delta,
         tau=args.tau,
     )
-    g = f"%.{digits}g"
-    _emit_csv("x,concurrence", f"{g},{g}", rows)
+    _emit_csv("x,concurrence", rows, digits)
     return EXIT_OK
 
 
@@ -148,14 +171,9 @@ def _cmd_spectrum(args, digits: int) -> int:
             raise ValueError("--render POINTS must be an integer")
         grid = _grid(start, stop, int(points))
         curve = spectrum.render_lorentzian(lines, args.linewidth, grid)
-    g = f"%.{digits}g"
-    _emit_csv(
-        "transition,frequency,amplitude",
-        f"%s,{g},{g}",
-        ((line.transition, line.frequency, line.amplitude) for line in lines),
-    )
+    _emit_csv("transition,frequency,amplitude", lines, digits, text_columns=1)
     if args.render is not None:
-        _emit_csv("f,intensity", f"{g},{g}", zip(grid, curve))
+        _emit_csv("f,intensity", zip(grid, curve), digits)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ there is no zero-temperature critical point for any J >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import PRESET_RATIOS, SpinSystem, derive, derive_from_sigma_delta
 from . import thermo
@@ -25,12 +25,10 @@ from . import thermo
 FIELD_RATIOS = {name: 0.5 / r + 0.5 for name, r in PRESET_RATIOS.items() if r > 0.0}
 
 
-@dataclass(frozen=True)
-class GroundState:
+class GroundState(namedtuple("GroundState", "index degenerate_pair", defaults=(None,))):
     """Index (1..4) of the lowest level, plus the degenerate pair if any."""
 
-    index: int
-    degenerate_pair: tuple[int, int] | None = None
+    __slots__ = ()
 
 
 def crossing_coupling(omega1: float, omega2: float) -> float | None:
@@ -67,7 +65,6 @@ def critical_omega_sigma(omega_delta: float, coupling: float) -> float:
 
 def ground_state(system: SpinSystem) -> GroundState:
     """Which level is lowest, with exact degeneracies flagged."""
-    levels = thermo.energies(derive(system), system.coupling).as_tuple()
+    levels = thermo.energies(derive(system), system.coupling)
     members = [i + 1 for i in thermo._ground_levels(levels)]
-    pair = (members[0], members[1]) if len(members) >= 2 else None
-    return GroundState(index=members[0], degenerate_pair=pair)
+    return GroundState(members[0], tuple(members[:2]) if len(members) >= 2 else None)

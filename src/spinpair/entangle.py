@@ -22,7 +22,6 @@ C = max{0, (e^{beta J} - 3) / (2 cosh(beta omega) + e^{beta J} + 1)}, so tau_t =
 from __future__ import annotations
 
 import math
-import sys
 from itertools import chain, islice, repeat
 from operator import mul, truediv
 
@@ -39,6 +38,8 @@ from .model import (
 )
 from . import thermo
 from .thermo import _LOG_FLOAT_MAX
+
+_EXP_MINUS_2 = math.exp(-2.0)  # s sinh(x) at the lower end of the threshold bracket
 
 
 def concurrence_from_populations(pops, theta: float) -> float:
@@ -130,8 +131,8 @@ def entanglement_gap(beta: float, s: float) -> float:
 def threshold_beta(s: float) -> float:
     """Root of the entanglement gap at unit splitting, for s = sin 2theta in (0, 1].
 
-    With x = beta / 2 the gap is s sinh(x) - exp(-x s). Where s sinh(x) = 2
-    it is at least 2 - 1 > 0; where s sinh(x) = e^-2 it is at most
+    With x = beta / 2 the gap is s sinh(x) - exp(-x s). Where s sinh(x) = 1
+    it is 1 - exp(-x s) > 0; where s sinh(x) = e^-2 it is at most
     e^-2 - exp(-e^-2) < 0, because x s <= s sinh(x). Both bracket ends are
     closed forms in x.
 
@@ -140,15 +141,14 @@ def threshold_beta(s: float) -> float:
     non-negative. Newton's method started at the upper end therefore steps
     down monotonically onto the root and never crosses it. It stops at the
     first beta whose gap rounds to <= 0, or once the next step makes no
-    progress inside the bracket. It only decreases from its start below
-    2 asinh(2 / s) <= 2 log(2 float max), so sinh and cosh stay finite.
+    progress inside the bracket; below about s = 1e-17 the start is the root
+    to rounding and its gap already rounds to <= 0. It only decreases from
+    2 asinh(1 / s) <= 2 asinh(float max), so sinh and cosh stay finite.
     """
-    lo = 2.0 * math.asinh(math.exp(-2.0) / s)
-    hi = 2.0 * math.asinh(2.0 / s)
-    if not hi < math.inf:  # 2 / s overflows
+    lo = 2.0 * math.asinh(_EXP_MINUS_2 / s)
+    beta = hi = 2.0 * math.asinh(1.0 / s)
+    if not hi < math.inf:  # 1 / s overflows
         raise ArithmeticError(f"threshold bracket is out of float range: [{lo!r}, {hi!r}]")
-    # asinh(2 / s) may round up to where sinh overflows; 4 eps lower the gap is about 1.
-    beta = hi * (1.0 - 4.0 * sys.float_info.epsilon)
     for _ in range(100):
         gap = entanglement_gap(beta, s)
         if not gap > 0.0:

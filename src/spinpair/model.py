@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import islice
 from operator import lt
 
@@ -45,8 +45,7 @@ PRESET_RATIOS = {
 }
 
 
-@dataclass(frozen=True)
-class SpinSystem:
+class SpinSystem(namedtuple("SpinSystem", "omega1 omega2 coupling swapped antiparallel")):
     """A scalar-coupled pair of spin-1/2 nuclei.
 
     Stored in canonical orientation omega1 >= omega2 >= 0; the
@@ -56,40 +55,40 @@ class SpinSystem:
     kept, so that omega_sigma is exactly zero, and marked antiparallel.
     """
 
-    omega1: float
-    omega2: float
-    coupling: float
-    swapped: bool = field(default=False, init=False)
-    antiparallel: bool = field(default=False, init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("omega1", "omega2"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, omega1: float, omega2: float, coupling: float):
+        for name, value in (("omega1", omega1), ("omega2", omega2)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        _check_coupling(self.coupling)
-        if self.omega2 > self.omega1:
-            o1, o2 = self.omega1, self.omega2
-            object.__setattr__(self, "omega1", o2)
-            object.__setattr__(self, "omega2", o1)
-            object.__setattr__(self, "swapped", True)
-        if self.omega2 < 0.0:
-            if self.omega2 != -self.omega1:
-                raise ValueError(
-                    "negative Larmor frequencies are only supported for the "
-                    "positronium (antiparallel) configuration"
-                )
-            object.__setattr__(self, "antiparallel", True)
+        _check_coupling(coupling)
+        swapped = omega2 > omega1
+        if swapped:
+            omega1, omega2 = omega2, omega1
+        antiparallel = omega2 < 0.0
+        if antiparallel and omega2 != -omega1:
+            raise ValueError(
+                "negative Larmor frequencies are only supported for the "
+                "positronium (antiparallel) configuration"
+            )
+        return super().__new__(cls, omega1, omega2, coupling, swapped, antiparallel)
+
+    def __reduce__(self):
+        # pickle and copy keep the stored fields, swapped too, which __new__ does not take.
+        return type(self)._make, (tuple(self),)
+
+    def _replace(self, **changes):
+        """A new system from the constructor fields, changed as given; validated like any other."""
+        return type(self)(**{**dict(zip(("omega1", "omega2", "coupling"), self)), **changes})
+
+    # copy.replace (Python 3.13+) calls __replace__, which namedtuple binds to its own _replace.
+    __replace__ = _replace
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(namedtuple("DerivedParams", "omega_sigma omega_delta d_coupling theta coupling")):
     """Sum/difference frequencies, splitting D, mixing angle, and the J of D and theta."""
 
-    omega_sigma: float
-    omega_delta: float
-    d_coupling: float
-    theta: float
-    coupling: float
+    __slots__ = ()
 
     @property
     def sin_2theta(self) -> float:

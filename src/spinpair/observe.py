@@ -20,7 +20,7 @@ without the cross term 2 P1z,2z disagrees with the population route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import _check_theta
 from .thermo import Populations, _probs
@@ -32,19 +32,21 @@ RADICAND_FLOOR = -1e-12
 _RANGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Observables:
+class Observables(namedtuple("Observables", "p1z p2z p1z2z")):
     """Expectation values of s1z, s2z and the two-spin order s1z s2z."""
 
-    p1z: float
-    p2z: float
-    p1z2z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("p1z", "p2z", "p1z2z"):
-            value = getattr(self, name)
+    def __new__(cls, p1z: float, p2z: float, p1z2z: float):
+        for name, value in zip(cls._fields, (p1z, p2z, p1z2z)):
             if not math.isfinite(value) or abs(value) > 1.0 + _RANGE_TOL:
                 raise ValueError(f"{name} must lie in [-1, 1]")
+        return super().__new__(cls, p1z, p2z, p1z2z)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its result through _make: validate there too.
+        return cls(*iterable)
 
 
 def polarizations(pops, theta: float) -> Observables:

@@ -15,7 +15,7 @@ carries 1 + sin 2theta, the outer pair 1 - sin 2theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,11 +28,8 @@ DEFAULT_FLIP_ANGLE = math.radians(5.0)
 DEFAULT_LINEWIDTH = 0.05  # units of J
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
-    transition: str
-    frequency: float
-    amplitude: float
+class SpectrumLine(namedtuple("SpectrumLine", "transition frequency amplitude")):
+    __slots__ = ()
 
 
 def _check_flip_angle(phi: float) -> None:
@@ -41,7 +38,7 @@ def _check_flip_angle(phi: float) -> None:
 
 
 def transition_frequencies(levels: thermo.EnergyLevels) -> dict[str, float]:
-    e1, e2, e3, e4 = levels.as_tuple()
+    e1, e2, e3, e4 = levels
     return {
         "T43": abs(e3 - e4),
         "T21": abs(e1 - e2),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,40 +40,27 @@ DEGENERACY_RTOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class EnergyLevels:
-    e1: float
-    e2: float
-    e3: float
-    e4: float
+class EnergyLevels(namedtuple("EnergyLevels", "e1 e2 e3 e4")):
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.e1, self.e2, self.e3, self.e4)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class Populations:
+class Populations(namedtuple("Populations", "p1 p2 p3 p4")):
     """Occupations p1..p4 of the four eigenstates, thermal or reconstructed."""
 
-    p1: float
-    p2: float
-    p3: float
-    p4: float
+    __slots__ = ()
 
     @property
     def probs(self) -> tuple[float, float, float, float]:
-        return (self.p1, self.p2, self.p3, self.p4)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class DensityMatrixX:
+class DensityMatrixX(namedtuple("DensityMatrixX", "rho11 rho22 rho33 rho44 rho23")):
     """Thermal X-state: diagonals plus the single real coherence rho23."""
 
-    rho11: float
-    rho22: float
-    rho33: float
-    rho44: float
-    rho23: float
+    __slots__ = ()
 
     @property
     def trace(self) -> float:
@@ -138,7 +125,7 @@ def partition(levels: EnergyLevels, beta: float) -> float:
     """Z = sum_i exp(-beta E_i) at finite beta >= 0, summed relative to the lowest level."""
     if _is_zero_temperature(beta):
         raise ValueError("Z needs a finite beta")
-    emin, weights = _shifted_weights(levels.as_tuple(), beta)
+    emin, weights = _shifted_weights(levels, beta)
     return _z_from_log(-beta * emin + math.log(sum(weights)))
 
 
@@ -159,11 +146,10 @@ def partition_closed(params: DerivedParams, coupling: float, beta: float) -> flo
 
 def populations(levels: EnergyLevels, beta: float) -> Populations:
     """Boltzmann occupations; beta = inf selects the exact ground-state limit."""
-    es = levels.as_tuple()
     if _is_zero_temperature(beta):
-        ground = _ground_levels(es)
+        ground = _ground_levels(levels)
         return Populations(*(1.0 / len(ground) if i in ground else 0.0 for i in range(4)))
-    _, weights = _shifted_weights(es, beta)
+    _, weights = _shifted_weights(levels, beta)
     total = sum(weights)
     return Populations(*(w / total for w in weights))
 
@@ -178,9 +164,7 @@ def _ground_levels(es: tuple[float, ...]) -> list[int]:
 def _probs(pops, theta: float) -> tuple[float, float, float, float]:
     """Populations (a Populations or 4-sequence) each in [0, 1], with theta in [0, pi/4]."""
     _check_theta(theta)
-    probs = getattr(pops, "probs", None)
-    if probs is None:
-        probs = tuple(float(v) for v in pops)
+    probs = tuple(map(float, pops))
     p1, p2, p3, p4 = probs  # ValueError unless there are exactly four
     if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0 and 0.0 <= p3 <= 1.0 and 0.0 <= p4 <= 1.0):
         raise ValueError(f"populations must lie in [0, 1], got {probs!r}")

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinpair
 from spinpair import cli, entangle, model, observe, thermo
 from spinpair.cli import main
 
@@ -598,3 +602,44 @@ def test_scan_chunks_match_row_by_row_format(capsys, monkeypatch):
     grid = cli._grid(0.0, 5.0, points)
     rows = entangle.sweep("field", grid, omega_delta=1.0, tau=0.3)
     assert out == "x,concurrence\n" + "".join(f"{x:.17g},{c:.17g}\n" for x, c in rows)
+
+
+def test_subnormal_csv_values_print_the_digits_they_carry(capsys, monkeypatch):
+    # Bench scan 37 of seed 1: C is 1.4405471036e-317 to 11 digits, a subnormal
+    # of about 22 significant bits, so 6 digits. The normal rows of its chunk
+    # keep all 12.
+    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
+    argv = ("--omega-sigma", "3.507696550576163", "--omega-delta", "0.363465299581727")
+    code, out, _ = run_cli(
+        capsys, "scan", "--axis", "tau", "--from", "0.0009895177440392843", "--to", "0.5",
+        "--points", "3", *argv,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "0.000989517744039,1.44055e-317"
+    rows = entangle.sweep(
+        "temperature", cli._grid(0.0009895177440392843, 0.5, 3),
+        omega_sigma=3.507696550576163, omega_delta=0.363465299581727,
+    )
+    assert lines[2:] == [f"{x:.12g},{c:.12g}" for x, c in rows[1:]]
+    assert rows[2][1] > 0.0
+    # Digits carried: floor((log2|x| + 1074) log10 2), at least 1, at most the precision.
+    largest = math.nextafter(sys.float_info.min, 0.0)
+    for value, digits, text in (
+        (5e-324, 12, "5e-324"), (-5e-324, 12, "-5e-324"), (1.5e-323, 17, "1e-323"),
+        (largest, 17, f"{largest:.15g}"), (largest, 12, f"{largest:.12g}"),
+        (sys.float_info.min, 17, f"{sys.float_info.min:.17g}"), (0.0, 12, "0"), ("T43", 12, "T43"),
+    ):
+        assert cli._csv_field(value, digits) == text
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # The value types are namedtuples; dataclasses would import inspect, ast and dis.
+    code = (
+        "import sys; before = set(sys.modules); import spinpair.cli; "
+        "sys.exit('dataclasses' in set(sys.modules) - before)"
+    )
+    src = os.path.dirname(os.path.dirname(spinpair.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

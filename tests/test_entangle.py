@@ -199,15 +199,34 @@ def test_gap_is_monotone_with_unit_start():
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
         assert abs(entangle.entanglement_gap(beta_hat, s)) <= 1e-12 < gaps[-1]
     # A root exists for every s in (0, 1], down to the smallest s whose bracket
-    # 2 asinh(2 / s) is finite.
-    for s in (1.0, 0.5, 1e-3, 1e-100, 1e-300, 1.11254e-308):
+    # end 2 asinh(1 / s) is finite.
+    for s in (1.0, 0.5, 1e-3, 1e-100, 1e-300, 1.11254e-308, 6e-309, _SMALLEST_S):
         beta_hat = entangle.threshold_beta(s)
         assert 0.0 < beta_hat < math.inf
         assert abs(entangle.entanglement_gap(beta_hat, s)) <= 1e-12
 
 
+# The smallest s whose 1 / s is finite. s is subnormal, so its reciprocals are
+# sparse there: 1 / s lies 7 ulp below float max.
+_SMALLEST_S = 5.56268464626801e-309
+
+
+def test_threshold_solves_down_to_the_smallest_finite_reciprocal():
+    assert 1.0 / _SMALLEST_S < math.inf == 1.0 / math.nextafter(_SMALLEST_S, 0.0)
+    # Every subnormal s from there up: sinh and cosh at the start are finite.
+    s = _SMALLEST_S
+    for _ in range(3000):
+        assert 0.0 < entangle.threshold_beta(s) < math.inf
+        s = math.nextafter(s, 1.0)
+    for s in (math.nextafter(_SMALLEST_S, 0.0), 1e-320, 5e-324):
+        with pytest.raises(ArithmeticError, match="out of float range") as exc:
+            entangle.threshold_beta(s)
+        assert not isinstance(exc.value, OverflowError)
+
+
 def test_threshold_takes_few_gap_evaluations(monkeypatch):
-    # Newton from the upper bracket end: about 6 gap evaluations per root.
+    # Newton from the upper bracket end 2 asinh(1 / s): about 5 gap evaluations
+    # per root at bench-like s, and 1 below s = 1e-17, where the start is the root.
     calls = []
     gap = entangle.entanglement_gap
 
@@ -229,8 +248,8 @@ def test_threshold_takes_few_gap_evaluations(monkeypatch):
         calls.clear()
         assert entangle.threshold_tau(omega_delta, coupling) > 0.0
         counts.append(len(calls))
-    assert sum(counts) / len(counts) <= 10.0
-    assert max(counts) <= 12
+    assert sum(counts) / len(counts) <= 4.0
+    assert max(counts) <= 8
 
 
 def test_derived_frequency_overflow_is_numerical():
@@ -341,7 +360,7 @@ def test_threshold_matches_mpmath_root(omega_delta, coupling):
 
 
 def test_threshold_numerical_failures():
-    # J > 0 below float range: the bracket overflows.
+    # J > 0 below float range: 1 / s overflows.
     with pytest.raises(ArithmeticError):
         entangle.threshold_tau(1.0, 1e-320)
     with pytest.raises(ArithmeticError, match="out of float range"):

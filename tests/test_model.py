@@ -1,10 +1,12 @@
+import copy
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
 
-from spinpair import entangle, model, spectrum, thermo
+from spinpair import critical, entangle, model, observe, spectrum, thermo
 
 
 def test_derive_homonuclear_angle_is_exact():
@@ -203,12 +205,70 @@ def test_si_constants():
     assert f"{entangle.threshold_kelvin(3096.0):.12g}" == "1.35247499953e-07"
 
 
-def test_value_types_are_immutable():
-    import dataclasses
-
+def _value_types():
+    """Instances of the eight value types, as the library builds them."""
     system = model.SpinSystem(2.0, 1.0, 1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        system.coupling = 2.0
+    params = model.derive(system)
+    pops = thermo.populations(thermo.energies(params, 1.0), 1.0)
+    return [
+        system,
+        model.SpinSystem(1.0, 3.0, 0.5),  # swapped
+        model.preset("positronium", 2.0),  # antiparallel
+        params,
+        thermo.energies(params, 1.0),
+        pops,
+        thermo.density_matrix(pops, params.theta),
+        critical.ground_state(system),
+        critical.ground_state(model.SpinSystem(2.25, 0.75, 1.125)),  # E3 = E4
+        observe.polarizations(pops, params.theta),
+        spectrum.simulate_spectrum(system, 1.0)[0],
+    ]
+
+
+def test_value_types_are_immutable():
+    values = _value_types()
+    assert len({type(v) for v in values}) == 8
+    for value in values:
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 2.0)
+        with pytest.raises(AttributeError):
+            value.extra = 2.0
+
+
+def test_value_types_survive_pickle_and_copy():
+    values = _value_types()
+    assert values[1].swapped and values[2].antiparallel
+    assert values[8].degenerate_pair == (3, 4)
+    for value in values:
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is type(value) and other == value
+
+
+def test_replace_validates():
+    system = model.SpinSystem(2.0, 1.0, 1.0)
+    assert system._replace(coupling=3.0) == model.SpinSystem(2.0, 1.0, 3.0)
+    assert system._replace(omega2=3.0) == model.SpinSystem(2.0, 3.0, 1.0)
+    assert system._replace(omega2=3.0).swapped
+    for field, value in (("coupling", -1.0), ("omega1", math.nan), ("omega2", -0.5)):
+        with pytest.raises(ValueError):
+            system._replace(**{field: value})
+    with pytest.raises(TypeError):
+        system._replace(swapped=True)
+    obs = observe.Observables(0.5, -0.5, 0.25)
+    assert obs._replace(p1z=0.0) == observe.Observables(0.0, -0.5, 0.25)
+    for field in obs._fields:
+        for value in (1.5, math.nan):
+            with pytest.raises(ValueError):
+                obs._replace(**{field: value})
+    if hasattr(copy, "replace"):  # Python 3.13+
+        assert copy.replace(system, omega2=3.0) == model.SpinSystem(2.0, 3.0, 1.0)
+        with pytest.raises(ValueError):
+            copy.replace(system, coupling=-1.0)
+        with pytest.raises(ValueError):
+            copy.replace(obs, p1z=1.5)
 
 
 def test_from_si_rejects_non_finite_coupling():

@@ -114,21 +114,25 @@ def test_closed_forms_match_mpmath(omega_sigma, omega_delta, beta):
             assert abs(math.log(z) - log_z_ref) <= bound, (z, log_z_ref)
 
 
+def _mp_threshold_x(s):
+    """The root x* = beta* D / 2 of s sinh(x) - exp(-x s), for an mpf s, at the working precision."""
+    return mp.findroot(
+        lambda x: s * mp.sinh(x) - mp.exp(-x * s),
+        (mp.asinh(mp.exp(-2) / s), mp.asinh(2 / s)),
+        solver="anderson",
+    )
+
+
 def _mp_threshold_tau(omega_delta, coupling):
-    """tau_t = 1 / (beta* J) from the 50-digit root x* = beta* D / 2 of s sinh(x) - exp(-x s)."""
+    """tau_t = 1 / (beta* J) from the 50-digit root x*."""
     with mp.workdps(50):
         wd, j = mp.mpf(omega_delta), mp.mpf(coupling)
         s = j / mp.sqrt(wd * wd + j * j)
-        x = mp.findroot(
-            lambda x: s * mp.sinh(x) - mp.exp(-x * s),
-            (mp.asinh(mp.exp(-2) / s), mp.asinh(2 / s)),
-            solver="anderson",
-        )
-        return float(1 / (2 * x * s))
+        return float(1 / (2 * _mp_threshold_x(s) * s))
 
 
-# omega_delta / J up to 8e307, where the upper bracket end asinh(2 / s)
-# nears log(2 float max); J from 1e-300 up to float max, with D finite.
+# omega_delta / J up to 8e307, where the upper bracket end asinh(1 / s)
+# nears log(float max); J from 1e-300 up to float max, with D finite.
 # The ratio alone sets tau_t.
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
 # D near float max: tau_t depends on s alone, because the root is solved at
@@ -139,11 +143,14 @@ def _mp_threshold_tau(omega_delta, coupling):
 @hypothesis.example(pair=(0.0, sys.float_info.max))
 @hypothesis.example(pair=(0.0, 1.7317192461649184e308))
 @hypothesis.example(pair=(1e308, 2.0))
-# Just inside the finite-bracket limit 2 / s <= float max, with J subnormal.
+# J subnormal, where the root is the upper bracket end 2 asinh(1 / s) to
+# rounding, down to s = J = 5.562684646268013e-309, whose 1 / s lies 15 ulp
+# below float max.
 @hypothesis.example(pair=(1.0, 1.2e-308))
 @hypothesis.example(pair=(1.0, 1.11254e-308))
-# The upper bracket end beta_hat / 2 = asinh(2 / s) rounds to log(2 float max),
-# where sinh is barely finite; Newton starts 4 eps below it.
+@hypothesis.example(pair=(1.0, 6e-309))
+@hypothesis.example(pair=(1.0, 5.57e-309))
+@hypothesis.example(pair=(1.0, 5.562684646268013e-309))
 @hypothesis.example(pair=(678176.1171011522, 7.544959748128799e-303))
 @hypothesis.example(pair=(0.0, 1e-300))
 @hypothesis.given(
@@ -159,6 +166,24 @@ def test_threshold_matches_mpmath(pair):
     want = _mp_threshold_tau(omega_delta, coupling)
     got = entangle.threshold_tau(omega_delta, coupling)
     assert math.isclose(got, want, rel_tol=1e-15), (got, want)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@hypothesis.example(s=1.0)
+@hypothesis.example(s=1e-16)
+@hypothesis.example(s=1e-17)
+@hypothesis.example(s=5.56268464626801e-309)
+@hypothesis.given(s=_log_uniform(5.57e-309, 1.0))
+def test_threshold_newton_starts_at_or_above_the_root(s):
+    # The start 2 asinh(1 / s) lies above the root, or within rounding of it
+    # where the float gap there is already <= 0 and the start is returned.
+    start = 2.0 * math.asinh(1.0 / s)
+    with mp.workdps(50):
+        root = 2 * _mp_threshold_x(mp.mpf(s))
+        assert start >= root - math.ulp(start), (s, start, root)
+    if s >= 1e-16:
+        assert entangle.entanglement_gap(start, s) > 0.0
+    assert entangle.threshold_beta(s) <= start
 
 
 def test_subnormal_concurrence_is_resolved():
