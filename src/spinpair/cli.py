@@ -51,25 +51,25 @@ def _digits() -> int:
 
 
 def _sig(value: float, digits: int) -> float:
-    return float(f"{value:.{digits}g}")
+    """value rounded as a CSV field prints it, so JSON and CSV share one digits rule."""
+    return float(_csv_field(value, digits))
 
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
-def _emit_csv(header: str, rows, digits: int, text_columns: int = 0) -> None:
+def _emit_csv(header: str, rows, digits: int) -> None:
     """The header, then one line per row, _CHUNK_ROWS lines per write.
 
-    The first text_columns columns are text, the rest numbers to digits
-    significant digits, or to the fewer digits that a subnormal carries.
+    A field that is a str in a chunk's first row is text, every other a
+    number to digits significant digits, or to the fewer that a subnormal carries.
     """
-    numbers = header.count(",") + 1 - text_columns
-    line = ",".join(["%s"] * text_columns + [f"%.{digits}g"] * numbers) + "\n"
     write = sys.stdout.write
     write(header + "\n")
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
+        line = ",".join(["%s" if isinstance(v, str) else f"%.{digits}g" for v in chunk[0]]) + "\n"
         # One % over the chunk's rows laid end to end formats each as line % row.
         text = line * len(chunk) % tuple(chain.from_iterable(chunk))
         if "e-3" in text and _TINY_EXPONENT.search(text):
@@ -171,7 +171,7 @@ def _cmd_spectrum(args, digits: int) -> int:
             raise ValueError("--render POINTS must be an integer")
         grid = _grid(start, stop, int(points))
         curve = spectrum.render_lorentzian(lines, args.linewidth, grid)
-    _emit_csv("transition,frequency,amplitude", lines, digits, text_columns=1)
+    _emit_csv("transition,frequency,amplitude", lines, digits)
     if args.render is not None:
         _emit_csv("f,intensity", zip(grid, curve), digits)
     return EXIT_OK
@@ -190,7 +190,7 @@ def _cmd_crossing(args, digits: int) -> int:
     j_cross = critical.crossing_coupling(omega1, omega2)
     payload = {"j_cross": "none" if j_cross is None else _sig(j_cross, digits)}
     if args.preset in critical.FIELD_RATIOS:
-        payload["field_ratio"] = critical.critical_field_ratio(args.preset)
+        payload["field_ratio"] = _sig(critical.critical_field_ratio(args.preset), digits)
     _emit_json(payload)
     return EXIT_OK
 

@@ -1,15 +1,17 @@
 """Single-quantum transitions: frequencies, pulse amplitudes, line shapes.
 
-The four observable transitions connect neighbouring eigenstates; their
-frequencies are reported as |E_i - E_j| and labelled by identity, never
-by rank, since only two statements about them are convention-free:
-freq(T42) - freq(T21) = D - J and freq(T42) - freq(T31) differs by J.
+Each of the four observable lines joins an outer level (E1 or E4) to an
+inner one (E2 or E3), as _LINES lists. Frequencies are |E_inner - E_outer|,
+labelled by identity, never by rank, since only two statements about them
+are convention-free: freq(T42) - freq(T21) = D - J and freq(T42) - freq(T31)
+differs by J.
 
-A pulse of flip angle phi turns populations into signed line amplitudes.
-Each amplitude is -sin(phi)/2 times a combination of population
-differences weighted by sin^2(phi/2), cos^2(phi/2) and the roofing
-factors (1 +- sin 2theta) or cos^2(2theta); the inner pair of lines
-carries 1 + sin 2theta, the outer pair 1 - sin 2theta.
+A pulse of flip angle phi turns populations into signed line amplitudes,
+-sin(phi)/2 (w r (p_i - p1) -+ sin^2(phi/2) cos^2(2theta) (p3 - p2) + w' r (p4 - p_i))
+with p_i the inner level's population. The roofing factor r is 1 + sin 2theta
+for inner E2 (T21, T42: the inner lines) and 1 - sin 2theta for inner E3;
+(w, w') is (sin^2(phi/2), cos^2(phi/2)) for outer E4 and swapped for outer E1;
+the cross term is subtracted on T43 and T21 and added on T42 and T31.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import numpy as np
 from .model import DerivedParams, SpinSystem, _check_grid, _check_theta, derive
 from . import thermo
 
-TRANSITIONS = ("T43", "T21", "T42", "T31")
+# Line name -> 0-based (outer, inner) level pair; the order is the output order.
+_LINES = {"T43": (3, 2), "T21": (0, 1), "T42": (3, 1), "T31": (0, 2)}
+TRANSITIONS = tuple(_LINES)
 
 DEFAULT_FLIP_ANGLE = math.radians(5.0)
 DEFAULT_LINEWIDTH = 0.05  # units of J
@@ -38,50 +42,29 @@ def _check_flip_angle(phi: float) -> None:
 
 
 def transition_frequencies(levels: thermo.EnergyLevels) -> dict[str, float]:
-    e1, e2, e3, e4 = levels
-    return {
-        "T43": abs(e3 - e4),
-        "T21": abs(e1 - e2),
-        "T42": abs(e2 - e4),
-        "T31": abs(e1 - e3),
-    }
+    e = tuple(levels)
+    if len(e) != 4:
+        raise ValueError(f"expected four energy levels, got {len(e)}")
+    return {name: abs(e[inner] - e[outer]) for name, (outer, inner) in _LINES.items()}
 
 
 def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:
     """Signed amplitudes of the four lines after a pulse of flip angle phi."""
     _check_flip_angle(phi)
-    p1, p2, p3, p4 = thermo._probs(pops, theta)
-    s = math.sin(2.0 * theta)
-    c2 = math.cos(2.0 * theta) ** 2
+    p1, p2, p3, p4 = p = thermo._probs(pops, theta)
+    roofs = roofing_intensities(theta)
     sp2 = math.sin(0.5 * phi) ** 2
     cp2 = math.cos(0.5 * phi) ** 2
     pre = -0.5 * math.sin(phi)
-    return {
-        "T43": pre
-        * (
-            sp2 * (1.0 - s) * (p3 - p1)
-            - sp2 * c2 * (p3 - p2)
-            + cp2 * (1.0 - s) * (p4 - p3)
-        ),
-        "T21": pre
-        * (
-            cp2 * (1.0 + s) * (p2 - p1)
-            - sp2 * c2 * (p3 - p2)
-            + sp2 * (1.0 + s) * (p4 - p2)
-        ),
-        "T42": pre
-        * (
-            sp2 * (1.0 + s) * (p2 - p1)
-            + sp2 * c2 * (p3 - p2)
-            + cp2 * (1.0 + s) * (p4 - p2)
-        ),
-        "T31": pre
-        * (
-            cp2 * (1.0 - s) * (p3 - p1)
-            + sp2 * c2 * (p3 - p2)
-            + sp2 * (1.0 - s) * (p4 - p3)
-        ),
-    }
+    cross = sp2 * math.cos(2.0 * theta) ** 2 * (p3 - p2)
+    amplitudes = {}
+    for name, (outer, inner) in _LINES.items():
+        w, w_bar = (sp2, cp2) if outer == 3 else (cp2, sp2)
+        r = roofs[inner - 1]
+        p_i = p[inner]
+        signed_cross = -cross if abs(inner - outer) == 1 else cross
+        amplitudes[name] = pre * (w * r * (p_i - p1) + signed_cross + w_bar * r * (p4 - p_i))
+    return amplitudes
 
 
 def roofing_intensities(theta: float) -> tuple[float, float]:

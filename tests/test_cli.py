@@ -458,6 +458,11 @@ def test_precision_env_override(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "0")
     assert code == 0
     assert json.loads(out)["tau_t"] == 0.91024
+    # The field ratio 1.75 takes the precision like every other number.
+    monkeypatch.setenv("SPINPAIR_PRECISION", "1")
+    code, out, _ = run_cli(capsys, "crossing", "--preset", "hp")
+    assert code == 0
+    assert out == '{"j_cross": 0.6, "field_ratio": 2.0}\n'
 
 
 def test_precision_env_invalid(capsys, monkeypatch):
@@ -631,6 +636,18 @@ def test_subnormal_csv_values_print_the_digits_they_carry(capsys, monkeypatch):
         (sys.float_info.min, 17, f"{sys.float_info.min:.17g}"), (0.0, 12, "0"), ("T43", 12, "T43"),
     ):
         assert cli._csv_field(value, digits) == text
+
+
+def test_subnormal_json_values_print_the_digits_they_carry(capsys, monkeypatch):
+    # Bench scan 17 of seed 1 at one point: C is 1.622728391388e-313 to 13 digits,
+    # a subnormal of 10 significant digits; p3, about 1.03e-312, carries 11.
+    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
+    code, out, _ = run_cli(
+        capsys, "concurrence", "--omega-sigma", "10.657778838338908",
+        "--omega-delta", "6.26701670753662", "--tau", "0.002304834454699303",
+    )
+    assert code == 0
+    assert out == '{"concurrence": 1.622728391e-313, "populations": [0.0, 0.0, 1.0298317959e-312, 1.0]}\n'
 
 
 def test_cli_import_does_not_load_dataclasses():

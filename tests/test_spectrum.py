@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -53,6 +54,100 @@ def _pure4_amplitudes(theta, phi):
         "T42": pre * cp2 * (1 + s),
         "T31": pre * sp2 * (1 - s),
     }
+
+
+# The four lines written out by hand: the reference for the line table.
+def _reference_frequencies(levels):
+    e1, e2, e3, e4 = levels
+    return {
+        "T43": abs(e3 - e4),
+        "T21": abs(e1 - e2),
+        "T42": abs(e2 - e4),
+        "T31": abs(e1 - e3),
+    }
+
+
+def _reference_amplitudes(pops, theta, phi):
+    p1, p2, p3, p4 = (float(p) for p in pops)
+    s = math.sin(2.0 * theta)
+    c2 = math.cos(2.0 * theta) ** 2
+    sp2 = math.sin(0.5 * phi) ** 2
+    cp2 = math.cos(0.5 * phi) ** 2
+    pre = -0.5 * math.sin(phi)
+    return {
+        "T43": pre
+        * (
+            sp2 * (1.0 - s) * (p3 - p1)
+            - sp2 * c2 * (p3 - p2)
+            + cp2 * (1.0 - s) * (p4 - p3)
+        ),
+        "T21": pre
+        * (
+            cp2 * (1.0 + s) * (p2 - p1)
+            - sp2 * c2 * (p3 - p2)
+            + sp2 * (1.0 + s) * (p4 - p2)
+        ),
+        "T42": pre
+        * (
+            sp2 * (1.0 + s) * (p2 - p1)
+            + sp2 * c2 * (p3 - p2)
+            + cp2 * (1.0 + s) * (p4 - p2)
+        ),
+        "T31": pre
+        * (
+            cp2 * (1.0 - s) * (p3 - p1)
+            + sp2 * c2 * (p3 - p2)
+            + sp2 * (1.0 - s) * (p4 - p3)
+        ),
+    }
+
+
+def _hex(values):
+    return {key: float.hex(value) for key, value in values.items()}
+
+
+def _line_table_cases(count):
+    rng = random.Random(53)
+    pure = [tuple(float(i == j) for j in range(4)) for i in range(4)]
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            w = [rng.expovariate(1.0) for _ in range(4)]
+            pops = [x / sum(w) for x in w]
+        elif kind == 1:  # pure states and {E3, E4} mixtures
+            a = rng.random()
+            pops = rng.choice(pure + [(0.0, 0.0, 0.5, 0.5), (0.0, 0.0, a, 1.0 - a)])
+        elif kind == 2:  # near-degenerate: a few ulps around 1/4
+            pops = [0.25 + rng.randint(-4, 4) * 2.0**-55 for _ in range(4)]
+        else:  # p2 and p3 a few ulps apart
+            p2 = rng.uniform(0.0, 0.5)
+            p3 = p2 + rng.randint(-3, 3) * math.ulp(p2)
+            pops = [rng.uniform(0.0, 0.5), p2, p3, rng.uniform(0.0, 0.5)]
+        theta = rng.choice((0.0, 0.25 * math.pi, rng.uniform(0.0, 0.25 * math.pi)))
+        phi = rng.choice((math.pi, math.pi * (1.0 - rng.random())))
+        if rng.random() < 0.5:
+            omega_delta = rng.choice((0.0, rng.uniform(0.0, 5.0)))
+            params = _params(rng.uniform(0.0, 10.0), omega_delta, rng.uniform(0.0, 3.0))
+            levels = thermo.energies(params, params.coupling)
+        else:
+            levels = tuple(rng.choice((0.0, -0.0, 1.0, rng.uniform(-1e3, 1e3))) for _ in range(4))
+        yield pops, theta, phi, levels
+
+
+def test_line_table_matches_hand_expanded_lines():
+    for pops, theta, phi, levels in _line_table_cases(12000):
+        amps = spectrum.transition_amplitudes(pops, theta, phi)
+        assert list(amps) == list(spectrum.TRANSITIONS)
+        assert _hex(amps) == _hex(_reference_amplitudes(pops, theta, phi))
+        freqs = spectrum.transition_frequencies(levels)
+        assert list(freqs) == list(spectrum.TRANSITIONS)
+        assert _hex(freqs) == _hex(_reference_frequencies(levels))
+
+
+@pytest.mark.parametrize("levels", [(), (0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0, 4.0)])
+def test_frequencies_need_four_levels(levels):
+    with pytest.raises(ValueError):
+        spectrum.transition_frequencies(levels)
 
 
 def test_frequency_identities():
