@@ -50,13 +50,15 @@ def _digits() -> int:
     return digits
 
 
-def _sig(value: float, digits: int) -> float:
-    """value rounded as a CSV field prints it, so JSON and CSV share one digits rule."""
-    return float(_csv_field(value, digits))
+def _emit_json(payload: dict, digits: int) -> None:
+    """One JSON line; every number in it, also in a list, is rounded as _csv_field prints it."""
 
+    def rounded(value):
+        if isinstance(value, (list, tuple)):
+            return [rounded(v) for v in value]
+        return value if isinstance(value, str) else float(_csv_field(value, digits))
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
+    print(json.dumps({key: rounded(value) for key, value in payload.items()}))
 
 
 def _emit_csv(header: str, rows, digits: int) -> None:
@@ -90,25 +92,23 @@ def _csv_field(value, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _beta_from_args(args) -> float:
+def _point(args) -> tuple:
+    """(params, beta) at J = 1; derive_from_sigma_delta, so omega_sigma < omega_delta is valid."""
+    params = derive_from_sigma_delta(args.omega_sigma, args.omega_delta, 1.0)
     if args.zero_temp:
-        return math.inf
+        return params, math.inf
     if args.tau == 0.0:
         raise ValueError("--tau must be > 0 (use --zero-temp for the limit)")
-    return _beta_from_tau(args.tau)
+    return params, _beta_from_tau(args.tau)
 
 
-def _cmd_concurrence(args, digits: int) -> int:
-    params = derive_from_sigma_delta(args.omega_sigma, args.omega_delta, 1.0)
-    beta = _beta_from_args(args)
+def _cmd_concurrence(args) -> dict:
+    params, beta = _point(args)
     pops = thermo.populations(thermo.energies(params, 1.0), beta)
-    _emit_json(
-        {
-            "concurrence": _sig(entangle.concurrence_for_params(params, 1.0, beta), digits),
-            "populations": [_sig(p, digits) for p in pops.probs],
-        }
-    )
-    return EXIT_OK
+    return {
+        "concurrence": entangle.concurrence_for_params(params, 1.0, beta),
+        "populations": pops.probs,
+    }
 
 
 def _grid(start: float, stop: float, points: int) -> list[float]:
@@ -127,7 +127,7 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
     return grid
 
 
-def _cmd_scan(args, digits: int) -> int:
+def _cmd_scan(args) -> list:
     # Each axis reads only its own parameters; the tau axis takes
     # omega_sigma = 0 unless --omega-sigma is given.
     if args.axis == "tau" and args.tau is not None:
@@ -143,41 +143,33 @@ def _cmd_scan(args, digits: int) -> int:
         omega_delta=args.omega_delta,
         tau=args.tau,
     )
-    _emit_csv("x,concurrence", rows, digits)
-    return EXIT_OK
+    return [("x,concurrence", rows)]
 
 
-def _cmd_threshold(args, digits: int) -> int:
+def _cmd_threshold(args) -> dict:
     if args.j_hz is not None:
         if args.coupling is not None:
             raise ValueError("--j-hz excludes --coupling")
-        _emit_json({"t_kelvin": _sig(entangle.threshold_kelvin(args.j_hz), digits)})
-        return EXIT_OK
+        return {"t_kelvin": entangle.threshold_kelvin(args.j_hz)}
     coupling = 1.0 if args.coupling is None else args.coupling
     tau_t = entangle.threshold_tau(args.omega_delta, coupling)
-    _emit_json({"tau_t": "never" if tau_t is None else _sig(tau_t, digits)})
-    return EXIT_OK
+    return {"tau_t": "never" if tau_t is None else tau_t}
 
 
-def _cmd_spectrum(args, digits: int) -> int:
-    # derive_from_sigma_delta, not SpinSystem: omega_sigma < omega_delta
-    # is valid input here.
-    params = derive_from_sigma_delta(args.omega_sigma, args.omega_delta, 1.0)
-    phi = math.radians(args.phi)
-    lines = spectrum._spectrum_lines(params, _beta_from_args(args), phi)
+def _cmd_spectrum(args) -> list:
+    lines = spectrum._spectrum_lines(*_point(args), math.radians(args.phi))
+    sections = [("transition,frequency,amplitude", lines)]
     if args.render is not None:
         start, stop, points = args.render
         if not points.is_integer():
             raise ValueError("--render POINTS must be an integer")
         grid = _grid(start, stop, int(points))
         curve = spectrum.render_lorentzian(lines, args.linewidth, grid)
-    _emit_csv("transition,frequency,amplitude", lines, digits)
-    if args.render is not None:
-        _emit_csv("f,intensity", zip(grid, curve), digits)
-    return EXIT_OK
+        sections.append(("f,intensity", zip(grid, curve)))
+    return sections
 
 
-def _cmd_crossing(args, digits: int) -> int:
+def _cmd_crossing(args) -> dict:
     if args.preset is not None:
         if args.omega1 is not None or args.omega2 is not None:
             raise ValueError("--preset excludes --omega1 and --omega2")
@@ -188,25 +180,19 @@ def _cmd_crossing(args, digits: int) -> int:
     else:
         omega1, omega2 = args.omega1, args.omega2
     j_cross = critical.crossing_coupling(omega1, omega2)
-    payload = {"j_cross": "none" if j_cross is None else _sig(j_cross, digits)}
+    payload = {"j_cross": "none" if j_cross is None else j_cross}
     if args.preset in critical.FIELD_RATIOS:
-        payload["field_ratio"] = _sig(critical.critical_field_ratio(args.preset), digits)
-    _emit_json(payload)
-    return EXIT_OK
+        payload["field_ratio"] = critical.critical_field_ratio(args.preset)
+    return payload
 
 
-def _cmd_reconstruct(args, digits: int) -> int:
+def _cmd_reconstruct(args) -> dict:
     theta = math.radians(args.theta_deg)
     obs = observe.Observables(args.p1z, args.p2z, args.p1z2z)
-    pops = observe.reconstruct_populations(obs, theta)
-    c = observe.concurrence_from_observables(obs, theta)
-    _emit_json(
-        {
-            "populations": [_sig(p, digits) for p in pops.probs],
-            "concurrence": _sig(c, digits),
-        }
-    )
-    return EXIT_OK
+    return {
+        "populations": observe.reconstruct_populations(obs, theta).probs,
+        "concurrence": observe.concurrence_from_observables(obs, theta),
+    }
 
 
 # argparse (Python 3.10 to 3.13) reads a negative number as a value only
@@ -228,13 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thermal entanglement of a scalar-coupled spin-1/2 pair.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("concurrence", help="concurrence and populations at one point")
-    p.add_argument("--omega-sigma", type=float, required=True)
-    p.add_argument("--omega-delta", type=float, required=True)
-    temperature = p.add_mutually_exclusive_group(required=True)
+    # The one-point arguments of concurrence and spectrum, read by _point.
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--omega-sigma", type=float, required=True)
+    point.add_argument("--omega-delta", type=float, required=True)
+    temperature = point.add_mutually_exclusive_group(required=True)
     temperature.add_argument("--tau", type=float, help="k_B T / J")
     temperature.add_argument("--zero-temp", action="store_true")
+
+    p = sub.add_parser(
+        "concurrence", parents=[point], help="concurrence and populations at one point"
+    )
     p.set_defaults(func=_cmd_concurrence)
 
     p = sub.add_parser("scan", help="CSV sweep of concurrence over tau or field")
@@ -254,12 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", type=float, help="J for --omega-delta (default 1)")
     p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("spectrum", help="line list, optionally a rendered curve")
-    p.add_argument("--omega-sigma", type=float, required=True)
-    p.add_argument("--omega-delta", type=float, required=True)
-    temperature = p.add_mutually_exclusive_group(required=True)
-    temperature.add_argument("--tau", type=float)
-    temperature.add_argument("--zero-temp", action="store_true")
+    p = sub.add_parser("spectrum", parents=[point], help="line list, optionally a rendered curve")
     phi_deg = math.degrees(spectrum.DEFAULT_FLIP_ANGLE)
     p.add_argument("--phi", type=float, default=phi_deg, help="flip angle in degrees")
     p.add_argument("--linewidth", type=float, default=spectrum.DEFAULT_LINEWIDTH)
@@ -292,7 +277,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _digits())
+        digits = _digits()
+        result = args.func(args)
+        if isinstance(result, dict):
+            _emit_json(result, digits)
+        else:
+            for header, rows in result:
+                _emit_csv(header, rows, digits)
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first.
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -300,6 +291,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -92,6 +92,9 @@ class DerivedParams(namedtuple("DerivedParams", "omega_sigma omega_delta d_coupl
 
     @property
     def sin_2theta(self) -> float:
+        # Halving a subnormal 2 theta drops its last bit; J / D keeps it.
+        if 0.0 < self.theta < sys.float_info.min:
+            return self.coupling / self.d_coupling
         return math.sin(2.0 * self.theta)
 
     @property

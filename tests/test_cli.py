@@ -470,6 +470,15 @@ def test_precision_env_invalid(capsys, monkeypatch):
     assert run_cli(capsys, "threshold", "--omega-delta", "0")[0] == 2
 
 
+@pytest.mark.parametrize("raw", ["0", "18"])
+def test_precision_env_out_of_range(capsys, monkeypatch, raw):
+    monkeypatch.setenv("SPINPAIR_PRECISION", raw)
+    code, out, err = run_cli(capsys, "threshold", "--omega-delta", "0")
+    assert code == 2
+    assert out == ""
+    assert "SPINPAIR_PRECISION must lie in [1, 17]" in err
+
+
 def test_threshold_far_detuned_and_weak_coupling_are_finite(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "1e30")
     assert code == 0
@@ -506,6 +515,21 @@ def test_infinite_tau_is_usage_error(capsys):
         )
         assert code == 2, command
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--axis", "tau", "--from", "0", "--to", "1", "--points", "0"),
+        ("spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--tau", "1",
+         "--render", "0", "1", "0"),
+    ],
+)
+def test_zero_grid_points_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--points must be >= 1" in err
 
 
 def test_spectrum_rejects_bad_flip_angle_and_render(capsys):
@@ -650,13 +674,35 @@ def test_subnormal_json_values_print_the_digits_they_carry(capsys, monkeypatch):
     assert out == '{"concurrence": 1.622728391e-313, "populations": [0.0, 0.0, 1.0298317959e-312, 1.0]}\n'
 
 
+def _child_env():
+    """The environment for a child python that imports this spinpair, at the default precision."""
+    src = os.path.dirname(os.path.dirname(spinpair.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("SPINPAIR_PRECISION", None)
+    return env
+
+
 def test_cli_import_does_not_load_dataclasses():
     # The value types are namedtuples; dataclasses would import inspect, ast and dis.
     code = (
         "import sys; before = set(sys.modules); import spinpair.cli; "
         "sys.exit('dataclasses' in set(sys.modules) - before)"
     )
-    src = os.path.dirname(os.path.dirname(spinpair.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True)
+
+
+def test_cli_runs_as_a_process():
+    # python -m spinpair.cli ends in sys.exit(main()): main's return is the exit status.
+    point = ("concurrence", "--omega-sigma", "2", "--omega-delta", "0")
+    for argv, status, stdout in (
+        (("threshold", "--omega-delta", "0"), 0, '{"tau_t": 0.910239226627}\n'),
+        (point, 2, ""),
+        ((*point, "--tau", "1e-320"), 3, ""),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "spinpair.cli", *argv],
+            env=_child_env(), capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stdout) == (status, stdout), argv
+        assert bool(run.stderr) == (status != 0), argv

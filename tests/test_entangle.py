@@ -224,6 +224,19 @@ def test_threshold_solves_down_to_the_smallest_finite_reciprocal():
         assert not isinstance(exc.value, OverflowError)
 
 
+def test_threshold_tau_keeps_the_last_bit_of_a_subnormal_angle():
+    # theta = atan2(J, 1) / 2 is subnormal, and halving it drops J's last bit:
+    # sin(2 theta) would give s = 5.562684646268003e-309, whose 1 / s overflows.
+    assert _params(0.0, 1.0, _SMALLEST_S).sin_2theta == _SMALLEST_S
+    tau_t = entangle.threshold_tau(1.0, _SMALLEST_S)
+    assert tau_t == 1.0 / (entangle.threshold_beta(_SMALLEST_S) * _SMALLEST_S)
+    assert math.isclose(tau_t, 1.265133156441949e305, rel_tol=1e-15)
+    # From the smallest normal angle up, sin(2 theta) is kept bit for bit.
+    for coupling in (2.0 * sys.float_info.min, 1e-300, 0.5, 1.0):
+        params = _params(0.0, 1.0, coupling)
+        assert params.sin_2theta.hex() == math.sin(2.0 * params.theta).hex()
+
+
 def test_threshold_takes_few_gap_evaluations(monkeypatch):
     # Newton from the upper bracket end 2 asinh(1 / s): about 5 gap evaluations
     # per root at bench-like s, and 1 below s = 1e-17, where the start is the root.
@@ -340,6 +353,9 @@ def test_sweep_validation():
         entangle.sweep("pressure", [0.1], omega_sigma=0.0, omega_delta=0.0)
     with pytest.raises(ValueError):
         entangle.sweep("field", [1.0, 2.0], omega_delta=0.0, tau=None)
+    for fixed in ({"omega_sigma": 0.0}, {"omega_delta": 0.0}):
+        with pytest.raises(ValueError, match="temperature sweeps need"):
+            entangle.sweep("temperature", [0.1, 0.2], **fixed)
     with pytest.raises(ValueError):
         entangle.sweep("temperature", [-0.1, 0.5], omega_sigma=0.0, omega_delta=0.0)
 

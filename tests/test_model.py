@@ -174,6 +174,12 @@ def test_unknown_preset():
         model.preset("deuterium", 1.0)
 
 
+@pytest.mark.parametrize("field", [-1.0, math.nan])
+def test_preset_rejects_negative_and_nan_field(field):
+    with pytest.raises(ValueError, match="field_omega must be >= 0"):
+        model.preset("hh", field)
+
+
 def test_from_si_energy_scale():
     system, scale = model.from_si(0.0, 0.0, 7.0)
     assert system.coupling == 1.0

@@ -11,6 +11,9 @@ populations 0.27 absolute and 1.0 relative, ratio-form C 0.21 absolute,
 population-form C 0.18 absolute, log Z 2.0. Both forms of Z are compared
 in log space up to log(float max), and must raise ArithmeticError above it.
 The threshold tau_t is checked against a 50-digit root of the entanglement gap.
+The crossing coupling and the critical omega_sigma, over [1e-300, 1e300], are
+within 2 eps relative of their 60-digit values, or within the smallest
+subnormal where those are subnormal.
 """
 
 import math
@@ -18,7 +21,7 @@ import sys
 
 import pytest
 
-from spinpair import entangle, model, thermo
+from spinpair import critical, entangle, model, thermo
 
 mp = pytest.importorskip("mpmath").mp
 hypothesis = pytest.importorskip("hypothesis")
@@ -201,3 +204,48 @@ def test_subnormal_concurrence_is_resolved():
         c = entangle.concurrence_for_params(params, 1.0, beta)
         assert 0.0 < c_ref < sys.float_info.min
         assert math.isclose(c, c_ref, rel_tol=1e-12, abs_tol=1e-323), (c, c_ref)
+
+
+# Two frequencies log-uniform over [1e-300, 1e300], drawn independently or
+# the second as the first times a ratio in [1e-3, 1e3].
+_WIDE = _log_uniform(1e-300, 1e300)
+_FREQUENCY_PAIRS = st.one_of(
+    st.tuples(_WIDE, _WIDE),
+    st.tuples(_WIDE, _log_uniform(1e-3, 1e3)).map(lambda xr: (xr[0], xr[0] * xr[1])),
+)
+
+
+def _assert_rounded(got, want):
+    """got is within 2 eps of the mpf want relative, or 1 subnormal step where want is subnormal."""
+    bound = 2 * EPS * abs(want) if abs(want) >= sys.float_info.min else 5e-324
+    assert abs(got - want) <= bound, (got, want)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@hypothesis.example(pair=(5e-324, 1.0))
+@hypothesis.example(pair=(1e-310, 3e-310))
+@hypothesis.example(pair=(1.0, 1.0))
+@hypothesis.example(pair=(sys.float_info.max, sys.float_info.max))
+@hypothesis.example(pair=(1e-300, sys.float_info.max))
+@hypothesis.given(pair=_FREQUENCY_PAIRS)
+def test_crossing_coupling_matches_mpmath(pair):
+    omega1, omega2 = pair
+    with mp.workdps(60):
+        a, b = mp.mpf(omega1), mp.mpf(omega2)
+        _assert_rounded(critical.crossing_coupling(omega1, omega2), 2 * a * b / (a + b))
+        _assert_rounded(critical.crossing_coupling(omega2, omega1), 2 * a * b / (a + b))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@hypothesis.example(pair=(0.0, 1.0))
+@hypothesis.example(pair=(5e-324, 5e-324))
+@hypothesis.example(pair=(1.0, 5e-324))
+@hypothesis.example(pair=(1e-310, 3e-310))
+@hypothesis.example(pair=(1e308, 1e-300))
+@hypothesis.given(pair=_FREQUENCY_PAIRS)
+def test_critical_omega_sigma_matches_mpmath(pair):
+    omega_delta, coupling = pair
+    with mp.workdps(60):
+        wd, j = mp.mpf(omega_delta), mp.mpf(coupling)
+        want = j + mp.sqrt(wd * wd + j * j)
+        _assert_rounded(critical.critical_omega_sigma(omega_delta, coupling), want)
