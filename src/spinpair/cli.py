@@ -104,16 +104,15 @@ def _point(args) -> tuple:
 
 def _cmd_concurrence(args) -> dict:
     params, beta = _point(args)
-    pops = thermo.populations(thermo.energies(params, 1.0), beta)
     return {
         "concurrence": entangle.concurrence_for_params(params, 1.0, beta),
-        "populations": pops.probs,
+        "populations": thermo._populations(params, beta).probs,
     }
 
 
-def _grid(start: float, stop: float, points: int) -> list[float]:
+def _grid(start: float, stop: float, points: int, flag: str = "--points") -> list[float]:
     if points < 1:
-        raise ValueError("--points must be >= 1")
+        raise ValueError(f"{flag} must be >= 1")
     if points == 1:
         return [start]
     # The consumer's grid check rejects a non-increasing or non-finite grid.
@@ -163,7 +162,7 @@ def _cmd_spectrum(args) -> list:
         start, stop, points = args.render
         if not points.is_integer():
             raise ValueError("--render POINTS must be an integer")
-        grid = _grid(start, stop, int(points))
+        grid = _grid(start, stop, int(points), "--render POINTS")
         curve = spectrum.render_lorentzian(lines, args.linewidth, grid)
         sections.append(("f,intensity", zip(grid, curve)))
     return sections

@@ -8,6 +8,8 @@ Ratio form, obtained by inserting the Boltzmann weights and Z:
 
     C = max{0, [sinh(beta D/2) sin(2 theta) - exp(-beta J/2)]
               / [exp(-beta J/2) cosh(beta omega_sigma/2) + cosh(beta D/2)]}
+which _ratio_form sums over the weights relative to E3, exp(-beta (T31, D, 0, T43)), with
+T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2 and T31 = T43 + omega_sigma.
 
 Entanglement survives while sinh(beta D/2) sin(2 theta) > exp(-beta J/2).
 With s = sin 2theta = J / D that condition depends on beta only through
@@ -58,37 +60,33 @@ def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) 
     _check_same_coupling(params, coupling)
     thermo._is_zero_temperature(beta)  # ValueError unless beta lies in [0, inf]
     # Unpacking runs the generator to its end; next() would leave it to be closed.
-    (value,) = _ratio_form(
-        ((params.omega_sigma, beta),), params.d_coupling, params.sin_2theta, coupling
-    )
+    (value,) = _ratio_form(((params.omega_sigma, beta),), params)
     return value
 
 
-def _ratio_form(points, d: float, sin_2theta: float, coupling: float):
-    """C at each (omega_sigma >= 0, beta in [0, inf]) point; the caller validates its inputs.
+def _ratio_form(points, params: DerivedParams):
+    """C at each (omega_sigma >= 0, beta in [0, inf]) point of params; the caller validates them.
 
-    The terms that depend only on beta are computed again only when beta
-    changes, so once per field sweep. beta = inf is the exact limit, not a
-    large-beta ratio form, which would cancel catastrophically at the level
-    crossing: the state is spread evenly over the ground levels, so C is
-    sin 2theta when E3 alone is lowest, half of it when E3 and E4 are
-    degenerate, and 0 for every other ground set, since E4 <= E1 and E3 <= E2.
+    The beta-only terms are recomputed only when beta changes, so once per field
+    sweep. beta = inf is the exact limit, not a large-beta ratio form, which would
+    cancel at the level crossing: C is sin 2theta when E3 alone is lowest, half of it
+    when E3 and E4 are degenerate, and 0 for any other ground set (E4 <= E1, E3 <= E2).
     """
-    # Local names save two lookups per point.
+    # Local names save three lookups per point.
     exp, levels, ground_levels = math.exp, thermo._levels, thermo._ground_levels
-    dj = d + coupling
+    omega_delta, d, coupling = params.omega_delta, params.d_coupling, params.coupling
+    sin_2theta, t43_offset = params.sin_2theta, thermo._gap_terms(params)[0]
+    half_dj, log_max = 0.5 * d + 0.5 * coupling, _LOG_FLOAT_MAX  # (D + J) / 2 stays finite
     last_beta = None
     for omega_sigma, beta in points:
         if beta != last_beta:
             last_beta = beta
             zero = beta == math.inf
             if not zero:
-                neg_half = -0.5 * beta
-                e_d = exp(-beta * d)
-                # Ratio form rescaled by 2 exp(-beta D / 2): every exponent is
-                # non-positive below the level crossing, so nothing overflows there,
-                # and beyond the crossing the single growing term exp(a) drives C -> 0.
-                num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_half * dj)
+                neg_beta, e_d = -beta, exp(-beta * d)
+                # Weights relative to E3, over 2 exp(-beta D / 2): none grows below the crossing;
+                # past it exp(a), a = -beta T43 with T43 formed as in thermo._gaps, drives C -> 0.
+                num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_beta * half_dj)
         if zero:
             ground = ground_levels(levels(omega_sigma, d, coupling))
             yield sin_2theta if ground == [2] else 0.5 * sin_2theta if ground == [2, 3] else 0.0
@@ -97,13 +95,13 @@ def _ratio_form(points, d: float, sin_2theta: float, coupling: float):
             # The denominator is at least 1: C = 0 whatever it is.
             yield 0.0
             continue
-        a = neg_half * (dj - omega_sigma)
-        if a > _LOG_FLOAT_MAX:
+        a = neg_beta * (t43_offset - 0.5 * (omega_sigma - omega_delta))
+        if a > log_max:
             # exp(a) overflows and the other three terms of den (at most 3) are
             # below its rounding, so C = num exp(-a), down to the subnormal range.
             yield exp(math.log(num) - a)
             continue
-        yield num / (exp(a) + exp(neg_half * (dj + omega_sigma)) + 1.0 + e_d)
+        yield num / (exp(a) + exp(a + neg_beta * omega_sigma) + 1.0 + e_d)
 
 
 def concurrence_thermal(system: SpinSystem, beta: float) -> float:
@@ -239,5 +237,5 @@ def _sweep_rows(axis, grid, *, omega_sigma=None, omega_delta=None, tau=None, cou
         omega_sigmas, betas = points, repeat(_beta_from_tau(tau, coupling))
     else:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    values = _ratio_form(zip(omega_sigmas, betas), params.d_coupling, params.sin_2theta, coupling)
+    values = _ratio_form(zip(omega_sigmas, betas), params)
     return zip(points, values)

@@ -156,7 +156,7 @@ def _check_theta(theta: float) -> None:
 
 
 def _beta_from_tau(tau: float, coupling: float = 1.0) -> float:
-    """beta = 1/(tau J) for tau in [0, inf); only tau = 0 gives beta = inf, never an overflow."""
+    """beta = 1/(tau J) for tau in [0, inf); only tau = 0 gives beta = inf, no tau > 0 gives 0."""
     if not coupling > 0.0:
         raise ValueError("tau = k_B T / J needs J > 0")
     if not 0.0 <= tau < math.inf:
@@ -164,9 +164,11 @@ def _beta_from_tau(tau: float, coupling: float = 1.0) -> float:
     if tau == 0.0:
         return math.inf
     scaled = tau * coupling
-    if scaled == 0.0 or 1.0 / scaled == math.inf:
-        raise ArithmeticError(f"beta = 1/(tau J) overflows at tau = {tau!r}")
-    return 1.0 / scaled
+    # Where tau J leaves float range, dividing by each factor in turn still finds beta.
+    beta = 1.0 / scaled if 0 < scaled < math.inf else 1.0 / min(tau, coupling) / max(tau, coupling)
+    if not 0.0 < beta < math.inf:
+        raise ArithmeticError(f"beta = 1/(tau J) is out of float range at tau = {tau!r}")
+    return beta
 
 
 def _check_grid(grid) -> list[float]:

@@ -1,10 +1,12 @@
 """Single-quantum transitions: frequencies, pulse amplitudes, line shapes.
 
 Each of the four observable lines joins an outer level (E1 or E4) to an
-inner one (E2 or E3), as _LINES lists. Frequencies are |E_inner - E_outer|,
+inner one (E2 or E3), as _LINES lists. Frequencies are |E_outer - E_inner|,
 labelled by identity, never by rank, since only two statements about them
 are convention-free: freq(T42) - freq(T21) = D - J and freq(T42) - freq(T31)
-differs by J.
+differs by J. A simulated spectrum takes them from thermo._gaps, which forms
+T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2, T21 = (omega_sigma - (D - J)) / 2,
+T42 = -(omega_sigma + (D - J)) / 2 and T31 = (omega_sigma + D + J) / 2 without cancellation.
 
 A pulse of flip angle phi turns populations into signed line amplitudes,
 -sin(phi)/2 (w r (p_i - p1) -+ sin^2(phi/2) cos^2(2theta) (p3 - p2) + w' r (p4 - p_i))
@@ -36,11 +38,6 @@ class SpectrumLine(namedtuple("SpectrumLine", "transition frequency amplitude"))
     __slots__ = ()
 
 
-def _check_flip_angle(phi: float) -> None:
-    if not 0.0 < phi <= math.pi:
-        raise ValueError("flip angle must lie in (0, pi]")
-
-
 def transition_frequencies(levels: thermo.EnergyLevels) -> dict[str, float]:
     e = tuple(levels)
     if len(e) != 4:
@@ -50,7 +47,8 @@ def transition_frequencies(levels: thermo.EnergyLevels) -> dict[str, float]:
 
 def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:
     """Signed amplitudes of the four lines after a pulse of flip angle phi."""
-    _check_flip_angle(phi)
+    if not 0.0 < phi <= math.pi:
+        raise ValueError("flip angle must lie in (0, pi]")
     p1, p2, p3, p4 = p = thermo._probs(pops, theta)
     roofs = roofing_intensities(theta)
     sp2 = math.sin(0.5 * phi) ** 2
@@ -82,11 +80,8 @@ def simulate_spectrum(
 
 
 def _spectrum_lines(params: DerivedParams, beta: float, phi: float) -> list[SpectrumLine]:
-    levels = thermo.energies(params, params.coupling)
-    pops = thermo.populations(levels, beta)
-    freqs = transition_frequencies(levels)
-    amps = transition_amplitudes(pops, params.theta, phi)
-    return [SpectrumLine(t, freqs[t], amps[t]) for t in TRANSITIONS]
+    amps = transition_amplitudes(thermo._populations(params, beta), params.theta, phi)
+    return [SpectrumLine(t, abs(g), amps[t]) for t, g in zip(TRANSITIONS, thermo._gaps(params))]
 
 
 @np.errstate(over="ignore")

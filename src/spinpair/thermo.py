@@ -16,6 +16,14 @@ Boltzmann weights p_i = exp(-beta E_i) / Z with the closed form
 Both forms compute log Z first; where Z leaves float range (log Z >
 709.78) they raise ArithmeticError instead of returning inf.
 
+_gaps forms the line gaps E_outer - E_inner with no cancelling subtraction, from
+D - omega_delta = J^2 / (D + omega_delta) and D - J = omega_delta^2 / (D + J):
+
+    T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2
+    T21 = (omega_sigma - (D - J)) / 2, or where omega_delta/2 <= omega_sigma <= 2 omega_delta
+          ((omega_sigma - omega_delta) + 2 omega_delta J / (omega_delta + J + D)) / 2
+    T42 = -(omega_sigma + (D - J)) / 2,   T31 = (omega_sigma + D + J) / 2
+
 The equilibrium state in the product basis is X-shaped: four real
 diagonals plus one real coherence between |ab> and |ba>. beta = inf is
 an explicit zero-temperature mode: probability collapses onto the
@@ -111,9 +119,9 @@ def _lowest_level(es: tuple[float, ...]) -> float:
 
 
 def _shifted_weights(es: tuple[float, ...], beta: float) -> tuple[float, list[float]]:
-    """The lowest level and exp(-beta (E_i - E_min)); no weight exceeds 1."""
+    """The lowest level and exp(-beta (E_i - E_min)), each at most 1 and 1 at beta = 0."""
     emin = _lowest_level(es)
-    return emin, [math.exp(-beta * (e - emin)) for e in es]
+    return emin, [math.exp(-beta * (e - emin)) if beta else 1.0 for e in es]
 
 
 def _log_2cosh(x: float) -> float:
@@ -152,6 +160,34 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
     _, weights = _shifted_weights(levels, beta)
     total = sum(weights)
     return Populations(*(w / total for w in weights))
+
+
+def _populations(params: DerivedParams, beta: float) -> Populations:
+    """populations at params; a finite beta weighs the offsets E_i - E3 = (T31, D, 0, T43)."""
+    if _is_zero_temperature(beta):
+        return populations(energies(params, params.coupling), beta)
+    t43, _, _, t31 = _gaps(params)
+    return populations(EnergyLevels(t31, params.d_coupling, 0.0, t43), beta)
+
+
+def _gap_terms(params: DerivedParams) -> tuple[float, float, float]:
+    """(J + (D - omega_delta)) / 2, (D - J) / 2 and (omega_delta + J - D) / 2 as products of
+    halves, by D - x = y^2 / (D + x) for {x, y} = {omega_delta, J}: no sum overflows."""
+    wd, d, j = params.omega_delta, params.d_coupling, params.coupling
+    w2, d2, j2 = 0.5 * wd, max(0.5 * d, 5e-324), 0.5 * j  # no 0 / 0 at D <= 5e-324
+    lo, hi = sorted((wd, j))  # hi / (omega_delta + J + D) lies in [0.29, 0.5]: no underflow
+    return j2 + j2 * (j2 / (d2 + w2)), w2 * (w2 / (d2 + j2)), lo * (0.5 * hi / (w2 + j2 + d2))
+
+
+def _gaps(params: DerivedParams) -> tuple[float, float, float, float]:
+    """Signed E_outer - E_inner of T43, T21, T42, T31 from halved terms; T31 may overflow."""
+    ws, wd, d, j = params.omega_sigma, params.omega_delta, params.d_coupling, params.coupling
+    (t43_offset, d_minus_j, window_term), half_diff = _gap_terms(params), 0.5 * (ws - wd)
+    t21 = half_diff + window_term if 0.5 * wd <= ws <= 2.0 * wd else 0.5 * ws - d_minus_j
+    t31 = 0.5 * ws + 0.5 * d + 0.5 * j
+    if t31 == math.inf:
+        raise ArithmeticError("the T31 gap (omega_sigma + D + J) / 2 exceeds float range")
+    return (t43_offset - half_diff, t21, -(0.5 * ws + d_minus_j), t31)
 
 
 def _ground_levels(es: tuple[float, ...]) -> list[int]:

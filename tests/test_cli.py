@@ -529,7 +529,9 @@ def test_zero_grid_points_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "--points must be >= 1" in err
+    # The message names the flag that gave the count: spectrum has no --points.
+    flag = "--render POINTS" if argv[0] == "spectrum" else "--points"
+    assert f"error: {flag} must be >= 1" in err
 
 
 def test_spectrum_rejects_bad_flip_angle_and_render(capsys):
@@ -706,3 +708,37 @@ def test_cli_runs_as_a_process():
         )
         assert (run.returncode, run.stdout) == (status, stdout), argv
         assert bool(run.stderr) == (status != 0), argv
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("concurrence", "--omega-sigma", "100000000.01", "--omega-delta", "99999999.99",
+          "--tau", "1"),
+         '{"concurrence": 6.2010643173e-09, '
+         '"populations": [0.0, 0.0, 0.620106431668, 0.379893568332]}\n'),
+        (("spectrum", "--omega-sigma", "100000000.01", "--omega-delta", "99999999.99",
+          "--tau", "1"),
+         "transition,frequency,amplitude\nT43,0.489999997136,0.0104480482728\n"
+         "T21,0.510000002864,1.99168837763e-05\nT42,99999999.5,-0.0165748701058\n"
+         "T31,100000000.5,-0.0270030011637\n"),
+        (("spectrum", "--omega-sigma", "1.7976931348623157e308",
+          "--omega-delta", "1.7976931348623157e308", "--zero-temp"),
+         "transition,frequency,amplitude\nT43,0.5,-0\nT21,0.5,-0\n"
+         "T42,1.79769313486e+308,-0.0217889356869\nT31,1.79769313486e+308,-0.0217889356869\n"),
+    ],
+    ids=["concurrence", "spectrum", "spectrum-float-max"],
+)
+def test_small_gaps_print_correctly_rounded_digits(capsys, monkeypatch, argv, want):
+    # The gaps come from thermo without a cancelling subtraction of the levels.
+    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
+    assert run_cli(capsys, *argv)[:2] == (0, want)
+
+
+def test_low_field_spectrum_prints_the_true_splitting(capsys, monkeypatch):
+    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--omega-sigma", "0", "--omega-delta", "1e-6", "--tau", "1"
+    )
+    rows = {line.split(",")[0]: line.split(",")[1] for line in out.splitlines()[1:]}
+    assert code == 0 and rows["T21"] == rows["T42"] == "2.5e-13"

@@ -414,15 +414,20 @@ def test_sweep_rows_equal_pointwise_route():
             assert [(x, c.hex()) for x, c in rows] == [(x, c.hex()) for x, c in want]
 
 
-def _ratio_form_reference(omega_sigma, d, sin_2theta, coupling, beta):
-    """The ratio form one point at a time, in the kernel's order of operations."""
-    half = 0.5 * beta
+def _ratio_form_reference(params, beta):
+    """The ratio form one point at a time, in the kernel's order of operations.
+
+    The weights relative to E3 are exp(-beta (T31, D, 0, T43)), with T43 from
+    thermo._gaps and T31 = T43 + omega_sigma.
+    """
+    t43 = thermo._gaps(params)[0]
+    d, coupling = params.d_coupling, params.coupling
     e_d = math.exp(-beta * d)
-    num = sin_2theta * (1.0 - e_d) - 2.0 * math.exp(-half * (d + coupling))
-    a = -half * (d + coupling - omega_sigma)
+    num = params.sin_2theta * (1.0 - e_d) - 2.0 * math.exp(-beta * (0.5 * d + 0.5 * coupling))
+    a = -beta * t43
     if a > thermo._LOG_FLOAT_MAX:
         return math.exp(math.log(num) - a) if num > 0.0 else 0.0
-    den = math.exp(a) + math.exp(-half * (d + coupling + omega_sigma)) + 1.0 + e_d
+    den = math.exp(a) + math.exp(a - beta * params.omega_sigma) + 1.0 + e_d
     value = num / den
     return value if value > 0.0 else 0.0
 
@@ -469,7 +474,7 @@ def test_sweep_kernel_branches_equal_pointwise_route():
                 seen.add({s: "sin 2theta", 0.5 * s: "half sin 2theta", 0.0: "zero"}[c])
                 continue
             assert c.hex() == entangle.concurrence_for_params(params, 1.0, beta).hex()
-            assert c.hex() == _ratio_form_reference(ws, d, s, 1.0, beta).hex()
+            assert c.hex() == _ratio_form_reference(params, beta).hex()
             if s * (1.0 - math.exp(-beta * d)) <= 2.0 * math.exp(-0.5 * beta * (d + 1.0)):
                 seen.add("numerator <= 0")
             if -0.5 * beta * (d + 1.0 - ws) > thermo._LOG_FLOAT_MAX:
@@ -507,3 +512,17 @@ def test_sweep_rejects_zero_coupling():
     for tau in (0.0, 0.5):
         with pytest.raises(ValueError):
             entangle.sweep("field", [0.0, 1.0], omega_delta=1.0, tau=tau, coupling=0.0)
+
+
+def test_huge_coupling_at_tiny_beta_is_not_nan_or_wrong():
+    # beta = 1/(tau J) is subnormal but not 0, so the sweep row is a number:
+    # beta D = 0.22 keeps C's numerator negative, and C = 0.
+    assert entangle.sweep(
+        "temperature", [4.56], omega_sigma=1.0, omega_delta=0.5, coupling=1e308
+    ) == [(4.56, 0.0)]
+    # D + J overflows: -beta (D + J) / 2 is formed as -beta (D/2 + J/2), so the
+    # numerator s (1 - e^-1) - 2 e^-1 stays negative.
+    params = model.derive_from_sigma_delta(1.0, 0.5, 1e308)
+    assert entangle.concurrence_for_params(params, 1e308, 1e-308) == 0.0
+    # At beta = 0, 0 (D + J) is 0, not 0 inf.
+    assert entangle.concurrence_homonuclear(0.0, 1e308, 0.0) == 0.0

@@ -2,6 +2,7 @@ import copy
 import math
 import operator
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +322,15 @@ def test_beta_from_tau():
     for tau, coupling in ((1e-320, 1.0), (1e-200, 1e-200)):
         with pytest.raises(ArithmeticError):
             model._beta_from_tau(tau, coupling)
+
+
+def test_beta_from_tau_is_never_zero_for_positive_tau():
+    # tau J overflows, but beta = 1/(tau J) = 2.19e-309 is a subnormal, not 0.
+    beta = model._beta_from_tau(4.56, 1e308)
+    assert beta == 1.0 / 4.56 / 1e308 and 0.0 < beta < sys.float_info.min
+    # Below the smallest subnormal beta underflows: a numerical failure, not beta = 0.
+    with pytest.raises(ArithmeticError):
+        model._beta_from_tau(sys.float_info.max, sys.float_info.max)
 
 
 def test_check_grid():

@@ -1,15 +1,30 @@
 """Closed forms against a 60-digit mpmath reference over the whole input domain.
 
-omega_sigma and omega_delta are drawn log-uniform in [1e-3, 1e4] and beta
-log-uniform in [1e-3, 1e3], at J = 1; the reference takes the same float
-inputs as exact. Rounding the levels perturbs each Boltzmann exponent by
-about eps * beta * |E|, so every bound is a multiple of eps * cond with
-cond = 1 + beta (omega_sigma + D + J). The multiples are about four times
-the largest normalised errors seen on 3e3 hypothesis examples plus 2.5e4
-random points, some of them within 1e-6 of the E3/E4 crossing:
-populations 0.27 absolute and 1.0 relative, ratio-form C 0.21 absolute,
-population-form C 0.18 absolute, log Z 2.0. Both forms of Z are compared
-in log space up to log(float max), and must raise ArithmeticError above it.
+omega_sigma and omega_delta are drawn log-uniform in [1e-3, 1e8], together
+with the points where the gaps are ill-conditioned: omega_sigma close to
+omega_delta, omega_sigma = 0 with omega_delta << J, and omega_sigma near the
+E3/E4 crossing D + J and the E1/E2 crossing |D - J|. beta is log-uniform in
+[1e-3, 1e3], at J = 1; the reference takes the same float inputs as exact.
+
+The public level route rounds the levels, which perturbs each Boltzmann
+exponent by about eps * beta * |E|, so its bounds are multiples of eps * cond
+with cond = 1 + beta (omega_sigma + D + J). The gap routes (the concurrence
+kernel and the populations the CLI prints) round only the gaps, and only
+T43 = E4 - E3 moves the weights that matter: their bound is eps * gap_cond with
+gap_cond = 1 + beta (|E4 - E3| + J). The J stays because D - omega_delta and
+omega_sigma - omega_delta round by about eps J where T43 cancels to 0 at the
+E3/E4 crossing; no double-precision route avoids that. The multiples are
+about four times the largest normalised errors seen on 3e3 hypothesis
+examples plus 2.5e4 random points: populations 0.27 absolute and 1.0
+relative, ratio-form C 0.21 absolute, population-form C 0.18 absolute, log
+Z 2.0 on cond. On gap_cond, which is never above cond, the gap-route
+populations reached 0.50 and C 0.25 absolute and 2.5 relative to kappa on
+2.5e4 random points of this sample; their multiples are 1, 1 and 8, so that
+no absolute bound is looser than the one it replaces. The line frequencies
+are within 8 eps of their 60-digit values, relative for T42 and T31 and
+relative to |gap| + J for T43 and T21, which cancel at the crossings (1.9
+seen). Both forms of Z are compared in log space up to log(float max), and
+must raise ArithmeticError above it.
 The threshold tau_t is checked against a 50-digit root of the entanglement gap.
 The crossing coupling and the critical omega_sigma, over [1e-300, 1e300], are
 within 2 eps relative of their 60-digit values, or within the smallest
@@ -21,7 +36,7 @@ import sys
 
 import pytest
 
-from spinpair import critical, entangle, model, thermo
+from spinpair import critical, entangle, model, spectrum, thermo
 
 mp = pytest.importorskip("mpmath").mp
 hypothesis = pytest.importorskip("hypothesis")
@@ -29,7 +44,9 @@ st = hypothesis.strategies
 
 EPS = sys.float_info.epsilon
 P_ABS, P_REL = 1.0, 4.0
-C_ABS, C_REL = 1.0, 2.0
+C_REL = 2.0
+GAP_P_ABS, GAP_C_ABS, GAP_C_REL = 1.0, 1.0, 8.0
+FREQ = 8.0
 C_POP_ABS = 1.0
 LOG_Z_ABS = 8.0
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -40,7 +57,7 @@ def _log_uniform(lo, hi):
 
 
 def _reference(omega_sigma, omega_delta, beta):
-    """Populations, C, log Z and the cancellation factor of C's numerator, to 60 digits."""
+    """Populations, C, log Z, C's cancellation factor and |E4 - E3|, to 60 digits."""
     with mp.workdps(60):
         ws, wd, b, j = (mp.mpf(v) for v in (omega_sigma, omega_delta, beta, 1.0))
         d = mp.sqrt(wd * wd + j * j)
@@ -58,32 +75,60 @@ def _reference(omega_sigma, omega_delta, beta):
             float(max(c, 0)),
             float(-b * emin + mp.log(total)),
             float(kappa),
+            float(abs(levels[3] - levels[2])),
         )
 
 
-@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+def _near(centre, rel):
+    """centre scaled by 1 +- rel, never below 0."""
+    return st.tuples(st.sampled_from((-1.0, 1.0)), rel).map(
+        lambda sr: max(0.0, centre * (1.0 + sr[0] * sr[1]))
+    )
+
+
+def _crossing_pairs(crossing):
+    """(omega_sigma, omega_delta) with omega_sigma near crossing(D) at J = 1."""
+    return _log_uniform(1e-3, 1e8).flatmap(
+        lambda wd: st.tuples(_near(crossing(math.hypot(wd, 1.0)), _log_uniform(1e-17, 1e-4)),
+                             st.just(wd))
+    )
+
+
+_SPAN = _log_uniform(1e-3, 1e8)
+# The input domain with the points where a gap is ill-conditioned drawn on purpose.
+OMEGA_PAIRS = st.one_of(
+    st.tuples(_SPAN, _SPAN),
+    _SPAN.flatmap(lambda wd: st.tuples(_near(wd, _log_uniform(1e-16, 1e-3)), st.just(wd))),
+    st.tuples(st.just(0.0), _log_uniform(1e-6, 1e-2)),
+    _crossing_pairs(lambda d: d + 1.0),
+    _crossing_pairs(lambda d: abs(d - 1.0)),
+)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=600, database=None)
 # At J = omega_delta = 1, beta = 100 these put the exact log Z at 709.70,
 # 709.775, 709.785 and 709.85, on both sides of log(float max) = 709.78.
-@hypothesis.example(omega_sigma=14.694, omega_delta=1.0, beta=100.0)
-@hypothesis.example(omega_sigma=14.6955, omega_delta=1.0, beta=100.0)
-@hypothesis.example(omega_sigma=14.6957, omega_delta=1.0, beta=100.0)
-@hypothesis.example(omega_sigma=14.697, omega_delta=1.0, beta=100.0)
+@hypothesis.example(pair=(14.694, 1.0), beta=100.0)
+@hypothesis.example(pair=(14.6955, 1.0), beta=100.0)
+@hypothesis.example(pair=(14.6957, 1.0), beta=100.0)
+@hypothesis.example(pair=(14.697, 1.0), beta=100.0)
 # Exact homonuclear points, where concurrence_homonuclear must take the same
 # route: below, at (omega_sigma = 2 J) and above the crossing, and near beta J = ln 3.
-@hypothesis.example(omega_sigma=1.0, omega_delta=0.0, beta=5.0)
-@hypothesis.example(omega_sigma=2.0, omega_delta=0.0, beta=100.0)
-@hypothesis.example(omega_sigma=2.5, omega_delta=0.0, beta=1000.0)
-@hypothesis.example(omega_sigma=0.01, omega_delta=0.0, beta=1.1)
-@hypothesis.example(omega_sigma=1e4, omega_delta=0.0, beta=1e-3)
-@hypothesis.given(
-    omega_sigma=_log_uniform(1e-3, 1e4),
-    omega_delta=_log_uniform(1e-3, 1e4),
-    beta=_log_uniform(1e-3, 1e3),
-)
-def test_closed_forms_match_mpmath(omega_sigma, omega_delta, beta):
-    ps_ref, c_ref, log_z_ref, kappa = _reference(omega_sigma, omega_delta, beta)
+@hypothesis.example(pair=(1.0, 0.0), beta=5.0)
+@hypothesis.example(pair=(2.0, 0.0), beta=100.0)
+@hypothesis.example(pair=(2.5, 0.0), beta=1000.0)
+@hypothesis.example(pair=(0.01, 0.0), beta=1.1)
+@hypothesis.example(pair=(1e4, 0.0), beta=1e-3)
+# The points of the CLI's concurrence and spectrum reproducers.
+@hypothesis.example(pair=(100000000.01, 99999999.99), beta=1.0)
+@hypothesis.example(pair=(0.0, 1e-6), beta=1.0)
+@hypothesis.given(pair=OMEGA_PAIRS, beta=_log_uniform(1e-3, 1e3))
+def test_closed_forms_match_mpmath(pair, beta):
+    omega_sigma, omega_delta = pair
+    ps_ref, c_ref, log_z_ref, kappa, t43 = _reference(omega_sigma, omega_delta, beta)
     params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
     tol = EPS * (1.0 + beta * (omega_sigma + params.d_coupling + 1.0))
+    gap_tol = EPS * (1.0 + beta * (t43 + 1.0))
     levels = thermo.energies(params, 1.0)
     pops = thermo.populations(levels, beta)
 
@@ -91,10 +136,16 @@ def test_closed_forms_match_mpmath(omega_sigma, omega_delta, beta):
         err = abs(p - ref)
         assert err <= P_ABS * tol, (p, ref)
         assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
+    # The populations that concurrence and spectrum print come from the gaps.
+    for p, ref in zip(thermo._populations(params, beta), ps_ref):
+        err = abs(p - ref)
+        assert err <= GAP_P_ABS * gap_tol, (p, ref)
+        assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
     c = entangle.concurrence_for_params(params, 1.0, beta)
-    assert abs(c - c_ref) <= C_ABS * tol, (c, c_ref)
+    assert abs(c - c_ref) <= GAP_C_ABS * gap_tol, (c, c_ref)
     if c_ref >= sys.float_info.min:
         assert abs(c - c_ref) <= C_REL * tol * kappa * c_ref, (c, c_ref, kappa)
+        assert abs(c - c_ref) <= GAP_C_REL * gap_tol * kappa * c_ref, (c, c_ref, kappa)
     if omega_delta == 0.0:
         assert entangle.concurrence_homonuclear(0.5 * omega_sigma, 1.0, beta) == c
     c_pop = entangle.concurrence_from_populations(pops, params.theta)
@@ -115,6 +166,23 @@ def test_closed_forms_match_mpmath(omega_sigma, omega_delta, beta):
             assert log_z_ref > LOG_FLOAT_MAX - bound, (exc, log_z_ref)
         else:
             assert abs(math.log(z) - log_z_ref) <= bound, (z, log_z_ref)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@hypothesis.example(pair=(100000000.01, 99999999.99))
+@hypothesis.example(pair=(0.0, 1e-6))
+@hypothesis.given(pair=OMEGA_PAIRS)
+def test_line_frequencies_match_mpmath(pair):
+    omega_sigma, omega_delta = pair
+    params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
+    lines = spectrum._spectrum_lines(params, 1.0, spectrum.DEFAULT_FLIP_ANGLE)
+    with mp.workdps(60):
+        ws, wd, j = (mp.mpf(v) for v in (omega_sigma, omega_delta, 1.0))
+        d = mp.sqrt(wd * wd + j * j)
+        want = [abs(d + j - ws) / 2, abs(ws - d + j) / 2, (ws + d - j) / 2, (ws + d + j) / 2]
+        for line, ref in zip(lines, want):
+            scale = ref if line.transition in ("T42", "T31") else ref + j
+            assert abs(line.frequency - ref) <= FREQ * EPS * scale, (line, ref)
 
 
 def _mp_threshold_x(s):
@@ -199,7 +267,7 @@ def test_subnormal_concurrence_is_resolved():
         (3.507696550576163, 0.363465299581727, 0.0009895177440392843),
     ):
         beta = 1.0 / tau
-        _, c_ref, _, _ = _reference(omega_sigma, omega_delta, beta)
+        _, c_ref, _, _, _ = _reference(omega_sigma, omega_delta, beta)
         params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
         c = entangle.concurrence_for_params(params, 1.0, beta)
         assert 0.0 < c_ref < sys.float_info.min

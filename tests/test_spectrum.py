@@ -318,3 +318,26 @@ def test_render_validation():
 def test_transition_amplitudes_reject_bad_inputs(pops, theta):
     with pytest.raises(ValueError):
         spectrum.transition_amplitudes(pops, theta, 0.5)
+
+
+def test_spectrum_past_float_range_is_numerical():
+    # T31 = (omega_sigma + D + J) / 2 lies above float max: no line reads inf.
+    system = model.SpinSystem(2.5879320237511028, 1e300, 1.7976931348623157e308)
+    with pytest.raises(ArithmeticError):
+        spectrum.simulate_spectrum(system, 0.494, 0.423)
+
+
+@pytest.mark.parametrize(
+    "omega_sigma, omega_delta, want",
+    [
+        # The frequencies of the CLI reproducers, to 60 digits at J = 1.
+        (100000000.01, 99999999.99, {"T43": 0.489999997136, "T21": 0.510000002864}),
+        (0.0, 1e-6, {"T21": 2.49999999999937e-13, "T42": 2.49999999999937e-13}),
+        (1.7976931348623157e308, 1.7976931348623157e308, {"T43": 0.5, "T21": 0.5}),
+    ],
+)
+def test_line_frequencies_keep_the_small_gaps(omega_sigma, omega_delta, want):
+    lines = spectrum._spectrum_lines(_params(omega_sigma, omega_delta), 1.0, 0.1)
+    got = {line.transition: line.frequency for line in lines}
+    for name, value in want.items():
+        assert math.isclose(got[name], value, rel_tol=1e-12), (name, got[name], value)

@@ -266,3 +266,47 @@ def test_populations_reject_non_finite_levels(beta):
                 thermo.populations(levels, beta)
             with pytest.raises(ValueError):
                 thermo.partition(levels, beta)
+
+
+def test_populations_at_beta_zero_are_uniform_past_float_range():
+    # E1 - E4 overflows, and 0 * inf would make every weight nan.
+    params = _params(1.7976931348623157e308, 710.0, 1e308)
+    levels = thermo.energies(params, 1e308)
+    assert thermo.populations(levels, 0.0).probs == (0.25, 0.25, 0.25, 0.25)
+    assert thermo.partition(levels, 0.0) == 4.0
+
+
+def test_gaps_are_the_level_differences():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        ws, wd, j = rng.uniform(0.0, 10.0, 3)
+        params = _params(ws, wd, j)
+        e1, e2, e3, e4 = thermo.energies(params, j)
+        want = (e4 - e3, e1 - e2, e4 - e2, e1 - e3)
+        for got, diff in zip(thermo._gaps(params), want):
+            assert math.isclose(got, diff, rel_tol=1e-13, abs_tol=1e-13 * (ws + wd + j))
+
+
+def test_gaps_do_not_cancel_at_float_max():
+    # omega_sigma = omega_delta = float max at J = 1: T43 = T21 = J / 2, which
+    # subtracting the levels loses entirely.
+    big = 1.7976931348623157e308
+    t43, t21, t42, t31 = thermo._gaps(_params(big, big, 1.0))
+    assert (t43, t21, t42, t31) == (0.5, 0.5, -big, big)
+    # D = J = 0: every gap is -omega_sigma / 2 or omega_sigma / 2.
+    assert thermo._gaps(_params(3.0, 0.0, 0.0)) == (-1.5, 1.5, -1.5, 1.5)
+    # Only T31 = (omega_sigma + D + J) / 2 can pass float max.
+    with pytest.raises(ArithmeticError):
+        thermo._gaps(model.derive(model.SpinSystem(2.5879320237511028, 1e300, big)))
+
+
+def test_gap_populations_shift_the_levels_at_finite_beta():
+    # The offsets E_i - E3 leave the weights as the levels give them; beta = inf
+    # still decides the ground set on the levels.
+    for ws, wd, beta in ((1.0, 0.5, 2.0), (2.25, 0.75, 30.0), (3.0, 0.0, 0.3)):
+        params = _params(ws, wd)
+        gap = thermo._populations(params, beta)
+        level = thermo.populations(thermo.energies(params, 1.0), beta)
+        assert all(math.isclose(a, b, rel_tol=1e-14, abs_tol=1e-16) for a, b in zip(gap, level))
+    params = _params(2.25, 0.75)
+    assert thermo._populations(params, math.inf) == (0.0, 0.0, 0.5, 0.5)
