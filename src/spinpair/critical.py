@@ -64,7 +64,6 @@ def critical_omega_sigma(omega_delta: float, coupling: float) -> float:
 
 
 def ground_state(system: SpinSystem) -> GroundState:
-    """Which level is lowest, with exact degeneracies flagged."""
-    levels = thermo.energies(derive(system), system.coupling)
-    members = [i + 1 for i in thermo._ground_levels(levels)]
+    """Which level is lowest, with degeneracies within DEGENERACY_RTOL flagged."""
+    members = [i + 1 for i in thermo._ground(derive(system))]
     return GroundState(members[0], tuple(members[:2]) if len(members) >= 2 else None)

@@ -55,7 +55,7 @@ def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) 
     """Thermal concurrence at beta in [0, inf], from the one kernel that sweeps use too.
 
     beta = inf is the exact zero-temperature limit, which the kernel decides
-    from the ground levels.
+    from the ground set.
     """
     _check_same_coupling(params, coupling)
     thermo._is_zero_temperature(beta)  # ValueError unless beta lies in [0, inf]
@@ -69,11 +69,11 @@ def _ratio_form(points, params: DerivedParams):
 
     The beta-only terms are recomputed only when beta changes, so once per field
     sweep. beta = inf is the exact limit, not a large-beta ratio form, which would
-    cancel at the level crossing: C is sin 2theta when E3 alone is lowest, half of it
-    when E3 and E4 are degenerate, and 0 for any other ground set (E4 <= E1, E3 <= E2).
+    cancel at the level crossing: C is sin 2theta when thermo._ground finds E3 alone, half
+    of it for E3 and E4, and 0 for any other ground set (E4 <= E1, E3 <= E2).
     """
-    # Local names save three lookups per point.
-    exp, levels, ground_levels = math.exp, thermo._levels, thermo._ground_levels
+    # Local names save two lookups per point.
+    exp, ground_of = math.exp, thermo._ground
     omega_delta, d, coupling = params.omega_delta, params.d_coupling, params.coupling
     sin_2theta, t43_offset = params.sin_2theta, thermo._gap_terms(params)[0]
     half_dj, log_max = 0.5 * d + 0.5 * coupling, _LOG_FLOAT_MAX  # (D + J) / 2 stays finite
@@ -88,7 +88,7 @@ def _ratio_form(points, params: DerivedParams):
                 # past it exp(a), a = -beta T43 with T43 formed as in thermo._gaps, drives C -> 0.
                 num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_beta * half_dj)
         if zero:
-            ground = ground_levels(levels(omega_sigma, d, coupling))
+            ground = ground_of(params, omega_sigma, t43_offset - 0.5 * (omega_sigma - omega_delta))
             yield sin_2theta if ground == [2] else 0.5 * sin_2theta if ground == [2, 3] else 0.0
             continue
         if num <= 0.0:

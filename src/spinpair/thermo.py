@@ -24,10 +24,10 @@ D - omega_delta = J^2 / (D + omega_delta) and D - J = omega_delta^2 / (D + J):
           ((omega_sigma - omega_delta) + 2 omega_delta J / (omega_delta + J + D)) / 2
     T42 = -(omega_sigma + (D - J)) / 2,   T31 = (omega_sigma + D + J) / 2
 
-The equilibrium state in the product basis is X-shaped: four real
-diagonals plus one real coherence between |ab> and |ba>. beta = inf is
-an explicit zero-temperature mode: probability collapses onto the
-lowest level, spread uniformly over exact degeneracies.
+The equilibrium state in the product basis is X-shaped: four real diagonals
+plus one real coherence between |ab> and |ba>. beta = inf spreads probability
+evenly over the levels within DEGENERACY_RTOL max(1, max |E_i|) of the lowest;
+from params, _ground decides that set on the offsets (T31, D, 0, T43), as above.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ import numpy as np
 
 from .model import DerivedParams, _check_same_coupling, _check_theta
 
-# Relative scale for deciding two levels are exactly degenerate in the
-# zero-temperature limit.
+# Relative scale for deciding two levels are degenerate in the zero-temperature limit.
 DEGENERACY_RTOL = 1e-12
 
 # math.exp(x) is finite exactly for x <= log(float max).
@@ -87,13 +86,8 @@ class DensityMatrixX(namedtuple("DensityMatrixX", "rho11 rho22 rho33 rho44 rho23
 
 def energies(params: DerivedParams, coupling: float) -> EnergyLevels:
     _check_same_coupling(params, coupling)
-    return EnergyLevels(*_levels(params.omega_sigma, params.d_coupling, coupling))
-
-
-def _levels(omega_sigma: float, d: float, coupling: float) -> tuple[float, float, float, float]:
-    """(E1, E2, E3, E4) from omega_sigma, D and J."""
-    ws, d, j = 0.5 * omega_sigma, 0.5 * d, 0.25 * coupling
-    return (ws + j, d - j, -d - j, -ws + j)
+    ws, d, j = 0.5 * params.omega_sigma, 0.5 * params.d_coupling, 0.25 * coupling
+    return EnergyLevels(ws + j, d - j, -d - j, -ws + j)
 
 
 def _is_zero_temperature(beta: float) -> bool:
@@ -153,9 +147,12 @@ def partition_closed(params: DerivedParams, coupling: float, beta: float) -> flo
 
 
 def populations(levels: EnergyLevels, beta: float) -> Populations:
-    """Boltzmann occupations; beta = inf selects the exact ground-state limit."""
+    """Boltzmann occupations; at beta = inf, equal shares of the ground set: the levels within
+    DEGENERACY_RTOL max(1, max |E_i|) of the lowest."""
     if _is_zero_temperature(beta):
-        ground = _ground_levels(levels)
+        emin = _lowest_level(levels)
+        tol = DEGENERACY_RTOL * max(1.0, max(levels), -emin)  # max(max E_i, -min E_i) is max |E_i|
+        ground = [i for i, e in enumerate(levels) if e - emin <= tol]
         return Populations(*(1.0 / len(ground) if i in ground else 0.0 for i in range(4)))
     _, weights = _shifted_weights(levels, beta)
     total = sum(weights)
@@ -163,9 +160,10 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
 
 
 def _populations(params: DerivedParams, beta: float) -> Populations:
-    """populations at params; a finite beta weighs the offsets E_i - E3 = (T31, D, 0, T43)."""
+    """populations at params, from the offsets E_i - E3 = (T31, D, 0, T43) at every beta."""
     if _is_zero_temperature(beta):
-        return populations(energies(params, params.coupling), beta)
+        ground = _ground(params)
+        return Populations(*(1.0 / len(ground) if i in ground else 0.0 for i in range(4)))
     t43, _, _, t31 = _gaps(params)
     return populations(EnergyLevels(t31, params.d_coupling, 0.0, t43), beta)
 
@@ -190,11 +188,16 @@ def _gaps(params: DerivedParams) -> tuple[float, float, float, float]:
     return (t43_offset - half_diff, t21, -(0.5 * ws + d_minus_j), t31)
 
 
-def _ground_levels(es: tuple[float, ...]) -> list[int]:
-    """0-based indices of the levels exactly degenerate with the lowest one."""
-    emin = _lowest_level(es)
-    tol = DEGENERACY_RTOL * max(1.0, max(es), -emin)  # max(max E_i, -min E_i) is max |E_i|
-    return [i for i, e in enumerate(es) if e - emin <= tol]
+def _ground(params: DerivedParams, omega_sigma=None, t43=None) -> list[int]:
+    """populations' 0-based ground set at omega_sigma (params' own by default), decided on the
+    offsets (T31 = T43 + omega_sigma, D, 0, T43); T31 = +inf is never ground. The scale
+    max(1, E1, -E3) is max(1, max |E_i|) (|E4| <= E1, |E2| <= -E3), halved as energies halves."""
+    if t43 is None:
+        omega_sigma = params.omega_sigma
+        t43 = _gap_terms(params)[0] - 0.5 * (omega_sigma - params.omega_delta)
+    d, j = params.d_coupling, 0.25 * params.coupling
+    tol, low = DEGENERACY_RTOL * max(1.0, 0.5 * omega_sigma + j, 0.5 * d + j), min(t43, 0.0)
+    return [i for i, o in enumerate((t43 + omega_sigma, d, 0.0, t43)) if o - low <= tol]
 
 
 def _probs(pops, theta: float) -> tuple[float, float, float, float]:

@@ -742,3 +742,35 @@ def test_low_field_spectrum_prints_the_true_splitting(capsys, monkeypatch):
     )
     rows = {line.split(",")[0]: line.split(",")[1] for line in out.splitlines()[1:]}
     assert code == 0 and rows["T21"] == rows["T42"] == "2.5e-13"
+
+
+_ZERO_TEMPERATURE_COMMANDS = [
+    (("concurrence", "--omega-sigma", "2", "--omega-delta", "0", "--zero-temp"),
+     '{"concurrence": 0.5, "populations": [0.0, 0.0, 0.5, 0.5]}\n'),
+    (("spectrum", "--omega-sigma", "1", "--omega-delta", "0.577", "--zero-temp"),
+     "transition,frequency,amplitude\nT43,0.577262721817,0.00583111884769\n"
+     "T21,0.422737278183,2.07095062825e-05\nT42,0.577262721817,-2.07095062825e-05\n"
+     "T31,1.57726272182,-0.00583111884769\n"),
+    # From tau = 0 at the E3/E4 crossing omega_sigma = D + J = 2.25.
+    (("scan", "--axis", "tau", "--from", "0", "--to", "1", "--points", "5",
+      "--omega-sigma", "2.25", "--omega-delta", "0.75"),
+     "x,concurrence\n0,0.4\n0.25,0.3848754408\n0.5,0.250112294029\n0.75,0.0905179686245\n1,0\n"),
+    (("scan", "--axis", "field", "--from", "1.9", "--to", "2.1", "--points", "5",
+      "--omega-delta", "0", "--tau", "0"),
+     "x,concurrence\n1.9,1\n1.95,1\n2,0.5\n2.05,0\n2.1,0\n"),
+]
+
+
+def test_zero_temperature_outputs_form_no_level(capsys, monkeypatch):
+    # Every beta = inf route from parameters decides the ground set on the gap
+    # offsets, so none needs the levels that energies forms.
+    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
+
+    def no_levels(*args):
+        raise AssertionError("energies formed the levels")
+
+    monkeypatch.setattr(thermo, "energies", no_levels)
+    for argv, want in _ZERO_TEMPERATURE_COMMANDS:
+        assert run_cli(capsys, *argv) == (0, want, "")
+    near_max = spinpair.ground_state(model.SpinSystem(1e308, 0.7e308, 1e308))
+    assert near_max == spinpair.GroundState(3, None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpair import model, thermo
+from spinpair import entangle, model, thermo
 
 
 def _params(omega_sigma, omega_delta, coupling=1.0):
@@ -301,8 +301,8 @@ def test_gaps_do_not_cancel_at_float_max():
 
 
 def test_gap_populations_shift_the_levels_at_finite_beta():
-    # The offsets E_i - E3 leave the weights as the levels give them; beta = inf
-    # still decides the ground set on the levels.
+    # The offsets E_i - E3 leave the weights as the levels give them; at beta = inf
+    # they give the levels' ground set.
     for ws, wd, beta in ((1.0, 0.5, 2.0), (2.25, 0.75, 30.0), (3.0, 0.0, 0.3)):
         params = _params(ws, wd)
         gap = thermo._populations(params, beta)
@@ -310,3 +310,62 @@ def test_gap_populations_shift_the_levels_at_finite_beta():
         assert all(math.isclose(a, b, rel_tol=1e-14, abs_tol=1e-16) for a, b in zip(gap, level))
     params = _params(2.25, 0.75)
     assert thermo._populations(params, math.inf) == (0.0, 0.0, 0.5, 0.5)
+
+
+def _level_ground(params):
+    pops = thermo.populations(thermo.energies(params, params.coupling), math.inf)
+    return [i for i, p in enumerate(pops) if p > 0.0]
+
+
+def test_offset_ground_set_is_the_level_ground_set_at_the_tolerance_edge():
+    # The ground set decided on the offsets (T31, D, 0, T43) against the one the
+    # levels give, where the two could part: at the E3/E4 crossing omega_sigma = D + J
+    # and its float neighbours, at relative distances 1e-17..1 from it, at 0 and
+    # 5e-324, and with omega_delta and J from 1e-16 (where E2, and at low field E1,
+    # join the ground set) up to 1e8 and 1e4. The tolerance edge lies where
+    # |omega_sigma - (D + J)| = 2 DEGENERACY_RTOL scale. Within 2 ulps of it the two
+    # forms, rounded differently, may part; 3 ulps and more away they must agree.
+    rng = np.random.default_rng(23)
+    pairs = [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1e-16, 1e-16), (1e8, 1.0), (1e8, 1e-16)]
+    pairs += [tuple(10.0 ** rng.uniform(-16.0, (8.0, 4.0))) for _ in range(120)]
+    for omega_delta, coupling in pairs:
+        crossing = _params(0.0, omega_delta, coupling).d_coupling + coupling
+        edge = 2.0 * thermo.DEGENERACY_RTOL * max(1.0, 0.5 * crossing + 0.25 * coupling)
+        grid = {0.0, 5e-324, crossing, math.nextafter(crossing, 0.0),
+                math.nextafter(crossing, math.inf)}
+        for r in 10.0 ** rng.uniform(-17.0, 0.0, 25):
+            grid.update((crossing * (1.0 - r), crossing * (1.0 + r)))
+        for side in (crossing - edge, crossing + edge):
+            ulp = math.ulp(max(crossing, abs(side)))
+            grid.update(side + k * ulp for k in (-64, -8, -3, 3, 8, 64))
+        grid = sorted(ws for ws in grid if ws >= 0.0)
+        if coupling:  # a field sweep hands the kernel's own T43 to the rule
+            rows = entangle.sweep("field", grid, omega_delta=omega_delta, tau=0.0, coupling=coupling)
+        else:  # tau = k_B T / J needs J > 0
+            rows = [(ws, entangle.concurrence_for_params(_params(ws, omega_delta, 0.0), 0.0, math.inf))
+                    for ws in grid]
+        for omega_sigma, (_, c) in zip(grid, rows):
+            params = _params(omega_sigma, omega_delta, coupling)
+            pops = thermo.populations(thermo.energies(params, coupling), math.inf)
+            ground = [i for i, p in enumerate(pops) if p > 0.0]
+            assert thermo._ground(params) == ground, (omega_sigma, omega_delta, coupling)
+            assert thermo._populations(params, math.inf) == pops
+            s2 = params.sin_2theta
+            assert c == (s2 if ground == [2] else 0.5 * s2 if ground == [2, 3] else 0.0)
+
+
+def test_zero_temperature_past_float_range_is_the_level_route():
+    # At J = 1e308, T31 = (omega_sigma + D + J) / 2 overflows (_gaps raises), while the
+    # halved levels stay finite: the kernel and _populations give the levels' values.
+    big = 1.7976931348623157e308
+    systems = [model.derive(model.SpinSystem(1e308, 0.7e308, 1e308))]
+    systems += [_params(big, wd, 1e308) for wd in (0.0, 1e308, 1.3e308)]
+    for params in systems:
+        with pytest.raises(ArithmeticError):
+            thermo._gaps(params)
+        pops = thermo.populations(thermo.energies(params, 1e308), math.inf)
+        assert thermo._populations(params, math.inf) == pops == (0.0, 0.0, 1.0, 0.0)
+        assert entangle.concurrence_for_params(params, 1e308, math.inf) == params.sin_2theta
+        rows = entangle.sweep("field", [1e308, params.omega_sigma], omega_delta=params.omega_delta,
+                              tau=0.0, coupling=1e308)
+        assert rows[-1] == (params.omega_sigma, params.sin_2theta)
