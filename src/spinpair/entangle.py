@@ -41,8 +41,6 @@ from .model import (
 from . import thermo
 from .thermo import _LOG_FLOAT_MAX
 
-_EXP_MINUS_2 = math.exp(-2.0)  # s sinh(x) at the lower end of the threshold bracket
-
 
 def concurrence_from_populations(pops, theta: float) -> float:
     """C = max{0, |p2 - p3| sin(2 theta) - 2 sqrt(p1 p4)}."""
@@ -129,24 +127,20 @@ def entanglement_gap(beta: float, s: float) -> float:
 def threshold_beta(s: float) -> float:
     """Root of the entanglement gap at unit splitting, for s = sin 2theta in (0, 1].
 
-    With x = beta / 2 the gap is s sinh(x) - exp(-x s). Where s sinh(x) = 1
-    it is 1 - exp(-x s) > 0; where s sinh(x) = e^-2 it is at most
-    e^-2 - exp(-e^-2) < 0, because x s <= s sinh(x). Both bracket ends are
-    closed forms in x.
-
-    The gap is increasing, and convex at and above its root, where
-    s sinh(x) >= exp(-x s) >= s exp(-x s) makes g'' = (s sinh(x) - s^2 exp(-x s)) / 4
-    non-negative. Newton's method started at the upper end therefore steps
-    down monotonically onto the root and never crosses it. It stops at the
-    first beta whose gap rounds to <= 0, or once the next step makes no
-    progress inside the bracket; below about s = 1e-17 the start is the root
-    to rounding and its gap already rounds to <= 0. It only decreases from
-    2 asinh(1 / s) <= 2 asinh(float max), so sinh and cosh stay finite.
+    With x = beta / 2 the gap is s sinh(x) - exp(-x s): increasing, and convex
+    at and above its root, where s sinh(x) >= exp(-x s) >= s exp(-x s) makes
+    g'' = (s sinh(x) - s^2 exp(-x s)) / 4 non-negative. So Newton's method from
+    the start 2 asinh(1 / s), where s sinh(x) = 1 and the gap is 1 - exp(-x s) > 0,
+    steps down onto the root without crossing it, and sinh and cosh stay finite.
+    It stops at the first beta whose gap rounds to <= 0, or where the next step is
+    not below beta (NaN included); below about s = 1e-17 the start is the root to
+    rounding, and one of the two stops fires on the first gap.
     """
-    lo = 2.0 * math.asinh(_EXP_MINUS_2 / s)
-    beta = hi = 2.0 * math.asinh(1.0 / s)
-    if not hi < math.inf:  # 1 / s overflows
-        raise ArithmeticError(f"threshold bracket is out of float range: [{lo!r}, {hi!r}]")
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"s = sin 2theta must lie in (0, 1], got {s!r}")
+    beta = start = 2.0 * math.asinh(1.0 / s)
+    if not start < math.inf:  # 1 / s overflows
+        raise ArithmeticError(f"threshold start 2 asinh(1/s) is out of float range at s = {s!r}")
     for _ in range(100):
         gap = entanglement_gap(beta, s)
         if not gap > 0.0:
@@ -154,10 +148,10 @@ def threshold_beta(s: float) -> float:
         # g'(beta) = s (cosh(beta/2) + exp(-beta s/2)) / 2.
         x = 0.5 * beta
         next_beta = beta - 2.0 * gap / (s * (math.cosh(x) + math.exp(-x * s)))
-        if not lo < next_beta < beta:
+        if not next_beta < beta:
             return beta
         beta = next_beta
-    raise ArithmeticError(f"threshold Newton iteration did not converge from {hi!r}")
+    raise ArithmeticError(f"threshold Newton iteration did not converge from {start!r}")
 
 
 def threshold_temperature(system: SpinSystem) -> float | None:

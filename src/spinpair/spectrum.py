@@ -93,5 +93,9 @@ def render_lorentzian(lines, linewidth: float, frequency_grid) -> np.ndarray:
     half = 0.5 * linewidth
     intensity = np.zeros_like(grid)
     for line in lines:
-        intensity += line.amplitude * half**2 / ((grid - line.frequency) ** 2 + half**2)
+        offset = grid - line.frequency
+        if 1.5e-154 < half < 1.3e154:  # half**2 is normal: keep the digits printed so far
+            intensity += line.amplitude * half**2 / (offset**2 + half**2)
+        else:  # in half-widths: no half**2 to overflow, and no 0 / 0 peak
+            intensity += line.amplitude / ((offset / linewidth * 2.0) ** 2 + 1.0)
     return intensity

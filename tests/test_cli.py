@@ -489,10 +489,16 @@ def test_threshold_far_detuned_and_weak_coupling_are_finite(capsys):
 
 
 def test_threshold_underflowed_coupling_exits_numerical(capsys):
-    code, out, err = run_cli(capsys, "threshold", "--omega-delta", "1", "--coupling", "1e-320")
-    assert code == 3
-    assert out == ""
-    assert "numerical failure" in err
+    # J = 1e-320: the start 2 asinh(1 / s) overflows. J = 1e-300 at omega_delta
+    # = 1e300: sin 2theta underflows to 0.
+    cases = (("1", "1e-320", "start"), ("1e300", "1e-300", "underflowed"))
+    for omega_delta, coupling, cause in cases:
+        code, out, err = run_cli(
+            capsys, "threshold", "--omega-delta", omega_delta, "--coupling", coupling
+        )
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err and cause in err
 
 
 def test_tau_overflow_exits_numerical(capsys):

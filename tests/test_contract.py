@@ -4,17 +4,25 @@ Every run exits 0, 2 or 3, prints to stdout only when it exits 0, and never
 prints a non-finite number. "never" needs J = 0, and a numeric crossing
 coupling needs two positive Larmor frequencies. A one-point scan on either
 axis prints the concurrence that `concurrence` prints.
+
+The library contract: every public function that takes floats, called with
+the same extreme values, returns a finite result (or a documented None) or
+raises ValueError or ArithmeticError on purpose.
 """
 
 import contextlib
+import inspect
 import io
 import json
+import math
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from spinpair import cli, critical
+import spinpair as sp
+from spinpair import cli, critical, entangle
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -138,3 +146,104 @@ def test_one_point_scan_prints_the_concurrence(omega_sigma, omega_delta, tau):
         if code == 0 and scan_code == 0:
             header, row = scan_out.splitlines()
             assert float(row.split(",")[1]) == json.loads(out)["concurrence"]
+
+
+FLOATS = st.one_of(st.sampled_from([float(v) for v in SPECIAL]), st.floats())
+
+# A fixed set of lines for render_lorentzian, whose drawn floats are the linewidth and the grid.
+_LINES = sp.simulate_spectrum(sp.SpinSystem(2.0, 1.0, 1.0), 1.0)
+
+
+def _params(a, b, c):
+    return sp.derive_from_sigma_delta(a, b, c)
+
+
+def _levels(a, b, c):
+    return sp.energies(_params(a, b, c), c)
+
+
+# One call per public function that takes floats, plus entangle.threshold_beta, each
+# taking its floats from the drawn a..f; systems, params, levels, populations,
+# observables and grids are built from drawn floats inside the call. Left out:
+# entangle.entanglement_gap, the raw formula inside threshold_beta's Newton loop,
+# called about 5 times per root and counted by the bench tracer: a check there
+# would cost every step.
+_LIBRARY_CALLS = [
+    (sp.concurrence_for_params,
+     lambda a, b, c, d, *_: sp.concurrence_for_params(_params(a, b, c), c, d)),
+    (sp.concurrence_from_observables,
+     lambda a, b, c, d, *_: sp.concurrence_from_observables(sp.Observables(a, b, c), d)),
+    (sp.concurrence_from_populations,
+     lambda a, b, c, d, e, *_: sp.concurrence_from_populations((a, b, c, d), e)),
+    (sp.concurrence_homonuclear, lambda a, b, c, *_: sp.concurrence_homonuclear(a, b, c)),
+    (sp.concurrence_thermal,
+     lambda a, b, c, d, *_: sp.concurrence_thermal(sp.SpinSystem(a, b, c), d)),
+    (sp.critical_omega_sigma, lambda a, b, *_: sp.critical_omega_sigma(a, b)),
+    (sp.crossing_coupling, lambda a, b, *_: sp.crossing_coupling(a, b)),
+    (sp.density_matrix, lambda a, b, c, d, e, *_: sp.density_matrix((a, b, c, d), e)),
+    (sp.derive_from_sigma_delta, lambda a, b, c, *_: _params(a, b, c)),
+    (sp.energies, lambda a, b, c, *_: _levels(a, b, c)),
+    (sp.from_si, lambda a, b, c, *_: sp.from_si(a, b, c)),
+    (sp.partition, lambda a, b, c, d, *_: sp.partition(_levels(a, b, c), d)),
+    (sp.partition_closed, lambda a, b, c, d, *_: sp.partition_closed(_params(a, b, c), c, d)),
+    (sp.polarizations, lambda a, b, c, d, e, *_: sp.polarizations((a, b, c, d), e)),
+    (sp.populations, lambda a, b, c, d, *_: sp.populations(_levels(a, b, c), d)),
+    (sp.preset, lambda a, b, *_: [sp.preset(n, a, b) for n in sorted(sp.PRESET_RATIOS)]),
+    (sp.reconstruct_populations,
+     lambda a, b, c, d, *_: sp.reconstruct_populations(sp.Observables(a, b, c), d)),
+    (sp.render_lorentzian, lambda a, b, c, *_: sp.render_lorentzian(_LINES, a, sorted((b, c)))),
+    (sp.roofing_intensities, lambda a, *_: sp.roofing_intensities(a)),
+    (sp.simulate_spectrum,
+     lambda a, b, c, d, e, *_: sp.simulate_spectrum(sp.SpinSystem(a, b, c), d, e)),
+    (sp.sweep, lambda a, b, c, d, e, *_: sp.sweep(
+        "temperature", sorted((a, b)), omega_sigma=c, omega_delta=d, coupling=e)),
+    (sp.sweep, lambda a, b, c, d, e, *_: sp.sweep(
+        "field", sorted((a, b)), omega_delta=c, tau=d, coupling=e)),
+    (sp.threshold_kelvin, lambda a, *_: sp.threshold_kelvin(a)),
+    (sp.threshold_tau, lambda a, b, *_: sp.threshold_tau(a, b)),
+    (sp.transition_amplitudes,
+     lambda a, b, c, d, e, f: sp.transition_amplitudes((a, b, c, d), e, f)),
+    (entangle.threshold_beta, lambda a, *_: entangle.threshold_beta(a)),
+]
+
+
+def test_library_contract_covers_every_public_float_function():
+    takes_floats = {
+        name for name in sp.__all__
+        if inspect.isfunction(function := getattr(sp, name))
+        and any("float" in str(p.annotation)
+                for p in inspect.signature(function).parameters.values())
+    }
+    called = {function.__name__ for function, _ in _LIBRARY_CALLS}
+    assert called == takes_floats | {"threshold_beta"}
+
+
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    return isinstance(value, (int, str))  # flags, level indices, line names
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@hypothesis.given(st.lists(FLOATS, min_size=6, max_size=6))
+@hypothesis.example([0.0] * 6)  # s = 0: threshold_beta must not divide by it
+def test_library_contract(floats):
+    for function, call in _LIBRARY_CALLS:
+        try:
+            result = call(*floats)
+        except (ValueError, ArithmeticError) as exc:
+            # Raised on purpose: not a ZeroDivisionError or OverflowError, nor a
+            # "math domain error", escaping from the arithmetic.
+            assert type(exc) in (ValueError, ArithmeticError), (function, exc)
+            assert "math domain error" not in str(exc), function
+            continue
+        if result is None:
+            assert "None" in str(inspect.signature(function).return_annotation), function
+        else:
+            assert _finite(result), (function, result)

@@ -198,8 +198,8 @@ def test_gap_is_monotone_with_unit_start():
         gaps = [entangle.entanglement_gap(b, s) for b in betas]
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
         assert abs(entangle.entanglement_gap(beta_hat, s)) <= 1e-12 < gaps[-1]
-    # A root exists for every s in (0, 1], down to the smallest s whose bracket
-    # end 2 asinh(1 / s) is finite.
+    # A root exists for every s in (0, 1], down to the smallest s whose start
+    # 2 asinh(1 / s) is finite.
     for s in (1.0, 0.5, 1e-3, 1e-100, 1e-300, 1.11254e-308, 6e-309, _SMALLEST_S):
         beta_hat = entangle.threshold_beta(s)
         assert 0.0 < beta_hat < math.inf
@@ -238,7 +238,7 @@ def test_threshold_tau_keeps_the_last_bit_of_a_subnormal_angle():
 
 
 def test_threshold_takes_few_gap_evaluations(monkeypatch):
-    # Newton from the upper bracket end 2 asinh(1 / s): about 5 gap evaluations
+    # Newton from the start 2 asinh(1 / s): about 5 gap evaluations
     # per root at bench-like s, and 1 below s = 1e-17, where the start is the root.
     calls = []
     gap = entangle.entanglement_gap
@@ -360,26 +360,22 @@ def test_sweep_validation():
         entangle.sweep("temperature", [-0.1, 0.5], omega_sigma=0.0, omega_delta=0.0)
 
 
-# At J <= 3e-308 (s = J) the root beta_hat / 2 lies within 1 of
-# log(float max) = 709.78. The 50-digit reference is the one in
-# test_reference.py.
-@pytest.mark.parametrize(
-    "omega_delta, coupling",
-    [(0.0, 1.0), (1.0, 1.0), (1e26, 1.0), (1e30, 1.0), (1e300, 1.0), (1.0, 1e-300),
-     (1.0, 3e-308), (1.0, 2e-308), (1.0, 1.5e-308)],
-)
-def test_threshold_matches_mpmath_root(omega_delta, coupling):
-    from test_reference import _mp_threshold_tau
-
-    want = _mp_threshold_tau(omega_delta, coupling)
-    assert math.isclose(entangle.threshold_tau(omega_delta, coupling), want, rel_tol=1e-15)
+def test_threshold_beta_rejects_s_outside_the_unit_interval():
+    # s = sin 2theta lies in (0, 1]: a negative, zero, above-1, infinite or NaN s
+    # is invalid input, rejected before the start 2 asinh(1 / s) is formed.
+    for s in (-1.0, -0.0, 0.0, math.nextafter(1.0, 2.0), 2.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="must lie in"):
+            entangle.threshold_beta(s)
+    # A valid s whose 1 / s overflows is a numerical failure.
+    with pytest.raises(ArithmeticError, match="out of float range"):
+        entangle.threshold_beta(5e-324)
 
 
 def test_threshold_numerical_failures():
-    # J > 0 below float range: 1 / s overflows.
+    # J > 0 below float range: 1 / s overflows, and so does the start.
     with pytest.raises(ArithmeticError):
         entangle.threshold_tau(1.0, 1e-320)
-    with pytest.raises(ArithmeticError, match="out of float range"):
+    with pytest.raises(ArithmeticError, match="start .* out of float range"):
         entangle.threshold_beta(1e-320)
     # sin 2theta underflows to 0 although J > 0.
     with pytest.raises(ArithmeticError, match="underflowed"):

@@ -202,10 +202,21 @@ def _mp_threshold_tau(omega_delta, coupling):
         return float(1 / (2 * _mp_threshold_x(s) * s))
 
 
-# omega_delta / J up to 8e307, where the upper bracket end asinh(1 / s)
-# nears log(float max); J from 1e-300 up to float max, with D finite.
+# omega_delta / J up to 8e307, where the start asinh(1 / s) nears
+# log(float max); J from 1e-300 up to float max, with D finite.
 # The ratio alone sets tau_t.
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@hypothesis.example(pair=(0.0, 1.0))
+@hypothesis.example(pair=(1.0, 1.0))
+@hypothesis.example(pair=(1e26, 1.0))
+@hypothesis.example(pair=(1e30, 1.0))
+@hypothesis.example(pair=(1e300, 1.0))
+@hypothesis.example(pair=(1.0, 1e-300))
+# At J <= 3e-308 (s = J) the root beta_hat / 2 lies within 1 of
+# log(float max) = 709.78.
+@hypothesis.example(pair=(1.0, 3e-308))
+@hypothesis.example(pair=(1.0, 2e-308))
+@hypothesis.example(pair=(1.0, 1.5e-308))
 # D near float max: tau_t depends on s alone, because the root is solved at
 # unit splitting D = 1, J = s and tau_t = 1 / (beta_hat s); at the actual D
 # the slope of the gap would overflow and beta* would be subnormal.
@@ -214,7 +225,7 @@ def _mp_threshold_tau(omega_delta, coupling):
 @hypothesis.example(pair=(0.0, sys.float_info.max))
 @hypothesis.example(pair=(0.0, 1.7317192461649184e308))
 @hypothesis.example(pair=(1e308, 2.0))
-# J subnormal, where the root is the upper bracket end 2 asinh(1 / s) to
+# J subnormal, where the root is the start 2 asinh(1 / s) to
 # rounding, down to s = J = 5.562684646268013e-309, whose 1 / s lies 15 ulp
 # below float max.
 @hypothesis.example(pair=(1.0, 1.2e-308))

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -298,6 +299,19 @@ def test_render_empty_and_linearity():
     one = spectrum.render_lorentzian([line], 0.05, grid)
     two = spectrum.render_lorentzian([line, line], 0.05, grid)
     assert np.allclose(two, 2.0 * one, rtol=0.0, atol=1e-15)
+
+
+def test_render_extreme_linewidths():
+    # Where half**2 would underflow (a 0 / 0 peak) or overflow, each Lorentzian
+    # still peaks at its amplitude and a wide one is flat.
+    lines = [spectrum.SpectrumLine("T21", 2.0, 0.7), spectrum.SpectrumLine("T43", 0.0, -0.2)]
+    grid = [0.0, 1.0, 2.0, 3.0]
+    for linewidth in (5e-324, 1e-200, 2e-154):
+        curve = spectrum.render_lorentzian(lines, linewidth, grid)
+        assert curve.tolist() == pytest.approx([-0.2, 0.0, 0.7, 0.0], rel=1e-15, abs=1e-300)
+    for linewidth in (3e154, 1e300, sys.float_info.max):
+        curve = spectrum.render_lorentzian(lines, linewidth, grid)
+        assert curve.tolist() == pytest.approx([0.5] * 4, rel=1e-15)
 
 
 def test_render_validation():
