@@ -488,17 +488,18 @@ def test_threshold_far_detuned_and_weak_coupling_are_finite(capsys):
     assert math.isclose(json.loads(out)["tau_t"], 7.23098555322e296, rel_tol=1e-11)
 
 
-def test_threshold_underflowed_coupling_exits_numerical(capsys):
-    # J = 1e-320: the start 2 asinh(1 / s) overflows. J = 1e-300 at omega_delta
-    # = 1e300: sin 2theta underflows to 0.
-    cases = (("1", "1e-320", "start"), ("1e300", "1e-300", "underflowed"))
-    for omega_delta, coupling, cause in cases:
-        code, out, err = run_cli(
-            capsys, "threshold", "--omega-delta", omega_delta, "--coupling", coupling
-        )
-        assert code == 3
-        assert out == ""
-        assert "numerical failure" in err and cause in err
+# J = 1e-320: the start 2 asinh(1 / s) overflows. J = 1e-300 at omega_delta
+# = 1e300: sin 2theta underflows to 0.
+@pytest.mark.parametrize(
+    "omega_delta, coupling, cause", [("1", "1e-320", "start"), ("1e300", "1e-300", "underflowed")]
+)
+def test_threshold_underflowed_coupling_exits_numerical(capsys, omega_delta, coupling, cause):
+    code, out, err = run_cli(
+        capsys, "threshold", "--omega-delta", omega_delta, "--coupling", coupling
+    )
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err and cause in err
 
 
 def test_tau_overflow_exits_numerical(capsys):

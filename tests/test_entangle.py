@@ -360,23 +360,25 @@ def test_sweep_validation():
         entangle.sweep("temperature", [-0.1, 0.5], omega_sigma=0.0, omega_delta=0.0)
 
 
-def test_threshold_beta_rejects_s_outside_the_unit_interval():
-    # s = sin 2theta lies in (0, 1]: a negative, zero, above-1, infinite or NaN s
-    # is invalid input, rejected before the start 2 asinh(1 / s) is formed.
-    for s in (-1.0, -0.0, 0.0, math.nextafter(1.0, 2.0), 2.0, math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="must lie in"):
-            entangle.threshold_beta(s)
-    # A valid s whose 1 / s overflows is a numerical failure.
-    with pytest.raises(ArithmeticError, match="out of float range"):
-        entangle.threshold_beta(5e-324)
+# s = sin 2theta lies in (0, 1]: a negative, zero, above-1, infinite or NaN s
+# is invalid input, rejected before the start 2 asinh(1 / s) is formed.
+@pytest.mark.parametrize(
+    "s", [-1.0, -0.0, 0.0, math.nextafter(1.0, 2.0), 2.0, math.inf, -math.inf, math.nan]
+)
+def test_threshold_beta_rejects_s_outside_the_unit_interval(s):
+    with pytest.raises(ValueError, match="must lie in"):
+        entangle.threshold_beta(s)
 
 
 def test_threshold_numerical_failures():
-    # J > 0 below float range: 1 / s overflows, and so does the start.
+    # J > 0 below float range: 1 / s overflows, and so does the start. A valid
+    # s whose 1 / s overflows is a numerical failure, not invalid input.
     with pytest.raises(ArithmeticError):
         entangle.threshold_tau(1.0, 1e-320)
     with pytest.raises(ArithmeticError, match="start .* out of float range"):
         entangle.threshold_beta(1e-320)
+    with pytest.raises(ArithmeticError, match="out of float range"):
+        entangle.threshold_beta(5e-324)
     # sin 2theta underflows to 0 although J > 0.
     with pytest.raises(ArithmeticError, match="underflowed"):
         entangle.threshold_tau(1e300, 1e-300)
