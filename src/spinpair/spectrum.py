@@ -90,12 +90,10 @@ def render_lorentzian(lines, linewidth: float, frequency_grid) -> np.ndarray:
     if not 0.0 < linewidth < math.inf:
         raise ValueError("linewidth must be finite and > 0")
     grid = np.asarray(_check_grid(frequency_grid))
-    half = 0.5 * linewidth
+    mant, e = math.frexp(linewidth)  # widths and offsets in units of 2**e: the rescale is exact
+    half_sq = 0.25 * mant * mant  # in [1/16, 1/4): neither overflows nor underflows
     intensity = np.zeros_like(grid)
     for line in lines:
-        offset = grid - line.frequency
-        if 1.5e-154 < half < 1.3e154:  # half**2 is normal: keep the digits printed so far
-            intensity += line.amplitude * half**2 / (offset**2 + half**2)
-        else:  # in half-widths: no half**2 to overflow, and no 0 / 0 peak
-            intensity += line.amplitude / ((offset / linewidth * 2.0) ** 2 + 1.0)
+        offset = np.ldexp(grid - line.frequency, -e)
+        intensity += line.amplitude * half_sq / (offset**2 + half_sq)
     return intensity
