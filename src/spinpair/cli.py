@@ -21,7 +21,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import critical, entangle, observe, spectrum, thermo
-from .model import PRESET_RATIOS, _beta_from_tau, _check_grid, derive_from_sigma_delta, preset
+from .model import PRESET_RATIOS, _beta_from_tau, _check_grid, derive_from_sigma_delta
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -172,8 +172,7 @@ def _cmd_crossing(args) -> dict:
     if args.preset is not None:
         if args.omega1 is not None or args.omega2 is not None:
             raise ValueError("--preset excludes --omega1 and --omega2")
-        system = preset(args.preset, 1.0)
-        omega1, omega2 = system.omega1, system.omega2
+        omega1, omega2 = 1.0, PRESET_RATIOS[args.preset]
     elif args.omega1 is None or args.omega2 is None:
         raise ValueError("provide --preset or both --omega1 and --omega2")
     else:
@@ -181,7 +180,7 @@ def _cmd_crossing(args) -> dict:
     j_cross = critical.crossing_coupling(omega1, omega2)
     payload = {"j_cross": "none" if j_cross is None else j_cross}
     if args.preset in critical.FIELD_RATIOS:
-        payload["field_ratio"] = critical.critical_field_ratio(args.preset)
+        payload["field_ratio"] = critical.FIELD_RATIOS[args.preset]
     return payload
 
 

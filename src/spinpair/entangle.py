@@ -45,7 +45,7 @@ from .thermo import _LOG_FLOAT_MAX
 def concurrence_from_populations(pops, theta: float) -> float:
     """C = max{0, |p2 - p3| sin(2 theta) - 2 sqrt(p1 p4)}."""
     p1, p2, p3, p4 = thermo._probs(pops, theta)
-    value = abs(p2 - p3) * math.sin(2.0 * theta) - 2.0 * math.sqrt(max(p1 * p4, 0.0))
+    value = abs(p2 - p3) * math.sin(2.0 * theta) - 2.0 * math.sqrt(p1 * p4)
     return value if value > 0.0 else 0.0
 
 

@@ -9,11 +9,15 @@ T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2, T21 = (omega_si
 T42 = -(omega_sigma + (D - J)) / 2 and T31 = (omega_sigma + D + J) / 2 without cancellation.
 
 A pulse of flip angle phi turns populations into signed line amplitudes,
--sin(phi)/2 (w r (p_i - p1) -+ sin^2(phi/2) cos^2(2theta) (p3 - p2) + w' r (p4 - p_i))
-with p_i the inner level's population. The roofing factor r is 1 + sin 2theta
-for inner E2 (T21, T42: the inner lines) and 1 - sin 2theta for inner E3;
+-sin(phi)/2 (-w r (p1 - p_i) -+ sin^2(phi/2) cos^2(2theta) (p3 - p2) + w' r (p4 - p_i)),
+a sum over the differences p_outer - p_inner of the two lines into the inner
+level i. The roofing factor r is 1 + sin 2theta for inner E2 (T21, T42: the
+inner lines) and 1 - sin 2theta = cos^2(2theta) / (1 + sin 2theta) for inner E3;
 (w, w') is (sin^2(phi/2), cos^2(phi/2)) for outer E4 and swapped for outer E1;
-the cross term is subtracted on T43 and T21 and added on T42 and T31.
+the cross term is subtracted on T43 and T21 and added on T42 and T31. From
+parameters, cos 2theta = omega_delta / D (1 at D = 0), and each difference is
+p_inner expm1(-beta gap) where |beta gap| < 1, else the plain difference of
+populations a factor e or more apart; p3 - p2 likewise, with gap -D.
 """
 
 from __future__ import annotations
@@ -47,29 +51,39 @@ def transition_frequencies(levels: thermo.EnergyLevels) -> dict[str, float]:
 
 def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:
     """Signed amplitudes of the four lines after a pulse of flip angle phi."""
+    p1, p2, p3, p4 = thermo._probs(pops, theta)
+    diffs = (p4 - p3, p1 - p2, p4 - p2, p1 - p3)
+    return _amplitudes(diffs, p3 - p2, math.cos(2.0 * theta), math.sin(2.0 * theta), phi)
+
+
+def _amplitudes(diffs, d32: float, c: float, s: float, phi: float) -> dict[str, float]:
+    """Amplitudes from the p_outer - p_inner of _LINES, p3 - p2, cos 2theta and sin 2theta."""
     if not 0.0 < phi <= math.pi:
         raise ValueError("flip angle must lie in (0, pi]")
-    p1, p2, p3, p4 = p = thermo._probs(pops, theta)
-    roofs = roofing_intensities(theta)
+    d43, d21, d42, d31 = diffs
+    inner, outer = _roofs(c, s)
     sp2 = math.sin(0.5 * phi) ** 2
     cp2 = math.cos(0.5 * phi) ** 2
     pre = -0.5 * math.sin(phi)
-    cross = sp2 * math.cos(2.0 * theta) ** 2 * (p3 - p2)
-    amplitudes = {}
-    for name, (outer, inner) in _LINES.items():
-        w, w_bar = (sp2, cp2) if outer == 3 else (cp2, sp2)
-        r = roofs[inner - 1]
-        p_i = p[inner]
-        signed_cross = -cross if abs(inner - outer) == 1 else cross
-        amplitudes[name] = pre * (w * r * (p_i - p1) + signed_cross + w_bar * r * (p4 - p_i))
-    return amplitudes
+    cross = sp2 * (c * c) * d32
+    # p_i - p1 and p4 - p_i are -d21, d42 for inner E2 and -d31, d43 for inner E3.
+    return {
+        "T43": pre * (sp2 * outer * -d31 - cross + cp2 * outer * d43),
+        "T21": pre * (cp2 * inner * -d21 - cross + sp2 * inner * d42),
+        "T42": pre * (sp2 * inner * -d21 + cross + cp2 * inner * d42),
+        "T31": pre * (cp2 * outer * -d31 + cross + sp2 * outer * d43),
+    }
+
+
+def _roofs(c: float, s: float) -> tuple[float, float]:
+    """(1 + s, 1 - s) at s = sin 2theta, c = cos 2theta; 1 - s as c^2 / (1 + s) does not cancel."""
+    return 1.0 + s, c * c / (1.0 + s)
 
 
 def roofing_intensities(theta: float) -> tuple[float, float]:
     """(inner, outer) line intensities 1 + sin 2theta and 1 - sin 2theta."""
     _check_theta(theta)
-    s = math.sin(2.0 * theta)
-    return (1.0 + s, 1.0 - s)
+    return _roofs(math.cos(2.0 * theta), math.sin(2.0 * theta))
 
 
 def simulate_spectrum(
@@ -80,8 +94,17 @@ def simulate_spectrum(
 
 
 def _spectrum_lines(params: DerivedParams, beta: float, phi: float) -> list[SpectrumLine]:
-    amps = transition_amplitudes(thermo._populations(params, beta), params.theta, phi)
-    return [SpectrumLine(t, abs(g), amps[t]) for t, g in zip(TRANSITIONS, thermo._gaps(params))]
+    p = thermo._populations(params, beta)
+    gaps, d = thermo._gaps(params), params.d_coupling
+    diffs = [_difference(p[o], p[i], beta * g) for (o, i), g in zip(_LINES.values(), gaps)]
+    d32 = _difference(p[2], p[1], -beta * d)
+    amps = _amplitudes(diffs, d32, params.omega_delta / d if d else 1.0, params.sin_2theta, phi)
+    return [SpectrumLine(t, abs(g), amps[t]) for t, g in zip(TRANSITIONS, gaps)]
+
+
+def _difference(p_outer: float, p_inner: float, x: float) -> float:
+    """p_outer - p_inner where p_outer = p_inner exp(-x); at beta = inf x is +-inf or nan."""
+    return p_inner * math.expm1(-x) if abs(x) < 1.0 else p_outer - p_inner
 
 
 @np.errstate(over="ignore")

@@ -43,35 +43,128 @@ def test_concurrence_thermal_value(capsys):
     assert math.isclose(sum(payload["populations"]), 1.0, rel_tol=1e-9)
 
 
-def test_concurrence_invalid_tau(capsys):
-    code, _, err = run_cli(
-        capsys, "concurrence", "--omega-sigma", "2", "--omega-delta", "0", "--tau", "-1"
-    )
-    assert code == 2
-    assert "tau" in err
+def _failure(command, code, fragment, id, **env):
+    """A FAILURES row: a whitespace-split command line, its exit code, a piece of its stderr,
+    and the environment it runs in."""
+    return pytest.param(command, code, fragment, env, id=id)
 
 
-def test_concurrence_requires_temperature(capsys):
-    code, _, _ = run_cli(capsys, "concurrence", "--omega-sigma", "2", "--omega-delta", "0")
-    assert code == 2
+_CONCURRENCE = "concurrence --omega-sigma 1 --omega-delta 1"
+_SPECTRUM = "spectrum --omega-sigma 1 --omega-delta 0 --tau 1"
+_TAU_SCAN = "scan --axis tau --points 5"
+_FIELD_SCAN = "scan --axis field --omega-delta 0 --tau 1"
+_RECONSTRUCT = "reconstruct --p1z 0.1 --p2z 0.05 --p1z2z 0.2"
+_FINITE_TAU = "tau must be finite and >= 0"
+_PRECISION = "SPINPAIR_PRECISION must lie in [1, 17]"
+
+# Every way a command line fails: exit 2 for invalid input, from main's checks or
+# argparse's; exit 3 for a numerical failure on valid input.
+FAILURES = [
+    # A missing, conflicting or ignored flag.
+    _failure("concurrence --omega-sigma 2 --omega-delta 0", 2,
+             "one of the arguments --tau --zero-temp is required", "no-temperature"),
+    _failure("concurrence --omega-sigma 2 --omega-delta 0 --tau 0.5 --zero-temp", 2,
+             "not allowed with", "tau-and-zero-temp"),
+    _failure("spectrum --omega-sigma 2 --omega-delta 0 --tau 0.5 --zero-temp", 2,
+             "not allowed with", "spectrum-tau-and-zero-temp"),
+    _failure("threshold", 2, "one of the arguments --omega-delta --j-hz", "threshold-no-mode"),
+    _failure("threshold --omega-delta 1 --j-hz 7", 2, "not allowed with", "two-threshold-modes"),
+    _failure("threshold --j-hz 7 --coupling 2", 2, "--j-hz excludes --coupling", "j-hz-coupling"),
+    _failure("crossing --preset hc --omega1 4 --omega2 1", 2, "--preset excludes", "preset-both"),
+    _failure("crossing --preset hc --omega2 1", 2, "--preset excludes", "preset-omega2"),
+    _failure("crossing --omega1 4", 2, "provide --preset or both", "omega1-alone"),
+    _failure("crossing --preset bogus", 2, "invalid choice: 'bogus'", "unknown-preset"),
+    _failure(f"{_TAU_SCAN} --from 0 --to 1 --omega-sigma 2 --omega-delta 1 --tau 7", 2,
+             "--axis tau excludes --tau", "tau-scan-tau"),
+    _failure("scan --axis field --from 1 --to 3 --points 5 --omega-delta 1 --tau 0.5 "
+             "--omega-sigma 9", 2, "--axis field excludes --omega-sigma", "field-scan-sigma"),
+    _failure("scan --axis field --from 0 --to 1 --points 5", 2, "need omega_delta and tau",
+             "field-scan-no-tau"),
+    # tau outside [0, inf), or beta = 1/tau past float range.
+    _failure("concurrence --omega-sigma 2 --omega-delta 0 --tau -1", 2, _FINITE_TAU, "tau-minus"),
+    _failure(f"{_CONCURRENCE} --tau inf", 2, _FINITE_TAU, "tau-infinite"),
+    _failure("spectrum --omega-sigma 1 --omega-delta 1 --tau inf", 2, _FINITE_TAU,
+             "spectrum-tau-infinite"),
+    _failure("scan --axis field --from 0 --to 1 --points 5 --tau nan", 2, _FINITE_TAU,
+             "field-scan-tau-nan"),
+    _failure(f"{_CONCURRENCE} --tau 1e-320", 3, "out of float range", "beta-overflows"),
+    _failure("scan --axis field --from 0 --to 1 --points 5 --tau 1e-320", 3,
+             "out of float range", "field-scan-beta-overflows"),
+    _failure("scan --axis tau --from 0 --to 1e-310 --points 3 --omega-sigma 1 --omega-delta 1", 3,
+             "out of float range", "tau-scan-beta-overflows"),
+    # Grids: the count, the order, finite ends, and a span past float range.
+    _failure("scan --axis tau --from 0 --to 1 --points 0", 2, "error: --points must be >= 1",
+             "scan-zero-points"),
+    _failure(f"{_SPECTRUM} --render 0 1 0", 2, "error: --render POINTS must be >= 1",
+             "render-zero-points"),
+    _failure(f"{_SPECTRUM} --render 0 1 2.7", 2, "POINTS must be an integer", "render-2.7-points"),
+    _failure(f"{_TAU_SCAN} --from 1 --to 0", 2, "strictly increasing", "tau-scan-decreasing"),
+    _failure(f"{_TAU_SCAN} --from 1 --to 1", 2, "strictly increasing", "tau-scan-one-value"),
+    _failure("scan --axis field --from 1 --to 0 --points 5 --tau 0.5", 2, "strictly increasing",
+             "field-scan-decreasing"),
+    _failure("scan --axis field --from 1 --to 1 --points 5 --tau 0.5", 2, "strictly increasing",
+             "field-scan-one-value"),
+    _failure(f"{_FIELD_SCAN} --from 1e308 --to=-1e308 --points 3", 2, "strictly increasing",
+             "field-scan-decreasing-overflows"),
+    _failure(f"{_SPECTRUM} --render 1e308 -1e308 2", 2, "strictly increasing",
+             "render-decreasing-overflows"),
+    _failure(f"{_SPECTRUM} --render nan 1 1", 2, "finite values", "render-nan-start"),
+    _failure(f"{_SPECTRUM} --render 0 inf 3", 2, "finite values", "render-infinite-stop"),
+    _failure(f"{_FIELD_SCAN} --from -1e308 --to 1e308 --points 3", 3, "overflows",
+             "field-scan-span-overflows"),
+    _failure(f"{_SPECTRUM} --render -1e308 1e308 3", 3, "overflows", "render-span-overflows"),
+    _failure(f"{_SPECTRUM} --render 0 1.7976931348623157e308 4", 3, "overflows",
+             "render-last-point-overflows"),
+    # A flip angle outside (0, 180] degrees.
+    _failure("spectrum --omega-sigma 1 --omega-delta 0 --zero-temp --phi 0", 2,
+             "flip angle must lie in (0, pi]", "zero-temp-phi-0"),
+    _failure(f"{_SPECTRUM} --phi 0", 2, "flip angle must lie in (0, pi]", "phi-0"),
+    _failure(f"{_SPECTRUM} --phi 181", 2, "flip angle must lie in (0, pi]", "phi-181"),
+    _failure(f"{_SPECTRUM} --phi nan", 2, "flip angle must lie in (0, pi]", "phi-nan"),
+    # threshold: J or j_hz outside its domain, or a solve past float range. At
+    # J = 1e-320 the start 2 asinh(1 / s) overflows; at J = 1e-300, omega_delta =
+    # 1e300, sin 2theta underflows to 0; below about 3.4e-275 Hz the energy scale
+    # hbar 2 pi j_hz is subnormal.
+    _failure("threshold --omega-delta 1 --coupling inf", 2, "coupling must be finite",
+             "coupling-infinite"),
+    _failure("threshold --j-hz 0", 2, "j_hz must be finite and > 0", "j-hz-0"),
+    _failure("threshold --j-hz inf", 2, "j_hz must be finite and > 0", "j-hz-infinite"),
+    _failure("threshold --j-hz nan", 2, "j_hz must be finite and > 0", "j-hz-nan"),
+    _failure("threshold --omega-delta 1 --coupling 1e-320", 3, "start", "start-overflows"),
+    _failure("threshold --omega-delta 1e300 --coupling 1e-300", 3, "underflowed",
+             "sin-2theta-underflows"),
+    _failure("threshold --j-hz 1e-280", 3, "energy scale", "energy-scale-subnormal"),
+    _failure("threshold --j-hz 1e-300", 3, "energy scale", "energy-scale-deep-subnormal"),
+    # crossing and reconstruct.
+    _failure("crossing --omega1 nan --omega2 1", 2, "frequencies must be finite", "omega1-nan"),
+    _failure("crossing --omega1 1 --omega2 inf", 2, "frequencies must be finite", "omega2-inf"),
+    _failure("reconstruct --p1z 0.1 --p2z 0.1 --p1z2z 0 --theta-deg 45", 2, "singular",
+             "reconstruct-homonuclear"),
+    _failure("reconstruct --p1z 1 --p2z 1 --p1z2z -1 --theta-deg 30", 2, "inconsistent",
+             "reconstruct-inconsistent"),
+    _failure(f"{_RECONSTRUCT} --theta-deg 200", 2, "theta must lie in [0, pi/4]", "theta-200"),
+    _failure(f"{_RECONSTRUCT} --theta-deg -5", 2, "theta must lie in [0, pi/4]", "theta-negative"),
+    # SPINPAIR_PRECISION other than an integer in [1, 17].
+    _failure("threshold --omega-delta 0", 2, "SPINPAIR_PRECISION must be an integer",
+             "precision-lots", SPINPAIR_PRECISION="lots"),
+    _failure("threshold --omega-delta 0", 2, _PRECISION, "precision-0", SPINPAIR_PRECISION="0"),
+    _failure("threshold --omega-delta 0", 2, _PRECISION, "precision-18", SPINPAIR_PRECISION="18"),
+]
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        "concurrence --omega-sigma 2 --omega-delta 0 --tau 0.5 --zero-temp",
-        "spectrum --omega-sigma 2 --omega-delta 0 --tau 0.5 --zero-temp",
-        "threshold --omega-delta 1 --j-hz 7",
-        "crossing --preset hc --omega1 4 --omega2 1",
-        "crossing --preset hc --omega2 1",
-        "threshold --j-hz 7 --coupling 2",
-        "scan --axis tau --from 0 --to 1 --points 5 --omega-sigma 2 --omega-delta 1 --tau 7",
-        "scan --axis field --from 1 --to 3 --points 5 --omega-delta 1 --tau 0.5 --omega-sigma 9",
-    ],
-)
-def test_conflicting_flags_are_usage_errors(capsys, command):
-    code, out, _ = run_cli(capsys, *command.split())
-    assert (code, out) == (2, "")
+@pytest.mark.parametrize("command, code, fragment, env", FAILURES)
+def test_failing_command_lines(capsys, monkeypatch, command, code, fragment, env):
+    # Every check runs before the first line is written, so stdout stays empty.
+    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    got, out, err = run_cli(capsys, *command.split())
+    assert (got, out) == (code, "")
+    if code == 3:
+        assert err.startswith("numerical failure: "), err
+    else:
+        assert "error: " in err.splitlines()[-1], err
+    assert fragment in err, err
 
 
 @pytest.mark.parametrize(
@@ -167,37 +260,6 @@ def test_scan_single_point(capsys):
     assert lines[1].startswith("0.5,")
 
 
-def test_scan_invalid_range(capsys):
-    code, out, _ = run_cli(
-        capsys, "scan", "--axis", "tau", "--from", "1", "--to", "0", "--points", "5"
-    )
-    assert code == 2
-    assert out == ""
-    code, out, _ = run_cli(
-        capsys, "scan", "--axis", "field", "--from", "0", "--to", "1", "--points", "5"
-    )
-    assert code == 2  # missing --tau
-    assert out == ""
-
-
-@pytest.mark.parametrize(
-    "extra, want",
-    [
-        (("--axis", "field", "--from", "0", "--to", "1", "--tau", "1e-320"), 3),
-        (("--axis", "field", "--from", "0", "--to", "1", "--tau", "nan"), 2),
-        (("--axis", "field", "--from", "1", "--to", "0", "--tau", "0.5"), 2),
-        (("--axis", "tau", "--from", "1", "--to", "1"), 2),
-        (("--axis", "field", "--from", "1", "--to", "1", "--tau", "0.5"), 2),
-    ],
-)
-def test_scan_errors_print_no_header(capsys, extra, want):
-    # Rows are written as they are computed, so every check must come first.
-    code, out, err = run_cli(capsys, "scan", "--points", "5", *extra)
-    assert code == want
-    assert out == ""
-    assert err
-
-
 def test_scan_determinism(capsys):
     argv = (
         "scan", "--axis", "tau", "--from", "0.05", "--to", "1.0",
@@ -232,20 +294,6 @@ def test_threshold_si_rows(capsys):
     assert abs(t - 0.63e-6) / 0.63e-6 <= 0.02
 
 
-def test_threshold_bad_input(capsys):
-    assert run_cli(capsys, "threshold")[0] == 2
-    for j_hz in ("0", "inf", "nan"):
-        code, out, _ = run_cli(capsys, "threshold", "--j-hz", j_hz)
-        assert code == 2
-        assert out == ""
-
-
-def test_threshold_rejects_infinite_coupling(capsys):
-    code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "1", "--coupling", "inf")
-    assert code == 2
-    assert out == ""
-
-
 def test_linalg_error_exits_numerical(capsys, monkeypatch):
     # LinAlgError subclasses ValueError but is a numerical failure, not usage.
     def fail(*args):
@@ -255,18 +303,6 @@ def test_linalg_error_exits_numerical(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "threshold", "--omega-delta", "1")
     assert code == 3
     assert "numerical failure" in err
-
-
-def test_spectrum_silent_ground(capsys):
-    code, out, _ = run_cli(
-        capsys, "spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--zero-temp"
-    )
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "transition,frequency,amplitude"
-    assert len(lines) == 5
-    for line in lines[1:]:
-        assert abs(float(line.split(",")[2])) <= 1e-12
 
 
 def test_spectrum_heteronuclear_lines(capsys):
@@ -301,14 +337,6 @@ def test_spectrum_render_section(capsys):
     assert lines[0] == "transition,frequency,amplitude"
     assert lines[5] == "f,intensity"
     assert len(lines) == 5 + 1 + 61
-
-
-def test_spectrum_rejects_zero_flip_angle(capsys):
-    code, _, _ = run_cli(
-        capsys, "spectrum", "--omega-sigma", "1", "--omega-delta", "0",
-        "--zero-temp", "--phi", "0",
-    )
-    assert code == 2
 
 
 def test_crossing_presets(capsys):
@@ -386,15 +414,6 @@ def test_spectrum_default_flip_angle_is_five_degrees(capsys):
     assert run_cli(capsys, *argv)[1] == run_cli(capsys, *argv, "--phi", "5")[1]
 
 
-def test_crossing_usage_errors(capsys):
-    assert run_cli(capsys, "crossing", "--preset", "bogus")[0] == 2
-    assert run_cli(capsys, "crossing", "--omega1", "4")[0] == 2
-    for omega1, omega2 in (("nan", "1"), ("1", "inf")):
-        code, out, _ = run_cli(capsys, "crossing", "--omega1", omega1, "--omega2", omega2)
-        assert code == 2
-        assert out == ""
-
-
 def test_reconstruct_pure_and_mixed(capsys):
     code, out, _ = run_cli(
         capsys, "reconstruct", "--p1z", "1", "--p2z", "1", "--p1z2z", "1",
@@ -412,27 +431,6 @@ def test_reconstruct_pure_and_mixed(capsys):
     payload = json.loads(out)
     assert payload["populations"] == [0.25, 0.25, 0.25, 0.25]
     assert payload["concurrence"] == 0.0
-
-
-def test_reconstruct_errors(capsys):
-    assert run_cli(
-        capsys, "reconstruct", "--p1z", "0.1", "--p2z", "0.1", "--p1z2z", "0",
-        "--theta-deg", "45",
-    )[0] == 2
-    assert run_cli(
-        capsys, "reconstruct", "--p1z", "1", "--p2z", "1", "--p1z2z", "-1",
-        "--theta-deg", "30",
-    )[0] == 2
-
-
-def test_reconstruct_rejects_theta_out_of_range(capsys):
-    for theta_deg in ("200", "-5"):
-        code, out, _ = run_cli(
-            capsys, "reconstruct", "--p1z", "0.1", "--p2z", "0.05", "--p1z2z", "0.2",
-            "--theta-deg", theta_deg,
-        )
-        assert code == 2
-        assert out == ""
 
 
 def test_reconstruct_chained_from_thermal_state(capsys):
@@ -465,20 +463,6 @@ def test_precision_env_override(capsys, monkeypatch):
     assert out == '{"j_cross": 0.6, "field_ratio": 2.0}\n'
 
 
-def test_precision_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("SPINPAIR_PRECISION", "lots")
-    assert run_cli(capsys, "threshold", "--omega-delta", "0")[0] == 2
-
-
-@pytest.mark.parametrize("raw", ["0", "18"])
-def test_precision_env_out_of_range(capsys, monkeypatch, raw):
-    monkeypatch.setenv("SPINPAIR_PRECISION", raw)
-    code, out, err = run_cli(capsys, "threshold", "--omega-delta", "0")
-    assert code == 2
-    assert out == ""
-    assert "SPINPAIR_PRECISION must lie in [1, 17]" in err
-
-
 def test_threshold_far_detuned_and_weak_coupling_are_finite(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "1e30")
     assert code == 0
@@ -488,105 +472,8 @@ def test_threshold_far_detuned_and_weak_coupling_are_finite(capsys):
     assert math.isclose(json.loads(out)["tau_t"], 7.23098555322e296, rel_tol=1e-11)
 
 
-# J = 1e-320: the start 2 asinh(1 / s) overflows. J = 1e-300 at omega_delta
-# = 1e300: sin 2theta underflows to 0.
-@pytest.mark.parametrize(
-    "omega_delta, coupling, cause", [("1", "1e-320", "start"), ("1e300", "1e-300", "underflowed")]
-)
-def test_threshold_underflowed_coupling_exits_numerical(capsys, omega_delta, coupling, cause):
-    code, out, err = run_cli(
-        capsys, "threshold", "--omega-delta", omega_delta, "--coupling", coupling
-    )
-    assert code == 3
-    assert out == ""
-    assert "numerical failure" in err and cause in err
-
-
-def test_tau_overflow_exits_numerical(capsys):
-    code, out, _ = run_cli(
-        capsys, "concurrence", "--omega-sigma", "1", "--omega-delta", "1", "--tau", "1e-320"
-    )
-    assert code == 3 and out == ""
-    code, out, _ = run_cli(
-        capsys, "scan", "--axis", "tau", "--from", "0", "--to", "1e-310", "--points", "3",
-        "--omega-sigma", "1", "--omega-delta", "1",
-    )
-    assert code == 3 and out == ""
-
-
-def test_infinite_tau_is_usage_error(capsys):
-    # Every entry point takes tau in [0, inf), as a scan grid does.
-    for command in ("concurrence", "spectrum"):
-        code, out, _ = run_cli(
-            capsys, command, "--omega-sigma", "1", "--omega-delta", "1", "--tau", "inf"
-        )
-        assert code == 2, command
-        assert out == ""
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("scan", "--axis", "tau", "--from", "0", "--to", "1", "--points", "0"),
-        ("spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--tau", "1",
-         "--render", "0", "1", "0"),
-    ],
-)
-def test_zero_grid_points_are_usage_errors(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    # The message names the flag that gave the count: spectrum has no --points.
-    flag = "--render POINTS" if argv[0] == "spectrum" else "--points"
-    assert f"error: {flag} must be >= 1" in err
-
-
-def test_spectrum_rejects_bad_flip_angle_and_render(capsys):
-    base = ("spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--tau", "1")
-    for extra in (
-        ("--phi", "0"),
-        ("--phi", "181"),
-        ("--phi", "nan"),
-        ("--render", "0", "1", "2.7"),
-        ("--render", "nan", "1", "1"),
-    ):
-        code, out, _ = run_cli(capsys, *base, *extra)
-        assert code == 2, extra
-        assert out == ""
-
-
-def test_overflowing_grid_span_exits_numerical(capsys):
-    # Every input is finite, but the span, or the last point, leaves float range.
-    spectrum_argv = ("spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--tau", "1")
-    scan_argv = ("scan", "--axis", "field", "--omega-delta", "0", "--tau", "1")
-    for argv in (
-        (*spectrum_argv, "--render", "-1e308", "1e308", "3"),
-        (*spectrum_argv, "--render", "0", "1.7976931348623157e308", "4"),
-        (*scan_argv, "--from", "-1e308", "--to", "1e308", "--points", "3"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (3, ""), argv
-        assert "overflows" in err
-    # A non-finite end stays invalid input.
-    code, out, err = run_cli(capsys, *spectrum_argv, "--render", "0", "inf", "3")
-    assert (code, out) == (2, "") and "finite" in err
-    # So does a decreasing span, whose step overflows to -inf.
-    for argv in (
-        (*scan_argv, "--from", "1e308", "--to=-1e308", "--points", "3"),
-        (*spectrum_argv, "--render", "1e308", "-1e308", "2"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert "strictly increasing" in err, err
-
-
-def test_threshold_kelvin_underflow_exits_numerical(capsys):
-    # Below about 3.4e-275 Hz the energy scale hbar 2 pi j_hz is subnormal.
-    for j_hz in ("1e-280", "1e-300"):
-        code, out, err = run_cli(capsys, "threshold", "--j-hz", j_hz)
-        assert code == 3, j_hz
-        assert out == ""
-        assert "numerical failure" in err
+def test_threshold_kelvin_above_underflow_is_finite(capsys):
+    # Below about 3.4e-275 Hz the energy scale hbar 2 pi j_hz is subnormal (FAILURES).
     code, out, _ = run_cli(capsys, "threshold", "--j-hz", "1e-270")
     assert code == 0
     assert 0.0 < json.loads(out)["t_kelvin"] < math.inf
@@ -717,38 +604,50 @@ def test_cli_runs_as_a_process():
         assert bool(run.stderr) == (status != 0), argv
 
 
+def _spectrum_csv(lines):
+    """spectrum's stdout for the whitespace-separated line rows."""
+    return "transition,frequency,amplitude\n" + "".join(f"{row}\n" for row in lines.split())
+
+
+_HIGH_FIELD = "--omega-sigma 100000000.01 --omega-delta 99999999.99 --tau 1"
+_FLOAT_MAX = "--omega-sigma 1.7976931348623157e308 --omega-delta 1.7976931348623157e308"
+
+
 @pytest.mark.parametrize(
-    "argv, want",
+    "command, want",
     [
-        (("concurrence", "--omega-sigma", "100000000.01", "--omega-delta", "99999999.99",
-          "--tau", "1"),
-         '{"concurrence": 6.2010643173e-09, '
-         '"populations": [0.0, 0.0, 0.620106431668, 0.379893568332]}\n'),
-        (("spectrum", "--omega-sigma", "100000000.01", "--omega-delta", "99999999.99",
-          "--tau", "1"),
-         "transition,frequency,amplitude\nT43,0.489999997136,0.0104480482728\n"
-         "T21,0.510000002864,1.99168837763e-05\nT42,99999999.5,-0.0165748701058\n"
-         "T31,100000000.5,-0.0270030011637\n"),
-        (("spectrum", "--omega-sigma", "1.7976931348623157e308",
-          "--omega-delta", "1.7976931348623157e308", "--zero-temp"),
-         "transition,frequency,amplitude\nT43,0.5,-0\nT21,0.5,-0\n"
-         "T42,1.79769313486e+308,-0.0217889356869\nT31,1.79769313486e+308,-0.0217889356869\n"),
+        pytest.param(f"concurrence {_HIGH_FIELD}", '{"concurrence": 6.2010643173e-09, '
+                     '"populations": [0.0, 0.0, 0.620106431668, 0.379893568332]}\n',
+                     id="concurrence"),
+        pytest.param(f"spectrum {_HIGH_FIELD}", _spectrum_csv(
+            "T43,0.489999997136,0.0104480482728 T21,0.510000002864,1.99168837763e-05 "
+            "T42,99999999.5,-0.0165748701058 T31,100000000.5,-0.0270030011637"), id="spectrum"),
+        pytest.param(f"spectrum {_FLOAT_MAX} --zero-temp", _spectrum_csv(
+            "T43,0.5,-0 T21,0.5,-0 T42,1.79769313486e+308,-0.0217889356869 "
+            "T31,1.79769313486e+308,-0.0217889356869"), id="spectrum-float-max"),
+        # Low field: the amplitudes keep their digits where beta times a gap is small.
+        pytest.param("spectrum --omega-sigma 0 --omega-delta 1e-6 --tau 1", _spectrum_csv(
+            "T43,1,6.54733945885e-15 T21,2.5e-13,3.82081394155e-15 "
+            "T42,2.5e-13,-3.82081394155e-15 T31,1,-6.54733945885e-15"), id="low-field"),
+        pytest.param(
+            "spectrum --omega-sigma 0 --omega-delta 1.091766587011041e-06 --tau 758.0372",
+            _spectrum_csv("T43,1,8.56817434767e-18 T21,2.97988570128e-13,8.56254553871e-18 "
+                          "T42,2.97988570128e-13,-8.56254553871e-18 T31,1,-8.56817434767e-18"),
+            id="low-field-hot"),
+        # cos 2theta = omega_delta / D = 0 where omega_delta = 0, and the lines into
+        # E2 join equal populations: every amplitude is exactly 0.
+        pytest.param("spectrum --omega-sigma 0 --omega-delta 0 --zero-temp",
+                     _spectrum_csv("T43,1,-0 T21,0,-0 T42,0,-0 T31,1,-0"), id="zero-temp-zero"),
+        pytest.param("spectrum --omega-sigma 0 --omega-delta 0 --tau 1",
+                     _spectrum_csv("T43,1,-0 T21,0,-0 T42,0,-0 T31,1,-0"), id="zero"),
+        pytest.param("spectrum --omega-sigma 1 --omega-delta 0 --zero-temp",
+                     _spectrum_csv("T43,0.5,-0 T21,0.5,-0 T42,0.5,-0 T31,1.5,-0"), id="silent"),
     ],
-    ids=["concurrence", "spectrum", "spectrum-float-max"],
 )
-def test_small_gaps_print_correctly_rounded_digits(capsys, monkeypatch, argv, want):
+def test_small_gaps_print_correctly_rounded_digits(capsys, monkeypatch, command, want):
     # The gaps come from thermo without a cancelling subtraction of the levels.
     monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
-    assert run_cli(capsys, *argv)[:2] == (0, want)
-
-
-def test_low_field_spectrum_prints_the_true_splitting(capsys, monkeypatch):
-    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
-    code, out, _ = run_cli(
-        capsys, "spectrum", "--omega-sigma", "0", "--omega-delta", "1e-6", "--tau", "1"
-    )
-    rows = {line.split(",")[0]: line.split(",")[1] for line in out.splitlines()[1:]}
-    assert code == 0 and rows["T21"] == rows["T42"] == "2.5e-13"
+    assert run_cli(capsys, *command.split())[:2] == (0, want)
 
 
 _ZERO_TEMPERATURE_COMMANDS = [

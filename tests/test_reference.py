@@ -25,6 +25,12 @@ are within 8 eps of their 60-digit values, relative for T42 and T31 and
 relative to |gap| + J for T43 and T21, which cancel at the crossings (1.9
 seen). Both forms of Z are compared in log space up to log(float max), and
 must raise ArithmeticError above it.
+The line amplitudes at phi = pi/2 are within 12 eps gap_cond of the sum of
+the magnitudes of their three terms (2.8 seen on 7.5e4 random points, with
+omega_delta << J and small beta gap drawn on purpose). The gap_cond comes in
+where T43 or T21 rounds by eps J at its crossing; at phi = pi/2 the weights
+sin^2(phi/2) and cos^2(phi/2) are equal, where a small phi would scale the
+bound by their ratio cot^2(phi/2).
 The threshold tau_t is checked against a 50-digit root of the entanglement gap.
 The crossing coupling and the critical omega_sigma, over [1e-300, 1e300], are
 within 2 eps relative of their 60-digit values, or within the smallest
@@ -49,6 +55,7 @@ GAP_P_ABS, GAP_C_ABS, GAP_C_REL = 1.0, 1.0, 8.0
 FREQ = 8.0
 C_POP_ABS = 1.0
 LOG_Z_ABS = 8.0
+AMP, AMP_PHI = 12.0, 0.5 * math.pi
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -56,16 +63,22 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
+def _mp_state(omega_sigma, omega_delta, beta):
+    """D, the levels, log Z and the populations as mpf at the working precision, J = 1."""
+    ws, wd, b, j = (mp.mpf(v) for v in (omega_sigma, omega_delta, beta, 1.0))
+    d = mp.sqrt(wd * wd + j * j)
+    levels = [(ws + j / 2) / 2, (d - j / 2) / 2, -(d + j / 2) / 2, (-ws + j / 2) / 2]
+    emin = min(levels)
+    weights = [mp.exp(-b * (e - emin)) for e in levels]
+    total = mp.fsum(weights)
+    return d, levels, -b * emin + mp.log(total), [w / total for w in weights]
+
+
 def _reference(omega_sigma, omega_delta, beta):
     """Populations, C, log Z, C's cancellation factor and |E4 - E3|, to 60 digits."""
     with mp.workdps(60):
-        ws, wd, b, j = (mp.mpf(v) for v in (omega_sigma, omega_delta, beta, 1.0))
-        d = mp.sqrt(wd * wd + j * j)
-        levels = [(ws + j / 2) / 2, (d - j / 2) / 2, -(d + j / 2) / 2, (-ws + j / 2) / 2]
-        emin = min(levels)
-        weights = [mp.exp(-b * (e - emin)) for e in levels]
-        total = mp.fsum(weights)
-        ps = [w / total for w in weights]
+        b, j = mp.mpf(beta), mp.mpf(1)
+        d, levels, log_z, ps = _mp_state(omega_sigma, omega_delta, beta)
         c = abs(ps[1] - ps[2]) * (j / d) - 2 * mp.sqrt(ps[0] * ps[3])
         # C's numerator is sinh(beta D/2) sin 2theta - exp(-beta J/2).
         gain, loss = mp.sinh(b * d / 2) * j / d, mp.exp(-b * j / 2)
@@ -73,7 +86,7 @@ def _reference(omega_sigma, omega_delta, beta):
         return (
             [float(p) for p in ps],
             float(max(c, 0)),
-            float(-b * emin + mp.log(total)),
+            float(log_z),
             float(kappa),
             float(abs(levels[3] - levels[2])),
         )
@@ -183,6 +196,47 @@ def test_line_frequencies_match_mpmath(pair):
         for line, ref in zip(lines, want):
             scale = ref if line.transition in ("T42", "T31") else ref + j
             assert abs(line.frequency - ref) <= FREQ * EPS * scale, (line, ref)
+
+
+def _amplitude_reference(omega_sigma, omega_delta, beta):
+    """Each line's amplitude at phi = pi/2 and the sum of its three terms' magnitudes."""
+    with mp.workdps(60):
+        d, _, _, p = _mp_state(omega_sigma, omega_delta, beta)
+        c, s = mp.mpf(omega_delta) / d, 1 / d
+        sp2 = mp.sin(mp.mpf(AMP_PHI) / 2) ** 2
+        pre = -mp.sin(mp.mpf(AMP_PHI)) / 2
+        cross = pre * sp2 * c * c * (p[2] - p[1])
+        want = {}
+        for name, (outer, inner) in spectrum._LINES.items():
+            w = sp2 if outer == 3 else 1 - sp2
+            r = pre * (1 + s if inner == 1 else 1 - s)
+            terms = (w * r * (p[inner] - p[0]), cross if abs(outer - inner) == 2 else -cross,
+                     (1 - w) * r * (p[3] - p[inner]))
+            want[name] = (mp.fsum(terms), float(sum(map(abs, terms))))
+        return want
+
+
+# omega_delta << J and small beta gap drawn on purpose: omega_sigma = 0 puts
+# T21 = T42 near omega_delta^2 / 4, and beta reaches 1e-3.
+AMPLITUDE_PAIRS = st.one_of(
+    st.tuples(st.one_of(st.just(0.0), _log_uniform(1e-3, 1e3)), _log_uniform(1e-6, 1e3)),
+    OMEGA_PAIRS,
+)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=200, database=None)
+# The CLI's two low-field reproducers, and exact zeros at omega_sigma = omega_delta = 0.
+@hypothesis.example(pair=(0.0, 1e-6), beta=1.0)
+@hypothesis.example(pair=(0.0, 1.091766587011041e-06), beta=1.0 / 758.0372)
+@hypothesis.example(pair=(0.0, 0.0), beta=1.0)
+@hypothesis.given(pair=AMPLITUDE_PAIRS, beta=_log_uniform(1e-3, 1e3))
+def test_line_amplitudes_match_mpmath(pair, beta):
+    omega_sigma, omega_delta = pair
+    params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
+    gap_tol = EPS * (1.0 + beta * (abs(thermo._gaps(params)[0]) + 1.0))
+    lines = spectrum._spectrum_lines(params, beta, AMP_PHI)
+    for line, (want, scale) in zip(lines, _amplitude_reference(*pair, beta).values()):
+        assert abs(line.amplitude - want) <= AMP * gap_tol * scale, (line, want, scale)
 
 
 def _mp_threshold_x(s):

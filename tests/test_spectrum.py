@@ -70,17 +70,18 @@ def _reference_frequencies(levels):
 
 def _reference_amplitudes(pops, theta, phi):
     p1, p2, p3, p4 = (float(p) for p in pops)
-    s = math.sin(2.0 * theta)
-    c2 = math.cos(2.0 * theta) ** 2
+    s, c = math.sin(2.0 * theta), math.cos(2.0 * theta)
+    c2 = c * c  # correctly rounded, where c ** 2 calls pow
     sp2 = math.sin(0.5 * phi) ** 2
     cp2 = math.cos(0.5 * phi) ** 2
     pre = -0.5 * math.sin(phi)
+    outer = c2 / (1.0 + s)  # 1 - s without the cancellation
     return {
         "T43": pre
         * (
-            sp2 * (1.0 - s) * (p3 - p1)
+            sp2 * outer * (p3 - p1)
             - sp2 * c2 * (p3 - p2)
-            + cp2 * (1.0 - s) * (p4 - p3)
+            + cp2 * outer * (p4 - p3)
         ),
         "T21": pre
         * (
@@ -96,9 +97,9 @@ def _reference_amplitudes(pops, theta, phi):
         ),
         "T31": pre
         * (
-            cp2 * (1.0 - s) * (p3 - p1)
+            cp2 * outer * (p3 - p1)
             + sp2 * c2 * (p3 - p2)
-            + sp2 * (1.0 - s) * (p4 - p3)
+            + sp2 * outer * (p4 - p3)
         ),
     }
 
