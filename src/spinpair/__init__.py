@@ -23,7 +23,6 @@ from .thermo import (
     density_matrix,
     energies,
     partition,
-    partition_closed,
     populations,
 )
 from .entangle import (
@@ -36,7 +35,7 @@ from .entangle import (
     threshold_tau,
     threshold_temperature,
 )
-from .oracle import check_density_matrix, spin_flip, wootters_concurrence
+from .oracle import spin_flip, wootters_concurrence
 from .critical import (
     FIELD_RATIOS,
     GroundState,
@@ -51,7 +50,6 @@ from .spectrum import (
     SpectrumLine,
     TRANSITIONS,
     render_lorentzian,
-    roofing_intensities,
     simulate_spectrum,
     transition_amplitudes,
     transition_frequencies,
@@ -81,7 +79,6 @@ __all__ = [
     "SpectrumLine",
     "SpinSystem",
     "TRANSITIONS",
-    "check_density_matrix",
     "concurrence_for_params",
     "concurrence_from_observables",
     "concurrence_from_populations",
@@ -97,13 +94,11 @@ __all__ = [
     "from_si",
     "ground_state",
     "partition",
-    "partition_closed",
     "polarizations",
     "populations",
     "preset",
     "reconstruct_populations",
     "render_lorentzian",
-    "roofing_intensities",
     "simulate_spectrum",
     "spin_flip",
     "sweep",

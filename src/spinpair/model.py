@@ -45,14 +45,14 @@ PRESET_RATIOS = {
 }
 
 
-class SpinSystem(namedtuple("SpinSystem", "omega1 omega2 coupling swapped antiparallel")):
+class SpinSystem(namedtuple("SpinSystem", "omega1 omega2 coupling")):
     """A scalar-coupled pair of spin-1/2 nuclei.
 
     Stored in canonical orientation omega1 >= omega2 >= 0; the
-    constructor swaps the spin labels if the inputs violate this and
-    records the swap. The one sanctioned exception is the antiparallel
-    configuration (positronium): omega2 = -omega1 < 0 after the swap is
-    kept, so that omega_sigma is exactly zero, and marked antiparallel.
+    constructor swaps the spin labels if the inputs violate this. The
+    one sanctioned exception is the antiparallel configuration
+    (positronium): omega2 = -omega1 < 0 after the swap is kept, so that
+    omega_sigma is exactly zero.
     """
 
     __slots__ = ()
@@ -62,27 +62,19 @@ class SpinSystem(namedtuple("SpinSystem", "omega1 omega2 coupling swapped antipa
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         _check_coupling(coupling)
-        swapped = omega2 > omega1
-        if swapped:
+        if omega2 > omega1:
             omega1, omega2 = omega2, omega1
-        antiparallel = omega2 < 0.0
-        if antiparallel and omega2 != -omega1:
+        if omega2 < 0.0 and omega2 != -omega1:
             raise ValueError(
                 "negative Larmor frequencies are only supported for the "
                 "positronium (antiparallel) configuration"
             )
-        return super().__new__(cls, omega1, omega2, coupling, swapped, antiparallel)
+        return super().__new__(cls, omega1, omega2, coupling)
 
-    def __reduce__(self):
-        # pickle and copy keep the stored fields, swapped too, which __new__ does not take.
-        return type(self)._make, (tuple(self),)
-
-    def _replace(self, **changes):
-        """A new system from the constructor fields, changed as given; validated like any other."""
-        return type(self)(**{**dict(zip(("omega1", "omega2", "coupling"), self)), **changes})
-
-    # copy.replace (Python 3.13+) calls __replace__, which namedtuple binds to its own _replace.
-    __replace__ = _replace
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its result through _make: validate there too.
+        return cls(*iterable)
 
 
 class DerivedParams(namedtuple("DerivedParams", "omega_sigma omega_delta d_coupling theta coupling")):

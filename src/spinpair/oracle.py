@@ -52,7 +52,7 @@ def _as_hermitian4(matrix, error: str) -> tuple[np.ndarray, list[complex]]:
 
 
 def _as_state(rho):
-    """(m, e, eigh(m)) for a valid density matrix; eigh(m) is None for an X state."""
+    """(row-major entries, eigh) of a valid density matrix; eigh is None for an X state."""
     m, e = _as_hermitian4(rho, "density matrix is not Hermitian")
     trace = (e[0] + e[5]) + (e[10] + e[15])
     if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
@@ -60,18 +60,13 @@ def _as_state(rho):
     eig = np.linalg.eigh(m) if any(e[k] for k in _OFF_X) else None
     if not (_x_lowest(e) if eig is None else eig[0][0]) >= EIGENVALUE_FLOOR:  # NaN too
         raise ValueError("density matrix has a negative eigenvalue")
-    return m, e, eig
+    return e, eig
 
 
 def _x_lowest(e: list[complex]) -> float:
     # Lowest eigenvalue of an X state's blocks [[a, b*], [b, d]], read as eigvalsh reads them.
     return min((a + d) / 2 - math.hypot((a - d) / 2, b.real, b.imag)
                for a, b, d in ((e[0].real, e[12], e[15].real), (e[5].real, e[9], e[10].real)))
-
-
-def check_density_matrix(rho) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; return as complex array."""
-    return _as_state(rho)[0]
 
 
 def spin_flip(rho) -> np.ndarray:
@@ -82,7 +77,7 @@ def spin_flip(rho) -> np.ndarray:
 
 def wootters_concurrence(rho) -> float:
     """Concurrence from the spin-flip spectrum of an arbitrary 4x4 state."""
-    _, e, eig = _as_state(rho)
+    e, eig = _as_state(rho)
     if eig is None:
         lams = sorted(_x_state_lambdas(e), reverse=True)
     else:

@@ -27,7 +27,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .model import DerivedParams, SpinSystem, _check_grid, _check_theta, derive
+from .model import DerivedParams, SpinSystem, _check_grid, derive
 from . import thermo
 
 # Line name -> 0-based (outer, inner) level pair; the order is the output order.
@@ -78,12 +78,6 @@ def _amplitudes(diffs, d32: float, c: float, s: float, phi: float) -> dict[str, 
 def _roofs(c: float, s: float) -> tuple[float, float]:
     """(1 + s, 1 - s) at s = sin 2theta, c = cos 2theta; 1 - s as c^2 / (1 + s) does not cancel."""
     return 1.0 + s, c * c / (1.0 + s)
-
-
-def roofing_intensities(theta: float) -> tuple[float, float]:
-    """(inner, outer) line intensities 1 + sin 2theta and 1 - sin 2theta."""
-    _check_theta(theta)
-    return _roofs(math.cos(2.0 * theta), math.sin(2.0 * theta))
 
 
 def simulate_spectrum(

@@ -8,13 +8,13 @@ is halved before the sum, so the levels are finite for every valid input):
     E3 = -(D + J/2) / 2                   -sin(t)|ab> + cos(t)|ba>
     E4 = (-omega_sigma + J/2) / 2         |bb>
 
-Boltzmann weights p_i = exp(-beta E_i) / Z with the closed form
+Boltzmann weights p_i = exp(-beta E_i) / Z. partition sums Z relative to
+the lowest level and so forms log Z first; where Z leaves float range
+(log Z > 709.78) it raises ArithmeticError instead of returning inf. The
+tests check it against the closed form
 
     Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
                          + cosh(beta D/2)].
-
-Both forms compute log Z first; where Z leaves float range (log Z >
-709.78) they raise ArithmeticError instead of returning inf.
 
 _gaps forms the line gaps E_outer - E_inner with no cancelling subtraction, from
 D - omega_delta = J^2 / (D + omega_delta) and D - J = omega_delta^2 / (D + J):
@@ -50,9 +50,6 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class EnergyLevels(namedtuple("EnergyLevels", "e1 e2 e3 e4")):
     __slots__ = ()
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
 
 class Populations(namedtuple("Populations", "p1 p2 p3 p4")):
     """Occupations p1..p4 of the four eigenstates, thermal or reconstructed."""
@@ -68,10 +65,6 @@ class DensityMatrixX(namedtuple("DensityMatrixX", "rho11 rho22 rho33 rho44 rho23
     """Thermal X-state: diagonals plus the single real coherence rho23."""
 
     __slots__ = ()
-
-    @property
-    def trace(self) -> float:
-        return self.rho11 + self.rho22 + self.rho33 + self.rho44
 
     def to_array(self) -> np.ndarray:
         return np.array(
@@ -97,14 +90,6 @@ def _is_zero_temperature(beta: float) -> bool:
     return beta == math.inf
 
 
-def _z_from_log(log_z: float) -> float:
-    """Z = exp(log Z); a Z beyond float range raises instead of saturating to inf."""
-    # log Z is nan only as inf - inf once beta J overflows, where Z is out of range too.
-    if not log_z <= _LOG_FLOAT_MAX:
-        raise ArithmeticError(f"partition function exceeds float range: log Z = {log_z!r}")
-    return math.exp(log_z)
-
-
 def _lowest_level(es: tuple[float, ...]) -> float:
     """min(es); ValueError unless every level is finite."""
     if not all(map(math.isfinite, es)):
@@ -118,32 +103,16 @@ def _shifted_weights(es: tuple[float, ...], beta: float) -> tuple[float, list[fl
     return emin, [math.exp(-beta * (e - emin)) if beta else 1.0 for e in es]
 
 
-def _log_2cosh(x: float) -> float:
-    """log(2 cosh x), finite wherever x is."""
-    return abs(x) + math.log1p(math.exp(-2.0 * abs(x)))
-
-
 def partition(levels: EnergyLevels, beta: float) -> float:
-    """Z = sum_i exp(-beta E_i) at finite beta >= 0, summed relative to the lowest level."""
+    """Z = sum_i exp(-beta E_i) at finite beta >= 0, summed relative to the lowest level as
+    log Z; a Z beyond float range raises instead of saturating to inf."""
     if _is_zero_temperature(beta):
         raise ValueError("Z needs a finite beta")
     emin, weights = _shifted_weights(levels, beta)
-    return _z_from_log(-beta * emin + math.log(sum(weights)))
-
-
-def partition_closed(params: DerivedParams, coupling: float, beta: float) -> float:
-    """Closed form of Z, used as the cross-check against the direct sum.
-
-    log Z = beta J/4 + log(exp(-beta J/2) 2 cosh(beta omega_sigma/2)
-    + 2 cosh(beta D/2)), the two terms added in log space.
-    """
-    _check_same_coupling(params, coupling)
-    if _is_zero_temperature(beta):
-        raise ValueError("Z needs a finite beta")
-    a = -0.5 * beta * coupling + _log_2cosh(0.5 * beta * params.omega_sigma)
-    b = _log_2cosh(0.5 * beta * params.d_coupling)
-    hi, lo = (a, b) if a >= b else (b, a)
-    return _z_from_log(0.25 * beta * coupling + hi + math.log1p(math.exp(lo - hi)))
+    log_z = -beta * emin + math.log(sum(weights))
+    if log_z > _LOG_FLOAT_MAX:
+        raise ArithmeticError(f"partition function exceeds float range: log Z = {log_z!r}")
+    return math.exp(log_z)
 
 
 def populations(levels: EnergyLevels, beta: float) -> Populations:

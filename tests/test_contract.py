@@ -185,14 +185,12 @@ _LIBRARY_CALLS = [
     (sp.energies, lambda a, b, c, *_: _levels(a, b, c)),
     (sp.from_si, lambda a, b, c, *_: sp.from_si(a, b, c)),
     (sp.partition, lambda a, b, c, d, *_: sp.partition(_levels(a, b, c), d)),
-    (sp.partition_closed, lambda a, b, c, d, *_: sp.partition_closed(_params(a, b, c), c, d)),
     (sp.polarizations, lambda a, b, c, d, e, *_: sp.polarizations((a, b, c, d), e)),
     (sp.populations, lambda a, b, c, d, *_: sp.populations(_levels(a, b, c), d)),
     (sp.preset, lambda a, b, *_: [sp.preset(n, a, b) for n in sorted(sp.PRESET_RATIOS)]),
     (sp.reconstruct_populations,
      lambda a, b, c, d, *_: sp.reconstruct_populations(sp.Observables(a, b, c), d)),
     (sp.render_lorentzian, lambda a, b, c, *_: sp.render_lorentzian(_LINES, a, sorted((b, c)))),
-    (sp.roofing_intensities, lambda a, *_: sp.roofing_intensities(a)),
     (sp.simulate_spectrum,
      lambda a, b, c, d, e, *_: sp.simulate_spectrum(sp.SpinSystem(a, b, c), d, e)),
     (sp.sweep, lambda a, b, c, d, e, *_: sp.sweep(

@@ -9,6 +9,8 @@ from spinpair import critical, entangle, model, thermo
 def test_crossing_examples():
     assert critical.crossing_coupling(1.7, 1.7) == pytest.approx(1.7, rel=1e-15)
     assert critical.crossing_coupling(1.0, 0.0) is None
+    assert critical.crossing_coupling(0.0, 1.0) is None
+    assert critical.crossing_coupling(0.0, 0.0) is None
     assert critical.crossing_coupling(4.0, 1.0) == pytest.approx(1.6, rel=1e-15)
     assert critical.crossing_coupling(1.0, 0.4) == pytest.approx(4.0 / 7.0, rel=1e-12)
     assert critical.crossing_coupling(1.0, -1.0) is None  # positronium

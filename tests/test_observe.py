@@ -35,6 +35,9 @@ def test_round_trip():
 def test_reconstruct_pure_state():
     pops = observe.reconstruct_populations(observe.Observables(1.0, 1.0, 1.0), math.pi / 6)
     assert pops.probs == (1.0, 0.0, 0.0, 0.0)
+    # p1 = 1 + 5e-11 and p2 = -5e-11 lie within CLAMP_ATOL of [0, 1]: clamped to 1 and 0.
+    pops = observe.reconstruct_populations(observe.Observables(1.0, 1.0, 1.0 + 2e-10), 0.3)
+    assert pops.p1 == 1.0 and pops.p2 == 0.0
 
 
 def test_reconstruct_singular_homonuclear():

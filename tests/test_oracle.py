@@ -67,10 +67,61 @@ def test_spin_flip_involution_and_trace():
         assert abs(np.trace(flipped) - np.trace(rho)) <= 1e-12
 
 
+def _bell_phi(sign):
+    # Phi+- = (|aa> +- |bb>) / sqrt 2: the coherence is rho14, in the outer block.
+    phi = np.diag([0.5, 0.0, 0.0, 0.5])
+    phi[0, 3] = phi[3, 0] = 0.5 * sign
+    return phi
+
+
 def test_wootters_pure_states():
     assert oracle.wootters_concurrence(BELL_SINGLET) == pytest.approx(1.0, abs=1e-14)
+    assert oracle.wootters_concurrence(_bell_phi(1.0)) == 1.0
+    assert oracle.wootters_concurrence(_bell_phi(-1.0)) == 1.0
     product = np.diag([0.0, 1.0, 0.0, 0.0])
     assert oracle.wootters_concurrence(product) == 0.0
+
+
+def _mixed_x_state(rng):
+    # Unit-trace positive X state with complex coherences rho14 and rho23, each a
+    # random fraction of its bound sqrt(rho11 rho44) or sqrt(rho22 rho33). The two
+    # largest weights go to the outer block {11, 44} or to the inner one {22, 33}.
+    p = np.sort(rng.dirichlet(np.ones(4)))
+    p = p[[3, 1, 0, 2]] if rng.uniform() < 0.5 else p[[1, 3, 2, 0]]
+    rho = np.diag(p).astype(complex)
+    for i, j in ((0, 3), (1, 2)):
+        modulus = rng.uniform(0.0, 1.0) * math.sqrt(p[i] * p[j])
+        rho[i, j] = modulus * np.exp(2j * math.pi * rng.uniform())
+        rho[j, i] = np.conj(rho[i, j])
+    return rho
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_x_path_matches_block_formula_and_dense_path():
+    # C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)); a local
+    # unitary U (x) V leaves C unchanged but fills the off-X entries, so the rotated
+    # state takes the dense path.
+    rng = np.random.default_rng(41)
+    outer_wins = inner_wins = 0
+    for _ in range(300):
+        rho = _mixed_x_state(rng)
+        r = np.abs(rho)
+        outer = r[0, 3] - math.sqrt(r[1, 1] * r[2, 2])
+        inner = r[1, 2] - math.sqrt(r[0, 0] * r[3, 3])
+        want = 2.0 * max(0.0, outer, inner)
+        outer_wins += outer > max(inner, 0.0) + 1e-3
+        inner_wins += inner > max(outer, 0.0) + 1e-3
+        c = oracle.wootters_concurrence(rho)
+        assert abs(c - want) <= 1e-14, (rho, c, want)
+        u = np.kron(_random_unitary(rng), _random_unitary(rng))
+        rotated = u @ rho @ u.conj().T
+        assert np.min(np.abs(rotated)) > 0.0
+        assert abs(oracle.wootters_concurrence(rotated) - want) <= 1e-12, (rho, want)
+    assert outer_wins > 100 and inner_wins > 100
 
 
 def test_wootters_thermal_x_state():
@@ -107,9 +158,8 @@ def test_x_state_with_excess_coherence_is_not_positive(i, j):
     # Valid unit-trace diagonal, but the block {ii, ij, jj} has eigenvalue -0.05.
     rho = np.diag([0.25] * 4).astype(complex)
     rho[i, j] = rho[j, i] = 0.3
-    for entry in (oracle.check_density_matrix, oracle.wootters_concurrence):
-        with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
-            entry(rho)
+    with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
+        oracle.wootters_concurrence(rho)
 
 
 @pytest.mark.parametrize("i, j, sign", [(0, 3, 1.0), (0, 1, -1.0)])
@@ -121,9 +171,8 @@ def test_moduli_past_float_max_saturate(i, j, sign):
     rho = np.diag([0.25] * 4).astype(complex)
     rho[i, j], rho[j, i] = z, z.conjugate()
     assert oracle.spin_flip(rho)[3 - j, 3 - i] == sign * z
-    for entry in (oracle.check_density_matrix, oracle.wootters_concurrence):
-        with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
-            entry(rho)
+    with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
+        oracle.wootters_concurrence(rho)
 
 
 def _x_matrix(rng, lowest):
@@ -165,7 +214,7 @@ def test_x_state_positivity_matches_eigvalsh():
             continue
         near += abs(exact - floor) <= 1e-12
         try:
-            oracle.check_density_matrix(m)
+            oracle.wootters_concurrence(m)
             accepted = True
         except ValueError:
             accepted = False
@@ -192,7 +241,6 @@ _REJECTED = {
     ),
 }
 _HERMITIAN_ERRORS = {
-    oracle.check_density_matrix: "density matrix is not Hermitian",
     oracle.spin_flip: "spin flip requires a Hermitian input",
     oracle.wootters_concurrence: "density matrix is not Hermitian",
 }
@@ -230,6 +278,38 @@ def test_dense_path_matches_x_path():
                 dense[0, 1] = dense[1, 0] = 1e-300
                 worst = max(worst, abs(oracle.wootters_concurrence(dense) - x_path))
     assert worst <= 1e-12
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls, eigh = [], np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def test_x_states_never_call_lapack(eigh_calls):
+    # Thermal states with rho23 != 0, the E3/E4 crossing (2, 0) and beta = inf among them,
+    # and the three Bell states with one coherence take the closed-form X path.
+    for ws, wd, beta in ((2.0, 1.0, 1.5), (2.0, 0.0, 3.0), (2.0, 0.0, math.inf), (0.5, 2.0, 0.3)):
+        rho, _ = _thermal_rho(ws, wd, beta)
+        assert rho[1, 2] != 0.0
+        oracle.wootters_concurrence(rho)
+    for bell in (BELL_SINGLET, _bell_phi(1.0), _bell_phi(-1.0)):
+        oracle.wootters_concurrence(bell)
+    assert eigh_calls == []
+
+
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(i + 1, 4) if i + j != 3])
+def test_one_off_x_pair_takes_the_dense_path(eigh_calls, i, j):
+    rho = np.diag([0.25] * 4)
+    rho[i, j] = rho[j, i] = 1e-3
+    assert oracle.wootters_concurrence(rho) == 0.0
+    assert len(eigh_calls) == 1
 
 
 def test_dense_rank_one_matches_pure_state_formula():

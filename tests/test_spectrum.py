@@ -219,16 +219,18 @@ def test_special_population_reductions(pops, reduced):
                 assert abs(general[key] - expected[key]) <= 1e-12
 
 
+def _roofs(theta):
+    return spectrum._roofs(math.cos(2.0 * theta), math.sin(2.0 * theta))
+
+
 def test_roofing_intensities():
-    assert spectrum.roofing_intensities(0.0) == (1.0, 1.0)
-    inner, outer = spectrum.roofing_intensities(math.pi / 4)
+    assert _roofs(0.0) == (1.0, 1.0)
+    inner, outer = _roofs(math.pi / 4)
     assert inner == pytest.approx(2.0, abs=1e-15)
     assert outer == pytest.approx(0.0, abs=1e-15)
-    inner, outer = spectrum.roofing_intensities(math.pi / 6)
+    inner, outer = _roofs(math.pi / 6)
     assert math.isclose(inner, 1.0 + math.sin(math.pi / 3), rel_tol=1e-14)
     assert math.isclose(outer, 1.0 - math.sin(math.pi / 3), rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        spectrum.roofing_intensities(1.0)
 
 
 def test_roofing_ratio_limit():
@@ -277,6 +279,17 @@ def test_simulate_spectrum_heteronuclear_ground():
     assert abs(lines["T43"].amplitude) > 1e-3
     assert abs(lines["T21"].amplitude) < 1e-4
     assert abs(lines["T42"].amplitude) < 1e-4
+
+
+def test_simulate_spectrum_at_zero_splitting():
+    # J = omega_delta = 0 gives D = 0, where cos 2theta = omega_delta / D is taken as 1:
+    # the outer roofing factor is 1, as the population route's cos(2 * 0) gives.
+    system = model.SpinSystem(1.5, 1.5, 0.0)
+    pops = thermo._populations(model.derive(system), 0.7)
+    want = spectrum.transition_amplitudes(pops, 0.0, 0.5 * math.pi)
+    for line in spectrum.simulate_spectrum(system, 0.7, 0.5 * math.pi):
+        assert line.amplitude < -0.1
+        assert math.isclose(line.amplitude, want[line.transition], rel_tol=1e-14)
 
 
 def test_simulate_spectrum_saturated():

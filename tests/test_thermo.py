@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def test_energies_homonuclear():
 
 def test_energies_zero_hamiltonian():
     levels = thermo.energies(_params(0.0, 0.0, 0.0), 0.0)
-    assert levels.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+    assert tuple(levels) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_energies_hc_example():
@@ -59,13 +60,17 @@ def test_partition_homonuclear_zero_field():
 
 
 def test_partition_matches_closed_form():
+    # Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2) + cosh(beta D/2)]
     rng = np.random.default_rng(3)
     for _ in range(500):
         ws, wd, j = rng.uniform(0, 5, size=3)
         beta = rng.uniform(0.0, 20.0)
         params = _params(ws, wd, j)
         z_sum = thermo.partition(thermo.energies(params, j), beta)
-        z_closed = thermo.partition_closed(params, j, beta)
+        z_closed = 2.0 * math.exp(0.25 * beta * j) * (
+            math.exp(-0.5 * beta * j) * math.cosh(0.5 * beta * ws)
+            + math.cosh(0.5 * beta * params.d_coupling)
+        )
         assert math.isclose(z_sum, z_closed, rel_tol=1e-12)
 
 
@@ -75,14 +80,13 @@ def test_partition_ground_state_dominance():
     assert math.isclose(math.log(z), -100.0, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("omega_sigma", [14.4, 14.69])
-def test_partition_forms_agree_near_float_max(omega_sigma):
-    # Z = 6.83e301 and 1.35e308 at J = omega_delta = 1, beta = 100
+@pytest.mark.parametrize(
+    "omega_sigma,z", [(14.4, 6.833841829578011e301), (14.69, 1.3549863193146328e308)]
+)
+def test_partition_near_float_max(omega_sigma, z):
+    # J = omega_delta = 1, beta = 100: Z is finite just below float max.
     params = _params(omega_sigma, 1.0)
-    z_sum = thermo.partition(thermo.energies(params, 1.0), 100.0)
-    z_closed = thermo.partition_closed(params, 1.0, 100.0)
-    assert math.isfinite(z_sum) and math.isfinite(z_closed)
-    assert math.isclose(z_sum, z_closed, rel_tol=1e-12)
+    assert thermo.partition(thermo.energies(params, 1.0), 100.0) == z
 
 
 @pytest.mark.parametrize(
@@ -97,35 +101,27 @@ def test_partition_beyond_float_range_is_numerical(omega_sigma, coupling, beta):
     with pytest.raises(ArithmeticError) as exc:
         thermo.partition(thermo.energies(params, coupling), beta)
     assert not isinstance(exc.value, OverflowError)
-    with pytest.raises(ArithmeticError) as exc:
-        thermo.partition_closed(params, coupling, beta)
-    assert not isinstance(exc.value, OverflowError)
 
 
 def test_partition_rejects_negative_or_infinite_beta():
     levels = thermo.EnergyLevels(0.0, 0.0, 0.0, 0.0)
-    params = _params(1.0, 0.5)
     for beta in (-1.0, -math.inf, math.nan, math.inf):
         with pytest.raises(ValueError):
             thermo.partition(levels, beta)
-        with pytest.raises(ValueError):
-            thermo.partition_closed(params, 1.0, beta)
 
 
-def test_energies_and_closed_partition_reject_invalid_coupling():
+def test_energies_reject_invalid_coupling():
     params = _params(1.0, 0.5)
     for coupling in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             thermo.energies(params, coupling)
-        with pytest.raises(ValueError):
-            thermo.partition_closed(params, coupling, 1.0)
 
 
 def test_levels_stay_finite_near_float_max():
     # omega_sigma + J/2 overflows although omega_sigma, D and J are finite.
     params = _params(1.7e308, 0.3e308, 1e308)
     levels = thermo.energies(params, 1e308)
-    assert all(map(math.isfinite, levels.as_tuple()))
+    assert all(map(math.isfinite, levels))
     assert levels.e1 == 0.5 * 1.7e308 + 0.25e308
     # Halving each term before the sum leaves normal-range levels unchanged.
     rng = np.random.default_rng(10)
@@ -134,7 +130,7 @@ def test_levels_stay_finite_near_float_max():
         params = _params(ws, wd, j)
         d = params.d_coupling
         old = (0.5 * (ws + 0.5 * j), 0.5 * (d - 0.5 * j), -0.5 * (d + 0.5 * j), 0.5 * (-ws + 0.5 * j))
-        assert thermo.energies(params, j).as_tuple() == old
+        assert tuple(thermo.energies(params, j)) == old
 
 
 def test_populations_infinite_temperature():
@@ -184,7 +180,7 @@ def test_population_monotonicity():
     count = 0
     while count < 200:
         levels = _random_levels(rng)
-        es = levels.as_tuple()
+        es = tuple(levels)
         if len({round(e, 12) for e in es}) < 4:
             continue
         count += 1
@@ -228,7 +224,7 @@ def test_density_matrix_trace_and_positivity():
         beta = rng.uniform(0.0, 50.0)
         pops = thermo.populations(thermo.energies(params, j), beta)
         rho = thermo.density_matrix(pops, params.theta)
-        assert abs(rho.trace - 1.0) <= 1e-12
+        assert abs(rho.rho11 + rho.rho22 + rho.rho33 + rho.rho44 - 1.0) <= 1e-12
         assert min(rho.rho11, rho.rho22, rho.rho33, rho.rho44) >= 0.0
         # central block must stay positive semidefinite
         assert rho.rho22 * rho.rho33 - rho.rho23**2 >= -1e-14
@@ -256,6 +252,23 @@ def test_density_matrix_accepts_a_sequence():
 def test_density_matrix_rejects_bad_inputs(pops, theta):
     with pytest.raises(ValueError):
         thermo.density_matrix(pops, theta)
+
+
+def test_density_matrix_bounds_are_inclusive():
+    # Each bound is accepted, and the first float past it is not.
+    above_one = math.nextafter(1.0, 2.0)
+    for i in range(4):
+        pops = [0.0, 0.0, 0.0, 0.0]
+        pops[i] = 1.0
+        assert thermo.density_matrix(pops, 0.3).to_array().trace() == 1.0
+        pops[i] = above_one
+        with pytest.raises(ValueError, match=re.escape("populations must lie in [0, 1]")):
+            thermo.density_matrix(pops, 0.3)
+    for theta in (0.0, 0.25 * math.pi):
+        thermo.density_matrix((0.25, 0.25, 0.25, 0.25), theta)
+    for theta in (-5e-324, math.nextafter(0.25 * math.pi, 1.0)):
+        with pytest.raises(ValueError, match=re.escape("theta must lie in [0, pi/4]")):
+            thermo.density_matrix((0.25, 0.25, 0.25, 0.25), theta)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
