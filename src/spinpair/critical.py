@@ -53,11 +53,11 @@ def critical_field_ratio(name: str) -> float:
 
 
 def critical_omega_sigma(omega_delta: float, coupling: float) -> float:
-    """Positive root of omega_sigma^2 - 2 J omega_sigma - omega_delta^2 = 0."""
-    if not coupling > 0.0:
+    """Positive root of omega_sigma^2 - 2 J omega_sigma - omega_delta^2 = 0, for J > 0."""
+    params = derive_from_sigma_delta(0.0, omega_delta, coupling)  # validates omega_delta and J
+    if coupling == 0.0:
         raise ValueError("coupling must be > 0")
-    # derive_from_sigma_delta validates omega_delta and J; D = hypot(omega_delta, J).
-    omega_sigma = coupling + derive_from_sigma_delta(0.0, omega_delta, coupling).d_coupling
+    omega_sigma = coupling + params.d_coupling  # D = hypot(omega_delta, J)
     if omega_sigma == math.inf:
         raise ArithmeticError(f"critical omega_sigma overflows at {omega_delta!r}")
     return omega_sigma

@@ -43,10 +43,12 @@ class SpectrumLine(namedtuple("SpectrumLine", "transition frequency amplitude"))
 
 
 def transition_frequencies(levels: thermo.EnergyLevels) -> dict[str, float]:
-    e = tuple(levels)
-    if len(e) != 4:
-        raise ValueError(f"expected four energy levels, got {len(e)}")
-    return {name: abs(e[inner] - e[outer]) for name, (outer, inner) in _LINES.items()}
+    """|E_outer - E_inner| of each line from four finite levels; ArithmeticError past float max."""
+    e = thermo._check_levels(levels)
+    freqs = {name: abs(e[inner] - e[outer]) for name, (outer, inner) in _LINES.items()}
+    if math.inf in freqs.values():
+        raise ArithmeticError(f"a frequency |E_outer - E_inner| exceeds float range: {freqs!r}")
+    return freqs
 
 
 def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:

@@ -90,16 +90,20 @@ def _is_zero_temperature(beta: float) -> bool:
     return beta == math.inf
 
 
-def _lowest_level(es: tuple[float, ...]) -> float:
-    """min(es); ValueError unless every level is finite."""
+def _check_levels(levels) -> tuple[float, ...]:
+    """The levels as a tuple; ValueError unless there are exactly four, each finite."""
+    es = tuple(levels)
+    if len(es) != 4:
+        raise ValueError(f"expected four energy levels, got {len(es)}")
     if not all(map(math.isfinite, es)):
         raise ValueError("energy levels must be finite")
-    return min(es)
+    return es
 
 
-def _shifted_weights(es: tuple[float, ...], beta: float) -> tuple[float, list[float]]:
+def _shifted_weights(levels, beta: float) -> tuple[float, list[float]]:
     """The lowest level and exp(-beta (E_i - E_min)), each at most 1 and 1 at beta = 0."""
-    emin = _lowest_level(es)
+    es = _check_levels(levels)
+    emin = min(es)
     return emin, [math.exp(-beta * (e - emin)) if beta else 1.0 for e in es]
 
 
@@ -119,9 +123,10 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
     """Boltzmann occupations; at beta = inf, equal shares of the ground set: the levels within
     DEGENERACY_RTOL max(1, max |E_i|) of the lowest."""
     if _is_zero_temperature(beta):
-        emin = _lowest_level(levels)
-        tol = DEGENERACY_RTOL * max(1.0, max(levels), -emin)  # max(max E_i, -min E_i) is max |E_i|
-        ground = [i for i, e in enumerate(levels) if e - emin <= tol]
+        es = _check_levels(levels)
+        emin = min(es)
+        tol = DEGENERACY_RTOL * max(1.0, max(es), -emin)  # max(max E_i, -min E_i) is max |E_i|
+        ground = [i for i, e in enumerate(es) if e - emin <= tol]
         return Populations(*(1.0 / len(ground) if i in ground else 0.0 for i in range(4)))
     _, weights = _shifted_weights(levels, beta)
     total = sum(weights)

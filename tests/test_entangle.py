@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinpair import entangle, model, spectrum, thermo
+from spinpair import entangle, model, thermo
 
 
 def _params(omega_sigma, omega_delta, coupling=1.0):
@@ -82,53 +82,6 @@ def test_homonuclear_matches_paper_closed_form():
         assert abs(entangle.concurrence_homonuclear(omega, 1.0, beta) - paper) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "omega, coupling",
-    [(math.nan, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, -1.0), (0.0, math.inf)],
-)
-def test_homonuclear_rejects_invalid_inputs(omega, coupling):
-    for beta in (1.0, math.inf):
-        with pytest.raises(ValueError):
-            entangle.concurrence_homonuclear(omega, coupling, beta)
-
-
-def test_concurrence_for_params_rejects_invalid_coupling():
-    params = _params(2.0, 0.5)
-    for coupling in (math.nan, math.inf, -1.0):
-        for beta in (1.0, math.inf):
-            with pytest.raises(ValueError):
-                entangle.concurrence_for_params(params, coupling, beta)
-
-
-@pytest.mark.parametrize("beta", [-math.inf, -1.0, math.nan])
-def test_beta_outside_zero_to_inf_is_rejected_everywhere(beta):
-    params = _params(1.0, 0.5)
-    calls = (
-        lambda: entangle.concurrence_for_params(params, 1.0, beta),
-        lambda: _thermal_pops(params, 1.0, beta),
-        lambda: entangle.concurrence_homonuclear(0.5, 1.0, beta),
-        lambda: spectrum.simulate_spectrum(model.SpinSystem(0.75, 0.25, 1.0), beta),
-        lambda: thermo.partition(thermo.energies(params, 1.0), beta),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match="beta"):
-            call()
-
-
-@pytest.mark.parametrize("theta", [math.nan, -1.0, 2.0])
-def test_population_form_rejects_bad_theta(theta):
-    with pytest.raises(ValueError):
-        entangle.concurrence_from_populations((0.0, 0.0, 1.0, 0.0), theta)
-
-
-@pytest.mark.parametrize(
-    "pops", [(math.nan, 1.0, 0.0, 0.0), (-1.0, 1.0, 0.0, 1.0), (0.0, 1.5, 0.0, 0.0), (0.5, 0.5)]
-)
-def test_population_form_rejects_bad_populations(pops):
-    with pytest.raises(ValueError):
-        entangle.concurrence_from_populations(pops, math.pi / 4)
-
-
 def test_homonuclear_zero_boundary():
     # concurrence turns on exactly at beta J = ln 3
     assert entangle.concurrence_homonuclear(1.0, 1.0, math.log(3.0) * (1.0 - 1e-9)) == 0.0
@@ -174,6 +127,7 @@ def test_threshold_heteronuclear():
 
 def test_threshold_empty_without_coupling():
     assert entangle.threshold_tau(1.0, 0.0) is None
+    assert entangle.threshold_tau(0.0, 0.0) is None
     assert entangle.threshold_temperature(model.SpinSystem(2.0, 1.0, 0.0)) is None
 
 
@@ -218,10 +172,6 @@ def test_threshold_solves_down_to_the_smallest_finite_reciprocal():
     for _ in range(3000):
         assert 0.0 < entangle.threshold_beta(s) < math.inf
         s = math.nextafter(s, 1.0)
-    for s in (math.nextafter(_SMALLEST_S, 0.0), 1e-320, 5e-324):
-        with pytest.raises(ArithmeticError, match="out of float range") as exc:
-            entangle.threshold_beta(s)
-        assert not isinstance(exc.value, OverflowError)
 
 
 def test_threshold_tau_keeps_the_last_bit_of_a_subnormal_angle():
@@ -265,27 +215,10 @@ def test_threshold_takes_few_gap_evaluations(monkeypatch):
     assert max(counts) <= 8
 
 
-def test_derived_frequency_overflow_is_numerical():
-    # Valid finite inputs whose derived 2 omega, omega1 +- omega2 or D
-    # leaves float range: a numerical failure, not invalid input.
-    with pytest.raises(ArithmeticError):
-        entangle.concurrence_homonuclear(1e308, 1.0, 1.0)
-    for system in (model.SpinSystem(1e308, 1e308, 1.0), model.SpinSystem(1e308, -1e308, 1.0)):
-        with pytest.raises(ArithmeticError):
-            model.derive(system)
-        with pytest.raises(ArithmeticError):
-            entangle.threshold_temperature(system)
-    # D = sqrt(omega_delta^2 + J^2) overflows although both inputs are finite.
-    with pytest.raises(ArithmeticError, match="out of float range"):
-        entangle.threshold_tau(1.7e308, 1e308)
-    with pytest.raises(ArithmeticError, match="out of float range"):
-        model.derive_from_sigma_delta(0.0, 1.7e308, 1e308)
+def test_levels_past_float_range_are_halved():
     # omega_sigma + J/2 overflows, but the levels are halved term by term.
     system = model.SpinSystem(1e308, 0.7e308, 1e308)
     assert entangle.concurrence_thermal(system, math.inf) == model.derive(system).sin_2theta
-    for omega in (math.inf, math.nan, -1.0, -1e308):
-        with pytest.raises(ValueError):
-            entangle.concurrence_homonuclear(omega, 1.0, 1.0)
 
 
 def test_threshold_kelvin_values():
@@ -294,18 +227,8 @@ def test_threshold_kelvin_values():
     for j_hz in (7.0, 150.0, 3096.0, 14500.0, 18500.0, 1.4e9):
         expected = h * j_hz / (model.K_BOLTZMANN * ln3)
         assert math.isclose(entangle.threshold_kelvin(j_hz), expected, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        entangle.threshold_kelvin(0.0)
-    with pytest.raises(ValueError):
-        entangle.threshold_kelvin(-5.0)
-    for j_hz in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            entangle.threshold_kelvin(j_hz)
-    # The answer is a positive temperature, but hbar 2 pi j_hz underflows.
+    # Above the energy scale's underflow the answer is a positive temperature.
     assert entangle.threshold_kelvin(1e-270) > 0.0
-    for j_hz in (1e-280, 1e-300):
-        with pytest.raises(ArithmeticError):
-            entangle.threshold_kelvin(j_hz)
 
 
 def test_temperature_sweep_homonuclear():
@@ -340,50 +263,6 @@ def test_sweep_single_point_and_zero_temperature():
     assert rows[0][0] == 0.5
     rows = entangle.sweep("field", [1.0, 2.0, 3.0], omega_delta=0.0, tau=0.0)
     assert [c for _, c in rows] == [1.0, 0.5, 0.0]
-
-
-def test_sweep_validation():
-    with pytest.raises(ValueError):
-        entangle.sweep("temperature", [], omega_sigma=0.0, omega_delta=0.0)
-    with pytest.raises(ValueError):
-        entangle.sweep("temperature", [0.2, 0.1], omega_sigma=0.0, omega_delta=0.0)
-    with pytest.raises(ValueError):
-        entangle.sweep("temperature", [0.1, math.inf], omega_sigma=0.0, omega_delta=0.0)
-    with pytest.raises(ValueError):
-        entangle.sweep("pressure", [0.1], omega_sigma=0.0, omega_delta=0.0)
-    with pytest.raises(ValueError):
-        entangle.sweep("field", [1.0, 2.0], omega_delta=0.0, tau=None)
-    for fixed in ({"omega_sigma": 0.0}, {"omega_delta": 0.0}):
-        with pytest.raises(ValueError, match="temperature sweeps need"):
-            entangle.sweep("temperature", [0.1, 0.2], **fixed)
-    with pytest.raises(ValueError):
-        entangle.sweep("temperature", [-0.1, 0.5], omega_sigma=0.0, omega_delta=0.0)
-
-
-# s = sin 2theta lies in (0, 1]: a negative, zero, above-1, infinite or NaN s
-# is invalid input, rejected before the start 2 asinh(1 / s) is formed.
-@pytest.mark.parametrize(
-    "s", [-1.0, -0.0, 0.0, math.nextafter(1.0, 2.0), 2.0, math.inf, -math.inf, math.nan]
-)
-def test_threshold_beta_rejects_s_outside_the_unit_interval(s):
-    with pytest.raises(ValueError, match="must lie in"):
-        entangle.threshold_beta(s)
-
-
-def test_threshold_numerical_failures():
-    # J > 0 below float range: 1 / s overflows, and so does the start. A valid
-    # s whose 1 / s overflows is a numerical failure, not invalid input.
-    with pytest.raises(ArithmeticError):
-        entangle.threshold_tau(1.0, 1e-320)
-    with pytest.raises(ArithmeticError, match="start .* out of float range"):
-        entangle.threshold_beta(1e-320)
-    with pytest.raises(ArithmeticError, match="out of float range"):
-        entangle.threshold_beta(5e-324)
-    # sin 2theta underflows to 0 although J > 0.
-    with pytest.raises(ArithmeticError, match="underflowed"):
-        entangle.threshold_tau(1e300, 1e-300)
-    assert entangle.threshold_tau(1.0, 0.0) is None
-    assert entangle.threshold_tau(0.0, 0.0) is None
 
 
 def _pointwise(omega_sigma, omega_delta, beta):
@@ -485,31 +364,6 @@ def test_sweep_kernel_branches_equal_pointwise_route():
         "numerator <= 0", "log-space tail", "subnormal", "one point",
         "sin 2theta", "half sin 2theta", "zero",
     }
-
-
-def test_sweep_tau_overflow_is_numerical():
-    with pytest.raises(ArithmeticError):
-        entangle.sweep("temperature", [0.0, 5e-311], omega_sigma=1.0, omega_delta=0.0)
-    with pytest.raises(ArithmeticError):
-        entangle.sweep("field", [0.0, 1.0], omega_delta=0.0, tau=1e-320)
-    with pytest.raises(ValueError):
-        entangle.sweep("field", [0.0, 1.0], omega_delta=0.0, tau=math.nan)
-    with pytest.raises(ValueError):
-        entangle.sweep("field", [-1.0, 1.0], omega_delta=0.0, tau=0.5)
-    # A nested grid is invalid input, as in render_lorentzian.
-    for grid in ([[0.5, 1.0]], [[0.5], [1.0, 2.0]]):
-        with pytest.raises(ValueError):
-            entangle.sweep("temperature", grid, omega_sigma=1.0, omega_delta=0.0)
-
-
-def test_sweep_rejects_zero_coupling():
-    # tau = k_B T / J is undefined at J = 0: invalid input, not an overflow.
-    for taus in ([0.5], [0.0, 0.5]):
-        with pytest.raises(ValueError):
-            entangle.sweep("temperature", taus, omega_sigma=1.0, omega_delta=1.0, coupling=0.0)
-    for tau in (0.0, 0.5):
-        with pytest.raises(ValueError):
-            entangle.sweep("field", [0.0, 1.0], omega_delta=1.0, tau=tau, coupling=0.0)
 
 
 def test_huge_coupling_at_tiny_beta_is_not_nan_or_wrong():

@@ -57,15 +57,6 @@ def test_labels_are_swapped_to_canonical_order():
     assert tuple(model.SpinSystem(3.0, 1.0, 0.5)) == (3.0, 1.0, 0.5)
 
 
-def test_invalid_inputs_raise():
-    with pytest.raises(ValueError):
-        model.SpinSystem(1.0, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        model.SpinSystem(1.0, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        model.SpinSystem(math.nan, 1.0, 1.0)
-
-
 def test_spin_system_takes_no_unit_or_swap_setting():
     # Frequencies are in one convention only, and the label order is the
     # constructor's; neither is a caller's choice.
@@ -81,36 +72,8 @@ def test_antiparallel_pair_is_kept():
     system = model.SpinSystem(-2.0, 2.0, 1.0)
     assert (system.omega1, system.omega2) == (2.0, -2.0)
     assert model.derive(system).omega_sigma == 0.0
-    with pytest.raises(ValueError):
-        model.SpinSystem(1.0, -0.5, 1.0)
     with pytest.raises(TypeError):
         model.SpinSystem(-1.0, 1.0, 1.0, antiparallel=True)
-
-
-def test_derive_rejects_non_finite_coupling():
-    for coupling in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            model.derive_from_sigma_delta(1.0, 1.0, coupling)
-        with pytest.raises(ValueError):
-            model.SpinSystem(1.0, 0.0, coupling)
-
-
-# The public functions that take (params, coupling), at beta = 1 where they take one.
-_PARAMS_AND_COUPLING = {
-    "energies": thermo.energies,
-    "concurrence_for_params": lambda p, j: entangle.concurrence_for_params(p, j, 1.0),
-}
-
-
-@pytest.mark.parametrize("name", list(_PARAMS_AND_COUPLING))
-def test_a_second_coupling_must_match_the_params(name):
-    # D and theta of these params come from J = 1: a J of 2 beside them
-    # would mix two systems, e.g. C = 0.1007 where J = 2 alone gives 0.4105.
-    call = _PARAMS_AND_COUPLING[name]
-    params = model.derive_from_sigma_delta(1.0, 0.5, 1.0)
-    with pytest.raises(ValueError, match="is not the J"):
-        call(params, 2.0)
-    call(params, 1.0)
 
 
 def test_derive_scale_covariance():
@@ -168,17 +131,6 @@ def test_positronium_preset_cancels_omega_sigma_exactly():
     assert params.omega_delta == 6.0
 
 
-def test_unknown_preset():
-    with pytest.raises(ValueError):
-        model.preset("deuterium", 1.0)
-
-
-@pytest.mark.parametrize("field", [-1.0, math.nan])
-def test_preset_rejects_negative_and_nan_field(field):
-    with pytest.raises(ValueError, match="field_omega must be >= 0"):
-        model.preset("hh", field)
-
-
 def test_from_si_energy_scale():
     system, scale = model.from_si(0.0, 0.0, 7.0)
     assert system.coupling == 1.0
@@ -187,19 +139,14 @@ def test_from_si_energy_scale():
     assert math.isclose(scale, 4.638e-33, rel_tol=1e-3)
     _, scale_hf = model.from_si(0.0, 0.0, 1.4e9)
     assert math.isclose(scale_hf, 9.28e-25, rel_tol=1e-3)
+    # Above about 3.4e-275 Hz, hbar 2 pi j_hz is a normal float.
+    assert model._energy_scale(1e-270) == model.HBAR * model.TWO_PI * 1e-270
 
 
 def test_from_si_normalises_frequencies():
     system, _ = model.from_si(400.0e6, 100.0e6, 200.0)
     assert math.isclose(system.omega1, 2.0e6, rel_tol=1e-15)
     assert math.isclose(system.omega2, 0.5e6, rel_tol=1e-15)
-
-
-def test_from_si_rejects_nonpositive_coupling():
-    with pytest.raises(ValueError):
-        model.from_si(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        model.from_si(0.0, 0.0, -3.0)
 
 
 def test_si_constants():
@@ -256,81 +203,25 @@ def test_replace_validates():
     system = model.SpinSystem(2.0, 1.0, 1.0)
     assert system._replace(coupling=3.0) == model.SpinSystem(2.0, 1.0, 3.0)
     assert tuple(system._replace(omega2=3.0)) == (3.0, 2.0, 1.0)
-    for field, value in (("coupling", -1.0), ("omega1", math.nan), ("omega2", -0.5)):
-        with pytest.raises(ValueError):
-            system._replace(**{field: value})
     obs = observe.Observables(0.5, -0.5, 0.25)
     assert obs._replace(p1z=0.0) == observe.Observables(0.0, -0.5, 0.25)
     for value in (system, obs):  # ValueError before Python 3.13, TypeError from 3.13 on
         with pytest.raises((TypeError, ValueError), match="unexpected field names"):
             value._replace(swapped=True)
-    for field in obs._fields:
-        for value in (1.5, math.nan):
-            with pytest.raises(ValueError):
-                obs._replace(**{field: value})
     if hasattr(copy, "replace"):  # Python 3.13+
         assert tuple(copy.replace(system, omega2=3.0)) == (3.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            copy.replace(system, coupling=-1.0)
-        with pytest.raises(ValueError):
-            copy.replace(obs, p1z=1.5)
-
-
-def test_from_si_rejects_non_finite_coupling():
-    for j_hz in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            model.from_si(0.0, 0.0, j_hz)
-
-
-def test_from_si_frequency_overflow_is_numerical():
-    # Valid inputs; only nu / j_hz leaves float range.
-    for nu1, nu2 in ((1e300, 0.0), (1e300, -1e300)):
-        with pytest.raises(ArithmeticError):
-            model.from_si(nu1, nu2, 1e-10)
-    for nu1 in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            model.from_si(nu1, 0.0, 1e-10)
-
-
-def test_energy_scale_underflow_is_numerical():
-    # Below about 3.4e-275 Hz, hbar 2 pi j_hz is subnormal or 0.
-    assert model._energy_scale(1e-270) == model.HBAR * model.TWO_PI * 1e-270
-    for j_hz in (1e-280, 1e-300, 5e-324):
-        with pytest.raises(ArithmeticError):
-            model._energy_scale(j_hz)
-        with pytest.raises(ArithmeticError):
-            model.from_si(0.0, 0.0, j_hz)
 
 
 def test_beta_from_tau():
     assert model._beta_from_tau(0.0) == math.inf
     assert model._beta_from_tau(0.5) == 2.0
     assert model._beta_from_tau(0.5, 4.0) == 0.5
-    # tau = inf (beta = 0) is outside [0, inf), as on a scan grid.
-    for tau in (math.inf, -0.1, -math.inf, math.nan):
-        with pytest.raises(ValueError):
-            model._beta_from_tau(tau)
-    # tau = k_B T / J is undefined unless J > 0.
-    for tau in (0.0, 0.5):
-        for coupling in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                model._beta_from_tau(tau, coupling)
-    # A tau too small for a finite beta is a numerical failure, not the
-    # zero-temperature limit.
-    # tau J underflows to 0 at (1e-200, 1e-200): the same error, not a ZeroDivisionError.
-    for tau, coupling in ((1e-320, 1.0), (1e-200, 1e-200)):
-        with pytest.raises(ArithmeticError, match="out of float range") as exc:
-            model._beta_from_tau(tau, coupling)
-        assert type(exc.value) is ArithmeticError
 
 
 def test_beta_from_tau_is_never_zero_for_positive_tau():
     # tau J overflows, but beta = 1/(tau J) = 2.19e-309 is a subnormal, not 0.
     beta = model._beta_from_tau(4.56, 1e308)
     assert beta == 1.0 / 4.56 / 1e308 and 0.0 < beta < sys.float_info.min
-    # Below the smallest subnormal beta underflows: a numerical failure, not beta = 0.
-    with pytest.raises(ArithmeticError):
-        model._beta_from_tau(sys.float_info.max, sys.float_info.max)
 
 
 def test_check_grid():
@@ -339,7 +230,3 @@ def test_check_grid():
     # A list of floats is not copied point by point: the check keeps its float objects.
     floats = [0.25, 0.5]
     assert all(map(operator.is_, model._check_grid(floats), floats))
-    for bad in ([], 1.0, [[0.0, 1.0]], np.array([[0.0], [1.0]]), [0.0, math.nan], [math.nan],
-                [0.0, math.inf], [1.0, 1.0], [1.0, 0.5]):
-        with pytest.raises(ValueError):
-            model._check_grid(bad)

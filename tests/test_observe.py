@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from spinpair import entangle, model, observe, thermo
 
@@ -38,36 +37,6 @@ def test_reconstruct_pure_state():
     # p1 = 1 + 5e-11 and p2 = -5e-11 lie within CLAMP_ATOL of [0, 1]: clamped to 1 and 0.
     pops = observe.reconstruct_populations(observe.Observables(1.0, 1.0, 1.0 + 2e-10), 0.3)
     assert pops.p1 == 1.0 and pops.p2 == 0.0
-
-
-def test_reconstruct_singular_homonuclear():
-    with pytest.raises(ValueError):
-        observe.reconstruct_populations(observe.Observables(0.1, 0.1, 0.0), math.pi / 4)
-    with pytest.raises(ValueError):
-        observe.concurrence_from_observables(observe.Observables(0.1, 0.1, 0.0), math.pi / 4)
-
-
-def test_reconstruct_inconsistent_observables():
-    with pytest.raises(ValueError):
-        observe.reconstruct_populations(observe.Observables(1.0, 1.0, -1.0), math.pi / 6)
-
-
-def test_observable_range_validation():
-    with pytest.raises(ValueError):
-        observe.Observables(1.5, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        observe.Observables(0.0, 0.0, math.nan)
-
-
-def test_theta_range_validation():
-    obs = observe.Observables(0.1, 0.05, 0.2)
-    for theta in (-1e-3, math.pi / 4 + 1e-3, math.radians(200.0)):
-        with pytest.raises(ValueError, match="theta"):
-            observe.polarizations((0.25, 0.25, 0.25, 0.25), theta)
-        with pytest.raises(ValueError, match="theta"):
-            observe.reconstruct_populations(obs, theta)
-        with pytest.raises(ValueError, match="theta"):
-            observe.concurrence_from_observables(obs, theta)
 
 
 def test_concurrence_from_observables_pure_entangled():
@@ -122,12 +91,6 @@ def test_printed_radicand_disagrees():
     route = entangle.concurrence_from_populations(pops, params.theta)
     assert abs(consistent - route) <= 1e-12
     assert abs(variant - route) > 0.1
-
-
-def test_negative_radicand_rejected():
-    obs = observe.Observables(0.45, 0.45, -0.5)
-    with pytest.raises(ValueError):
-        observe.concurrence_from_observables(obs, math.pi / 6)
 
 
 def test_p1p4_identity():

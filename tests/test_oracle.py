@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -153,26 +152,14 @@ def test_oracle_matches_closed_form():
     assert worst <= 1e-9
 
 
-@pytest.mark.parametrize("i, j", [(1, 2), (0, 3)])
-def test_x_state_with_excess_coherence_is_not_positive(i, j):
-    # Valid unit-trace diagonal, but the block {ii, ij, jj} has eigenvalue -0.05.
-    rho = np.diag([0.25] * 4).astype(complex)
-    rho[i, j] = rho[j, i] = 0.3
-    with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
-        oracle.wootters_concurrence(rho)
-
-
 @pytest.mark.parametrize("i, j, sign", [(0, 3, 1.0), (0, 1, -1.0)])
 def test_moduli_past_float_max_saturate(i, j, sign):
     # |rho_ij| exceeds float max, but validation takes moduli of the entries
-    # times 1/4, which stay finite: the pair is Hermitian. The dense case has
-    # NaN eigenvalues.
+    # times 1/4, which stay finite: the pair is Hermitian.
     z = complex(1.7e308, 1.7e308)
     rho = np.diag([0.25] * 4).astype(complex)
     rho[i, j], rho[j, i] = z, z.conjugate()
     assert oracle.spin_flip(rho)[3 - j, 3 - i] == sign * z
-    with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
-        oracle.wootters_concurrence(rho)
 
 
 def _x_matrix(rng, lowest):
@@ -220,46 +207,6 @@ def test_x_state_positivity_matches_eigvalsh():
             accepted = False
         assert accepted == (exact >= floor)
     assert near > 1000
-
-
-_REJECTED = {
-    "shape (3, 3)": (np.eye(3) / 3.0, "expected a 4x4 matrix, got shape (3, 3)"),
-    "shape (4, 4, 1)": (np.eye(4)[..., None] / 4.0, "expected a 4x4 matrix, got shape (4, 4, 1)"),
-    "nan": ({(0, 0): math.nan}, "matrix entries must be finite"),
-    "inf": ({(0, 1): math.inf, (1, 0): math.inf}, "matrix entries must be finite"),
-    "complex(0, nan)": ({(2, 2): complex(0.0, math.nan)}, "matrix entries must be finite"),
-    "non-Hermitian": ({(0, 1): 1.000001e-12}, None),  # each entry point's own message
-    # Moduli past float max: rho21 = -conj(rho12) is anti-Hermitian.
-    "anti-Hermitian past float max": (
-        {(0, 1): complex(1.7e308, 1.7e308), (1, 0): -complex(1.7e308, -1.7e308)}, None,
-    ),
-    "trace": (np.eye(4), "density matrix must have unit trace"),
-    "negative, X": (np.diag([1.5, -0.5, 0.0, 0.0]), "density matrix has a negative eigenvalue"),
-    "negative, dense": (
-        {(0, 0): 0.5, (1, 1): 0.5, (2, 2): 0.5, (3, 3): -0.5, (0, 1): 1e-3, (1, 0): 1e-3},
-        "density matrix has a negative eigenvalue",
-    ),
-}
-_HERMITIAN_ERRORS = {
-    oracle.spin_flip: "spin flip requires a Hermitian input",
-    oracle.wootters_concurrence: "density matrix is not Hermitian",
-}
-
-
-@pytest.mark.parametrize("entry", list(_HERMITIAN_ERRORS), ids=lambda f: f.__name__)
-@pytest.mark.parametrize("case", list(_REJECTED))
-def test_entry_points_reject_alike(entry, case):
-    rho, message = _REJECTED[case]
-    if isinstance(rho, dict):  # entries set on the maximally mixed state
-        edits, rho = rho, np.diag([0.25] * 4).astype(complex)
-        for ij, value in edits.items():
-            rho[ij] = value
-    message = message or _HERMITIAN_ERRORS[entry]
-    if entry is oracle.spin_flip and case in ("trace", "negative, X", "negative, dense"):
-        oracle.spin_flip(rho)  # a Hermitian flip needs no trace or positivity
-        return
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        entry(rho)
 
 
 def test_dense_path_matches_x_path():

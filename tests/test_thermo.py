@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -87,34 +86,6 @@ def test_partition_near_float_max(omega_sigma, z):
     # J = omega_delta = 1, beta = 100: Z is finite just below float max.
     params = _params(omega_sigma, 1.0)
     assert thermo.partition(thermo.energies(params, 1.0), 100.0) == z
-
-
-@pytest.mark.parametrize(
-    "omega_sigma,coupling,beta",
-    [
-        (14.8, 1.0, 100.0),  # log Z = 715 > log(float max) = 709.78
-        (1e10, 1e10, 1e300),  # beta J and beta omega_sigma overflow to inf
-    ],
-)
-def test_partition_beyond_float_range_is_numerical(omega_sigma, coupling, beta):
-    params = _params(omega_sigma, 1.0, coupling)
-    with pytest.raises(ArithmeticError) as exc:
-        thermo.partition(thermo.energies(params, coupling), beta)
-    assert not isinstance(exc.value, OverflowError)
-
-
-def test_partition_rejects_negative_or_infinite_beta():
-    levels = thermo.EnergyLevels(0.0, 0.0, 0.0, 0.0)
-    for beta in (-1.0, -math.inf, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            thermo.partition(levels, beta)
-
-
-def test_energies_reject_invalid_coupling():
-    params = _params(1.0, 0.5)
-    for coupling in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            thermo.energies(params, coupling)
 
 
 def test_levels_stay_finite_near_float_max():
@@ -236,49 +207,9 @@ def test_density_matrix_trace_and_positivity():
 def test_density_matrix_accepts_a_sequence():
     pops = (0.1, 0.2, 0.3, 0.4)
     assert thermo.density_matrix(pops, 0.4) == thermo.density_matrix(thermo.Populations(*pops), 0.4)
-
-
-@pytest.mark.parametrize(
-    "pops, theta",
-    [
-        ((0.1, 0.2, 0.3, 0.4), math.nan),
-        ((0.1, 0.2, 0.3, 0.4), -1.0),
-        ((0.1, 0.2, 0.3, 0.4), 2.0),
-        ((math.nan, 1.0, 0.0, 0.0), 0.3),
-        ((-1.0, 1.0, 0.0, 1.0), 0.3),
-        (thermo.Populations(0.0, math.inf, 0.0, 0.0), 0.3),
-    ],
-)
-def test_density_matrix_rejects_bad_inputs(pops, theta):
-    with pytest.raises(ValueError):
-        thermo.density_matrix(pops, theta)
-
-
-def test_density_matrix_bounds_are_inclusive():
-    # Each bound is accepted, and the first float past it is not.
-    above_one = math.nextafter(1.0, 2.0)
-    for i in range(4):
-        pops = [0.0, 0.0, 0.0, 0.0]
-        pops[i] = 1.0
+    for i in range(4):  # each population at its bound 1
+        pops = [float(k == i) for k in range(4)]
         assert thermo.density_matrix(pops, 0.3).to_array().trace() == 1.0
-        pops[i] = above_one
-        with pytest.raises(ValueError, match=re.escape("populations must lie in [0, 1]")):
-            thermo.density_matrix(pops, 0.3)
-    for theta in (0.0, 0.25 * math.pi):
-        thermo.density_matrix((0.25, 0.25, 0.25, 0.25), theta)
-    for theta in (-5e-324, math.nextafter(0.25 * math.pi, 1.0)):
-        with pytest.raises(ValueError, match=re.escape("theta must lie in [0, pi/4]")):
-            thermo.density_matrix((0.25, 0.25, 0.25, 0.25), theta)
-
-
-@pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
-def test_populations_reject_non_finite_levels(beta):
-    for bad in (math.nan, math.inf):
-        for levels in (thermo.EnergyLevels(0.0, bad, 1.0, 2.0), thermo.EnergyLevels(bad, 0.0, 0.0, 0.0)):
-            with pytest.raises(ValueError):
-                thermo.populations(levels, beta)
-            with pytest.raises(ValueError):
-                thermo.partition(levels, beta)
 
 
 def test_populations_at_beta_zero_are_uniform_past_float_range():
@@ -308,9 +239,6 @@ def test_gaps_do_not_cancel_at_float_max():
     assert (t43, t21, t42, t31) == (0.5, 0.5, -big, big)
     # D = J = 0: every gap is -omega_sigma / 2 or omega_sigma / 2.
     assert thermo._gaps(_params(3.0, 0.0, 0.0)) == (-1.5, 1.5, -1.5, 1.5)
-    # Only T31 = (omega_sigma + D + J) / 2 can pass float max.
-    with pytest.raises(ArithmeticError):
-        thermo._gaps(model.derive(model.SpinSystem(2.5879320237511028, 1e300, big)))
 
 
 def test_gap_populations_shift_the_levels_at_finite_beta():
@@ -323,11 +251,6 @@ def test_gap_populations_shift_the_levels_at_finite_beta():
         assert all(math.isclose(a, b, rel_tol=1e-14, abs_tol=1e-16) for a, b in zip(gap, level))
     params = _params(2.25, 0.75)
     assert thermo._populations(params, math.inf) == (0.0, 0.0, 0.5, 0.5)
-
-
-def _level_ground(params):
-    pops = thermo.populations(thermo.energies(params, params.coupling), math.inf)
-    return [i for i, p in enumerate(pops) if p > 0.0]
 
 
 def test_offset_ground_set_is_the_level_ground_set_at_the_tolerance_edge():
@@ -374,8 +297,6 @@ def test_zero_temperature_past_float_range_is_the_level_route():
     systems = [model.derive(model.SpinSystem(1e308, 0.7e308, 1e308))]
     systems += [_params(big, wd, 1e308) for wd in (0.0, 1e308, 1.3e308)]
     for params in systems:
-        with pytest.raises(ArithmeticError):
-            thermo._gaps(params)
         pops = thermo.populations(thermo.energies(params, 1e308), math.inf)
         assert thermo._populations(params, math.inf) == pops == (0.0, 0.0, 1.0, 0.0)
         assert entangle.concurrence_for_params(params, 1e308, math.inf) == params.sin_2theta
