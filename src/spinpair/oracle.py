@@ -26,9 +26,9 @@ HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-# Sign pattern of sy (x) sy in the product basis {aa, ab, ba, bb}:
+# Signs s_i s_j of sy (x) sy in the product basis {aa, ab, ba, bb}, s = (+1, -1, -1, +1):
 # flipping both spins reverses the basis order and these signs.
-_FLIP_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+_FLIP_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 
 # Row-major indices 4i + j: the (ij, ji) pairs with i <= j, and the zeros of an X matrix.
 _UPPER = [(4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4)]
@@ -71,8 +71,11 @@ def _x_lowest(e: list[complex]) -> float:
 
 def spin_flip(rho) -> np.ndarray:
     """rho_tilde[i, j] = s_i s_j conj(rho[3-i, 3-j]) with s = (+1, -1, -1, +1)."""
-    m, _ = _as_hermitian4(rho, "spin flip requires a Hermitian input")
-    return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * np.conj(m[::-1, ::-1])
+    return _flip(_as_hermitian4(rho, "spin flip requires a Hermitian input")[0])
+
+
+def _flip(m: np.ndarray) -> np.ndarray:
+    return _FLIP_SIGNS * np.conj(m[::-1, ::-1])
 
 
 def wootters_concurrence(rho) -> float:
@@ -83,7 +86,7 @@ def wootters_concurrence(rho) -> float:
     else:
         w, v = eig
         sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        lams = np.linalg.svd(sqrt_rho @ spin_flip(sqrt_rho), compute_uv=False)
+        lams = np.linalg.svd(sqrt_rho @ _flip(sqrt_rho), compute_uv=False)
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
 
 

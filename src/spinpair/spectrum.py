@@ -14,7 +14,8 @@ a sum over the differences p_outer - p_inner of the two lines into the inner
 level i. The roofing factor r is 1 + sin 2theta for inner E2 (T21, T42: the
 inner lines) and 1 - sin 2theta = cos^2(2theta) / (1 + sin 2theta) for inner E3;
 (w, w') is (sin^2(phi/2), cos^2(phi/2)) for outer E4 and swapped for outer E1;
-the cross term is subtracted on T43 and T21 and added on T42 and T31. From
+the cross term is subtracted on T43 and T21 and added on T42 and T31. sin phi is 0
+at phi = math.pi, which the flip-angle domain (0, pi] reads as pi. From
 parameters, cos 2theta = omega_delta / D (1 at D = 0), and each difference is
 p_inner expm1(-beta gap) where |beta gap| < 1, else the plain difference of
 populations a factor e or more apart; p3 - p2 likewise, with gap -D.
@@ -66,7 +67,7 @@ def _amplitudes(diffs, d32: float, c: float, s: float, phi: float) -> dict[str, 
     inner, outer = _roofs(c, s)
     sp2 = math.sin(0.5 * phi) ** 2
     cp2 = math.cos(0.5 * phi) ** 2
-    pre = -0.5 * math.sin(phi)
+    pre = -0.5 * (0.0 if phi == math.pi else math.sin(phi))  # sin(math.pi) is 1.2e-16
     cross = sp2 * (c * c) * d32
     # p_i - p1 and p4 - p_i are -d21, d42 for inner E2 and -d31, d43 for inner E3.
     return {

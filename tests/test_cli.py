@@ -22,16 +22,6 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
-def test_concurrence_zero_temp_singlet(capsys):
-    code, out, _ = run_cli(
-        capsys, "concurrence", "--omega-sigma", "0", "--omega-delta", "0", "--zero-temp"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["concurrence"] == 1.0
-    assert payload["populations"] == [0.0, 0.0, 1.0, 0.0]
-
-
 def test_concurrence_thermal_value(capsys):
     code, out, _ = run_cli(
         capsys, "concurrence", "--omega-sigma", "2", "--omega-delta", "0", "--tau", "0.5"
@@ -153,12 +143,6 @@ def test_threshold_dimensionless(capsys):
     assert math.isclose(payload["tau_t"], 1.0 / math.log(3.0), rel_tol=1e-9)
 
 
-def test_threshold_never(capsys):
-    code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "1", "--coupling", "0")
-    assert code == 0
-    assert json.loads(out)["tau_t"] == "never"
-
-
 def test_threshold_si_rows(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--j-hz", "7")
     assert code == 0
@@ -215,45 +199,6 @@ def test_spectrum_render_section(capsys, monkeypatch):
     assert curve == "".join(f"{f:.12g},{y:.12g}\n" for f, y in zip(grid, want))
 
 
-def test_crossing_presets(capsys):
-    code, out, _ = run_cli(capsys, "crossing", "--preset", "hh")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["field_ratio"] == 1.0
-    assert payload["j_cross"] == 1.0
-
-    code, out, _ = run_cli(capsys, "crossing", "--preset", "hyperfine")
-    payload = json.loads(out)
-    assert payload["j_cross"] == "none"
-    assert "field_ratio" not in payload
-
-    code, out, _ = run_cli(capsys, "crossing", "--preset", "positronium")
-    assert json.loads(out)["j_cross"] == "none"
-
-
-def test_crossing_explicit_frequencies(capsys):
-    code, out, _ = run_cli(capsys, "crossing", "--omega1", "4", "--omega2", "1")
-    assert code == 0
-    assert json.loads(out)["j_cross"] == 1.6
-    # 2 w1 w2 / (w1 + w2) = 8/3 solves only the squared condition: omega_sigma = -3.
-    code, out, _ = run_cli(capsys, "crossing", "--omega1", "1", "--omega2=-4")
-    assert (code, out) == (0, '{"j_cross": "none"}\n')
-    # A spin free of Zeeman terms has no crossing, whichever label it carries.
-    code, out, _ = run_cli(capsys, "crossing", "--omega1", "0", "--omega2", "1")
-    assert (code, out) == (0, '{"j_cross": "none"}\n')
-
-
-@pytest.mark.parametrize(
-    "omega1, omega2, want",
-    [("1e300", "1e10", 2e10), ("1e200", "1e200", 1e200),
-     ("1e308", "1e308", 1e308), ("1e-200", "1e-200", 1e-200)],
-)
-def test_crossing_extreme_frequencies(capsys, omega1, omega2, want):
-    code, out, _ = run_cli(capsys, "crossing", "--omega1", omega1, "--omega2", omega2)
-    assert code == 0
-    assert json.loads(out) == {"j_cross": want}
-
-
 # One valid command per float flag; each flag is given -1e0 in turn.
 FLOAT_FLAGS = [
     ("concurrence --omega-sigma 2 --omega-delta 0 --tau 0.5", "--omega-sigma --omega-delta --tau"),
@@ -282,8 +227,6 @@ def test_negative_exponent_form_is_a_value(capsys, command, flag):
 
 
 def test_negative_exponent_form_values_parse(capsys):
-    code, out, _ = run_cli(capsys, "crossing", "--omega1", "1e300", "--omega2", "-1e300")
-    assert (code, out) == (0, '{"j_cross": "none"}\n')
     base = ("spectrum", "--omega-sigma", "1", "--omega-delta", "0", "--tau", "1", "--render")
     assert run_cli(capsys, *base, "-1e0", "1", "3") == run_cli(capsys, *base, "-1", "1", "3")
 
@@ -291,25 +234,6 @@ def test_negative_exponent_form_values_parse(capsys):
 def test_spectrum_default_flip_angle_is_five_degrees(capsys):
     argv = ("spectrum", "--omega-sigma", "1.5", "--omega-delta", "0.5", "--tau", "0.2")
     assert run_cli(capsys, *argv)[1] == run_cli(capsys, *argv, "--phi", "5")[1]
-
-
-def test_reconstruct_pure_and_mixed(capsys):
-    code, out, _ = run_cli(
-        capsys, "reconstruct", "--p1z", "1", "--p2z", "1", "--p1z2z", "1",
-        "--theta-deg", "30",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["populations"] == [1.0, 0.0, 0.0, 0.0]
-    assert payload["concurrence"] == 0.0
-
-    code, out, _ = run_cli(
-        capsys, "reconstruct", "--p1z", "0", "--p2z", "0", "--p1z2z", "0",
-        "--theta-deg", "30",
-    )
-    payload = json.loads(out)
-    assert payload["populations"] == [0.25, 0.25, 0.25, 0.25]
-    assert payload["concurrence"] == 0.0
 
 
 def test_reconstruct_chained_from_thermal_state(capsys):
@@ -330,18 +254,6 @@ def test_reconstruct_chained_from_thermal_state(capsys):
     assert math.isclose(payload["concurrence"], direct, rel_tol=1e-9)
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SPINPAIR_PRECISION", "5")
-    code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "0")
-    assert code == 0
-    assert json.loads(out)["tau_t"] == 0.91024
-    # The field ratio 1.75 takes the precision like every other number.
-    monkeypatch.setenv("SPINPAIR_PRECISION", "1")
-    code, out, _ = run_cli(capsys, "crossing", "--preset", "hp")
-    assert code == 0
-    assert out == '{"j_cross": 0.6, "field_ratio": 2.0}\n'
-
-
 def test_threshold_far_detuned_and_weak_coupling_are_finite(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--omega-delta", "1e30")
     assert code == 0
@@ -356,42 +268,6 @@ def test_threshold_kelvin_above_underflow_is_finite(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--j-hz", "1e-270")
     assert code == 0
     assert 0.0 < json.loads(out)["t_kelvin"] < math.inf
-
-
-# stdout of each README example at the default precision: the full text of
-# the JSON commands, the sha256 of the CSV ones.
-README_OUTPUT = {
-    "concurrence --omega-sigma 2 --omega-delta 0 --tau 0.5":
-        '{"concurrence": 0.275807998496, "populations": '
-        '[0.0085044603564, 0.0628399346646, 0.46432780249, 0.46432780249]}\n',
-    "concurrence --omega-sigma 0 --omega-delta 0 --zero-temp":
-        '{"concurrence": 1.0, "populations": [0.0, 0.0, 1.0, 0.0]}\n',
-    "scan --axis tau --from 0.01 --to 1.2 --points 200 --omega-sigma 0":
-        "e6db98d146fbbb3eae03723d2c0edc7f1822a8490458e255032b7f59abfd6b88",
-    "scan --axis field --from 3.0 --to 4.4 --points 141 --omega-delta 2.5 --tau 0.01":
-        "586742cd739a212df39d6df886b45409c46955775c93cbec17e81cee490d624e",
-    "threshold --omega-delta 0": '{"tau_t": 0.910239226627}\n',
-    "threshold --j-hz 3096": '{"t_kelvin": 1.35247499953e-07}\n',
-    "spectrum --omega-sigma 1 --omega-delta 0.577 --zero-temp --phi 5 --linewidth 0.05 "
-    "--render 0 3 301":
-        "f8c947afc6a993388d02e0b064ecf76d78f47608d8d4adbbec4bbc3da89dbc83",
-    "crossing --preset hc": '{"j_cross": 0.4, "field_ratio": 2.5}\n',
-    "crossing --omega1 4 --omega2 1": '{"j_cross": 1.6}\n',
-    "reconstruct --p1z 1 --p2z 1 --p1z2z 1 --theta-deg 30":
-        '{"populations": [1.0, 0.0, 0.0, 0.0], "concurrence": 0.0}\n',
-}
-
-
-@pytest.mark.parametrize("command", sorted(README_OUTPUT))
-def test_readme_examples_are_byte_identical(capsys, monkeypatch, command):
-    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
-    code, out, _ = run_cli(capsys, *command.split())
-    assert code == 0
-    expected = README_OUTPUT[command]
-    if expected.startswith("{"):
-        assert out == expected
-    else:
-        assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_scan_chunks_match_row_by_row_format(capsys, monkeypatch):
@@ -437,18 +313,6 @@ def test_subnormal_csv_values_print_the_digits_they_carry(capsys, monkeypatch):
         assert cli._csv_field(value, digits) == text
 
 
-def test_subnormal_json_values_print_the_digits_they_carry(capsys, monkeypatch):
-    # Bench scan 17 of seed 1 at one point: C is 1.622728391388e-313 to 13 digits,
-    # a subnormal of 10 significant digits; p3, about 1.03e-312, carries 11.
-    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
-    code, out, _ = run_cli(
-        capsys, "concurrence", "--omega-sigma", "10.657778838338908",
-        "--omega-delta", "6.26701670753662", "--tau", "0.002304834454699303",
-    )
-    assert code == 0
-    assert out == '{"concurrence": 1.622728391e-313, "populations": [0.0, 0.0, 1.0298317959e-312, 1.0]}\n'
-
-
 def _child_env():
     """The environment for a child python that imports this spinpair, at the default precision."""
     src = os.path.dirname(os.path.dirname(spinpair.__file__))
@@ -483,6 +347,12 @@ def test_cli_runs_as_a_process():
         assert bool(run.stderr) == (status != 0), argv
 
 
+def _output(command, stdout, id, **env):
+    """An OUTPUTS row: a whitespace-split command line, its exact stdout or sha256:<hex> of it,
+    and the environment it runs in."""
+    return pytest.param(command, stdout, env, id=id)
+
+
 def _spectrum_csv(lines):
     """spectrum's stdout for the whitespace-separated line rows."""
     return "transition,frequency,amplitude\n" + "".join(f"{row}\n" for row in lines.split())
@@ -490,72 +360,115 @@ def _spectrum_csv(lines):
 
 _HIGH_FIELD = "--omega-sigma 100000000.01 --omega-delta 99999999.99 --tau 1"
 _FLOAT_MAX = "--omega-sigma 1.7976931348623157e308 --omega-delta 1.7976931348623157e308"
+_ZERO_LINES = _spectrum_csv("T43,1,-0 T21,0,-0 T42,0,-0 T31,1,-0")
+_NONE = '{"j_cross": "none"}\n'
 
-
-@pytest.mark.parametrize(
-    "command, want",
-    [
-        pytest.param(f"concurrence {_HIGH_FIELD}", '{"concurrence": 6.2010643173e-09, '
-                     '"populations": [0.0, 0.0, 0.620106431668, 0.379893568332]}\n',
-                     id="concurrence"),
-        pytest.param(f"spectrum {_HIGH_FIELD}", _spectrum_csv(
-            "T43,0.489999997136,0.0104480482728 T21,0.510000002864,1.99168837763e-05 "
-            "T42,99999999.5,-0.0165748701058 T31,100000000.5,-0.0270030011637"), id="spectrum"),
-        pytest.param(f"spectrum {_FLOAT_MAX} --zero-temp", _spectrum_csv(
-            "T43,0.5,-0 T21,0.5,-0 T42,1.79769313486e+308,-0.0217889356869 "
-            "T31,1.79769313486e+308,-0.0217889356869"), id="spectrum-float-max"),
-        # Low field: the amplitudes keep their digits where beta times a gap is small.
-        pytest.param("spectrum --omega-sigma 0 --omega-delta 1e-6 --tau 1", _spectrum_csv(
-            "T43,1,6.54733945885e-15 T21,2.5e-13,3.82081394155e-15 "
-            "T42,2.5e-13,-3.82081394155e-15 T31,1,-6.54733945885e-15"), id="low-field"),
-        pytest.param(
-            "spectrum --omega-sigma 0 --omega-delta 1.091766587011041e-06 --tau 758.0372",
+# Every command line whose whole stdout a test fixes, at the default precision unless the
+# row sets SPINPAIR_PRECISION. The README examples come first.
+OUTPUTS = [
+    _output("concurrence --omega-sigma 2 --omega-delta 0 --tau 0.5",
+            '{"concurrence": 0.275807998496, "populations": '
+            '[0.0085044603564, 0.0628399346646, 0.46432780249, 0.46432780249]}\n',
+            "readme-concurrence"),
+    _output("concurrence --omega-sigma 0 --omega-delta 0 --zero-temp",
+            '{"concurrence": 1.0, "populations": [0.0, 0.0, 1.0, 0.0]}\n', "readme-singlet"),
+    _output("scan --axis tau --from 0.01 --to 1.2 --points 200 --omega-sigma 0",
+            "sha256:e6db98d146fbbb3eae03723d2c0edc7f1822a8490458e255032b7f59abfd6b88",
+            "readme-tau-scan"),
+    _output("scan --axis field --from 3.0 --to 4.4 --points 141 --omega-delta 2.5 --tau 0.01",
+            "sha256:586742cd739a212df39d6df886b45409c46955775c93cbec17e81cee490d624e",
+            "readme-field-scan"),
+    _output("threshold --omega-delta 0", '{"tau_t": 0.910239226627}\n', "readme-threshold"),
+    _output("threshold --j-hz 3096", '{"t_kelvin": 1.35247499953e-07}\n', "readme-kelvin"),
+    _output("spectrum --omega-sigma 1 --omega-delta 0.577 --zero-temp --phi 5 --linewidth 0.05 "
+            "--render 0 3 301",
+            "sha256:f8c947afc6a993388d02e0b064ecf76d78f47608d8d4adbbec4bbc3da89dbc83",
+            "readme-spectrum"),
+    _output("crossing --preset hc", '{"j_cross": 0.4, "field_ratio": 2.5}\n', "readme-hc"),
+    _output("crossing --omega1 4 --omega2 1", '{"j_cross": 1.6}\n', "readme-crossing"),
+    _output("reconstruct --p1z 1 --p2z 1 --p1z2z 1 --theta-deg 30",
+            '{"populations": [1.0, 0.0, 0.0, 0.0], "concurrence": 0.0}\n', "readme-reconstruct"),
+    _output("reconstruct --p1z 0 --p2z 0 --p1z2z 0 --theta-deg 30",
+            '{"populations": [0.25, 0.25, 0.25, 0.25], "concurrence": 0.0}\n', "reconstruct-mixed"),
+    _output("threshold --omega-delta 1 --coupling 0", '{"tau_t": "never"}\n', "threshold-never"),
+    _output("threshold --omega-delta 0", '{"tau_t": 0.91024}\n', "precision-5",
+            SPINPAIR_PRECISION="5"),
+    # The field ratio 1.75 takes the precision like every other number.
+    _output("crossing --preset hp", '{"j_cross": 0.6, "field_ratio": 2.0}\n', "precision-1",
+            SPINPAIR_PRECISION="1"),
+    _output("crossing --preset hh", '{"j_cross": 1.0, "field_ratio": 1.0}\n', "crossing-hh"),
+    _output("crossing --preset hyperfine", _NONE, "crossing-hyperfine"),
+    _output("crossing --preset positronium", _NONE, "crossing-positronium"),
+    # 2 w1 w2 / (w1 + w2) = 8/3 solves only the squared condition: omega_sigma = -3.
+    _output("crossing --omega1 1 --omega2=-4", _NONE, "crossing-opposite-signs"),
+    _output("crossing --omega1 1e300 --omega2 -1e300", _NONE, "crossing-negative-exponent"),
+    # A spin free of Zeeman terms has no crossing, whichever label it carries.
+    _output("crossing --omega1 0 --omega2 1", _NONE, "crossing-no-zeeman"),
+    # The intermediates of 2 w1 w2 / (w1 + w2) leave float range; the result does not.
+    _output("crossing --omega1 1e300 --omega2 1e10", '{"j_cross": 20000000000.0}\n',
+            "crossing-2e10"),
+    _output("crossing --omega1 1e200 --omega2 1e200", '{"j_cross": 1e+200}\n', "crossing-1e200"),
+    _output("crossing --omega1 1e308 --omega2 1e308", '{"j_cross": 1e+308}\n', "crossing-1e308"),
+    _output("crossing --omega1 1e-200 --omega2 1e-200", '{"j_cross": 1e-200}\n', "crossing-1e-200"),
+    # Bench scan 17 of seed 1 at one point: C is 1.622728391388e-313 to 13 digits, a
+    # subnormal of 10 significant digits; p3, about 1.03e-312, carries 11.
+    _output("concurrence --omega-sigma 10.657778838338908 --omega-delta 6.26701670753662 "
+            "--tau 0.002304834454699303", '{"concurrence": 1.622728391e-313, "populations": '
+            '[0.0, 0.0, 1.0298317959e-312, 1.0]}\n', "subnormal-json"),
+    # Small gaps print correctly rounded digits: thermo forms them without cancellation.
+    _output(f"concurrence {_HIGH_FIELD}", '{"concurrence": 6.2010643173e-09, '
+            '"populations": [0.0, 0.0, 0.620106431668, 0.379893568332]}\n',
+            "high-field-concurrence"),
+    _output(f"spectrum {_HIGH_FIELD}", _spectrum_csv(
+        "T43,0.489999997136,0.0104480482728 T21,0.510000002864,1.99168837763e-05 "
+        "T42,99999999.5,-0.0165748701058 T31,100000000.5,-0.0270030011637"),
+        "high-field-spectrum"),
+    _output(f"spectrum {_FLOAT_MAX} --zero-temp", _spectrum_csv(
+        "T43,0.5,-0 T21,0.5,-0 T42,1.79769313486e+308,-0.0217889356869 "
+        "T31,1.79769313486e+308,-0.0217889356869"), "spectrum-float-max"),
+    # Low field: the amplitudes keep their digits where beta times a gap is small.
+    _output("spectrum --omega-sigma 0 --omega-delta 1e-6 --tau 1", _spectrum_csv(
+        "T43,1,6.54733945885e-15 T21,2.5e-13,3.82081394155e-15 "
+        "T42,2.5e-13,-3.82081394155e-15 T31,1,-6.54733945885e-15"), "low-field"),
+    _output("spectrum --omega-sigma 0 --omega-delta 1.091766587011041e-06 --tau 758.0372",
             _spectrum_csv("T43,1,8.56817434767e-18 T21,2.97988570128e-13,8.56254553871e-18 "
                           "T42,2.97988570128e-13,-8.56254553871e-18 T31,1,-8.56817434767e-18"),
-            id="low-field-hot"),
-        # cos 2theta = omega_delta / D = 0 where omega_delta = 0, and the lines into
-        # E2 join equal populations: every amplitude is exactly 0.
-        pytest.param("spectrum --omega-sigma 0 --omega-delta 0 --zero-temp",
-                     _spectrum_csv("T43,1,-0 T21,0,-0 T42,0,-0 T31,1,-0"), id="zero-temp-zero"),
-        pytest.param("spectrum --omega-sigma 0 --omega-delta 0 --tau 1",
-                     _spectrum_csv("T43,1,-0 T21,0,-0 T42,0,-0 T31,1,-0"), id="zero"),
-        pytest.param("spectrum --omega-sigma 1 --omega-delta 0 --zero-temp",
-                     _spectrum_csv("T43,0.5,-0 T21,0.5,-0 T42,0.5,-0 T31,1.5,-0"), id="silent"),
-    ],
-)
-def test_small_gaps_print_correctly_rounded_digits(capsys, monkeypatch, command, want):
-    # The gaps come from thermo without a cancelling subtraction of the levels.
-    monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
-    assert run_cli(capsys, *command.split())[:2] == (0, want)
-
-
-_ZERO_TEMPERATURE_COMMANDS = [
-    (("concurrence", "--omega-sigma", "2", "--omega-delta", "0", "--zero-temp"),
-     '{"concurrence": 0.5, "populations": [0.0, 0.0, 0.5, 0.5]}\n'),
-    (("spectrum", "--omega-sigma", "1", "--omega-delta", "0.577", "--zero-temp"),
-     "transition,frequency,amplitude\nT43,0.577262721817,0.00583111884769\n"
-     "T21,0.422737278183,2.07095062825e-05\nT42,0.577262721817,-2.07095062825e-05\n"
-     "T31,1.57726272182,-0.00583111884769\n"),
+            "low-field-hot"),
+    # cos 2theta = omega_delta / D = 0 where omega_delta = 0, and the lines into
+    # E2 join equal populations: every amplitude is exactly 0.
+    _output("spectrum --omega-sigma 0 --omega-delta 0 --zero-temp", _ZERO_LINES, "zero-temp-zero"),
+    _output("spectrum --omega-sigma 0 --omega-delta 0 --tau 1", _ZERO_LINES, "zero"),
+    _output("spectrum --omega-sigma 1 --omega-delta 0 --zero-temp",
+            _spectrum_csv("T43,0.5,-0 T21,0.5,-0 T42,0.5,-0 T31,1.5,-0"), "silent"),
+    # An inversion pulse, phi = 180 degrees, leaves no transverse magnetisation.
+    _output("spectrum --omega-sigma 1 --omega-delta 0.5 --tau 1 --phi 180", _spectrum_csv(
+        "T43,0.559016994375,0 T21,0.440983005625,-0 T42,0.559016994375,-0 "
+        "T31,1.55901699437,-0"), "inversion"),
+    # beta = inf decides the ground set on the gap offsets: E3 and E4 share it at the
+    # E3/E4 crossing omega_sigma = D + J.
+    _output("concurrence --omega-sigma 2 --omega-delta 0 --zero-temp",
+            '{"concurrence": 0.5, "populations": [0.0, 0.0, 0.5, 0.5]}\n', "crossing-point"),
+    _output("spectrum --omega-sigma 1 --omega-delta 0.577 --zero-temp", _spectrum_csv(
+        "T43,0.577262721817,0.00583111884769 T21,0.422737278183,2.07095062825e-05 "
+        "T42,0.577262721817,-2.07095062825e-05 T31,1.57726272182,-0.00583111884769"),
+        "zero-temp-spectrum"),
     # From tau = 0 at the E3/E4 crossing omega_sigma = D + J = 2.25.
-    (("scan", "--axis", "tau", "--from", "0", "--to", "1", "--points", "5",
-      "--omega-sigma", "2.25", "--omega-delta", "0.75"),
-     "x,concurrence\n0,0.4\n0.25,0.3848754408\n0.5,0.250112294029\n0.75,0.0905179686245\n1,0\n"),
-    (("scan", "--axis", "field", "--from", "1.9", "--to", "2.1", "--points", "5",
-      "--omega-delta", "0", "--tau", "0"),
-     "x,concurrence\n1.9,1\n1.95,1\n2,0.5\n2.05,0\n2.1,0\n"),
+    _output("scan --axis tau --from 0 --to 1 --points 5 --omega-sigma 2.25 --omega-delta 0.75",
+            "x,concurrence\n0,0.4\n0.25,0.3848754408\n0.5,0.250112294029\n"
+            "0.75,0.0905179686245\n1,0\n", "tau-scan-from-zero"),
+    _output("scan --axis field --from 1.9 --to 2.1 --points 5 --omega-delta 0 --tau 0",
+            "x,concurrence\n1.9,1\n1.95,1\n2,0.5\n2.05,0\n2.1,0\n", "zero-temp-field-scan"),
 ]
 
 
-def test_zero_temperature_outputs_form_no_level(capsys, monkeypatch):
-    # Every beta = inf route from parameters decides the ground set on the gap
-    # offsets, so none needs the levels that energies forms.
+@pytest.mark.parametrize("command, stdout, env", OUTPUTS)
+def test_printed_outputs(capsys, monkeypatch, command, stdout, env):
     monkeypatch.delenv("SPINPAIR_PRECISION", raising=False)
-
-    def no_levels(*args):
-        raise AssertionError("energies formed the levels")
-
-    monkeypatch.setattr(thermo, "energies", no_levels)
-    for argv, want in _ZERO_TEMPERATURE_COMMANDS:
-        assert run_cli(capsys, *argv) == (0, want, "")
-    near_max = spinpair.ground_state(model.SpinSystem(1e308, 0.7e308, 1e308))
-    assert near_max == spinpair.GroundState(3, None)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    # No CLI route forms the levels, which cancel at high field: calling energies raises.
+    monkeypatch.setattr(thermo, "energies", None)
+    code, out, err = run_cli(capsys, *command.split())
+    if stdout.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert (code, out, err) == (0, stdout, "")

@@ -136,6 +136,14 @@ _NOT_POSITIVE = {
     "coherence-01-past-max": _rho({(0, 1): _Z, (1, 0): _Z.conjugate()}),
 }
 
+_IMAGINARY = {(k, k): 0.25 + 2.5e-13j for k in range(4)}
+_PAST_IM = 2.5e-13 + math.ulp(1e-12)  # the imaginary trace becomes the float after 1e-12
+
+
+def _x_block(b):
+    return _rho({(0, 0): 0.0, (3, 3): 0.0, (1, 1): 0.5, (2, 2): 0.5, (0, 3): b, (3, 0): b})
+
+
 LIBRARY_FAILURES = [
     # model: systems, presets, parameters, the SI bridge, beta from tau and grids.
     _row(partial(model.SpinSystem, 1.0, 0.0, _past(0.0)), ValueError, _COUPLING, "system-J-past-0",
@@ -206,6 +214,10 @@ LIBRARY_FAILURES = [
          accepts=partial(thermo.populations, _LEVELS, 0.0)),
     _row(partial(thermo.partition, _LEVELS, math.inf), ValueError, "Z needs a finite beta",
          "partition-beta-inf"),
+    # log Z = -beta E3 here: log(float max) itself is accepted, the float after it is not.
+    _row(partial(thermo.partition, (0.0, 0.0, -_past(709.782712893384, math.inf), 0.0), 1.0),
+         ArithmeticError, "partition function exceeds float range", "partition-past-log-max",
+         accepts=partial(thermo.partition, (0.0, 0.0, -709.782712893384, 0.0), 1.0)),
     # log Z = 715 > log(float max) = 709.78; beta J and beta omega_sigma past float max.
     *(_row(partial(thermo.partition, thermo.energies(_params(ws, 1.0, j), j), b), ArithmeticError,
            "partition function exceeds float range", f"partition-{ws}-{b}")
@@ -338,6 +350,17 @@ LIBRARY_FAILURES = [
            "density matrix must have unit trace" if case == "trace" else _NEGATIVE_EIGENVALUE,
            f"wootters-{case}", accepts=partial(oracle.spin_flip, m))
       for case, m in _NOT_POSITIVE.items()),
+    # Each tolerance at its bound on the mixed state, where q = e / 4 and max(1/4, |q|) = 1/4:
+    # a skew of 1e-12 / 4; an imaginary trace of 1e-12; an X block [[0, b], [b, 0]] at -1e-10.
+    *(_row(partial(f, _rho({(0, 1): _past(1e-12, 1.0)})), ValueError, _HERMITIAN[f],
+           f"{f.__name__}-past-skew", accepts=partial(f, _rho({(0, 1): 1e-12})))
+      for f in _HERMITIAN),
+    _row(partial(oracle.wootters_concurrence, _rho({**_IMAGINARY, (3, 3): 0.25 + _PAST_IM * 1j})),
+         ValueError, "density matrix must have unit trace", "wootters-past-imaginary-trace",
+         accepts=partial(oracle.wootters_concurrence, _rho(_IMAGINARY))),
+    _row(partial(oracle.wootters_concurrence, _x_block(_past(1e-10, 1.0))), ValueError,
+         _NEGATIVE_EIGENVALUE, "wootters-past-eigenvalue-floor",
+         accepts=partial(oracle.wootters_concurrence, _x_block(1e-10))),
     # spectrum: frequencies from four finite levels, amplitudes and line shapes.
     *(_row(partial(spectrum.transition_frequencies, lv), ValueError, _FOUR_LEVELS,
            f"frequencies-{len(lv)}-levels") for lv in ((), (0.0, 1.0, 2.0), (0.0,) * 5)),
@@ -393,6 +416,12 @@ LIBRARY_FAILURES = [
          "reconstruct-past-clamp",
          accepts=partial(observe.reconstruct_populations, observe.Observables(-0.5, -0.5, -4e-10),
                          0.0)),
+    # theta = 0, p1z = p2z = 1 + 1e-10: p1 = 1 + CLAMP_ATOL at p1z2z = 1 + 2e-10, past it 4 ulps up.
+    _row(partial(observe.reconstruct_populations,
+                 observe.Observables(1.0000000001, 1.0000000001, 1.000000000200001), 0.0),
+         ValueError, "p1 = 1.0000000001000002 outside [0, 1]", "reconstruct-past-upper-clamp",
+         accepts=partial(observe.reconstruct_populations,
+                         observe.Observables(1.0000000001, 1.0000000001, 1.0000000002), 0.0)),
     _row(partial(observe.concurrence_from_observables, observe.Observables(0.45, 0.45, -0.5),
                  math.pi / 6), ValueError, "negative radicand", "from-observables-radicand"),
     # At p1z2z = -1 and p2z = 0 the radicand is -p1z^2: RADICAND_FLOOR = -1e-12 at p1z = 1e-6.

@@ -55,6 +55,8 @@ def test_labels_are_swapped_to_canonical_order():
     system = model.SpinSystem(1.0, 3.0, 0.5)
     assert (system.omega1, system.omega2) == (3.0, 1.0)
     assert tuple(model.SpinSystem(3.0, 1.0, 0.5)) == (3.0, 1.0, 0.5)
+    # Equal frequencies keep their order, signed zeros included.
+    assert [math.copysign(1.0, w) for w in model.SpinSystem(-0.0, 0.0, 0.5)[:2]] == [-1.0, 1.0]
 
 
 def test_spin_system_takes_no_unit_or_swap_setting():

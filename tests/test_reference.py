@@ -31,6 +31,11 @@ omega_delta << J and small beta gap drawn on purpose). The gap_cond comes in
 where T43 or T21 rounds by eps J at its crossing; at phi = pi/2 the weights
 sin^2(phi/2) and cos^2(phi/2) are equal, where a small phi would scale the
 bound by their ratio cot^2(phi/2).
+The observables route is checked step by step against the 60-digit value of
+its own float inputs: polarizations within 4 eps, reconstruct_populations within
+4 eps (1 + |P1z - P2z| / |cos 2theta|), concurrence_from_observables within the
+bound on 16 p1 p4 of bench/reference.py::observables_tolerance. Each multiple
+is twice or more the worst case of the step's roundings.
 The threshold tau_t is checked against a 50-digit root of the entanglement gap.
 The crossing coupling and the critical omega_sigma, over [1e-300, 1e300], are
 within 2 eps relative of their 60-digit values, or within the smallest
@@ -42,7 +47,7 @@ import sys
 
 import pytest
 
-from spinpair import critical, entangle, model, spectrum, thermo
+from spinpair import critical, entangle, model, observe, spectrum, thermo
 
 mp = pytest.importorskip("mpmath").mp
 hypothesis = pytest.importorskip("hypothesis")
@@ -56,6 +61,7 @@ FREQ = 8.0
 C_POP_ABS = 1.0
 LOG_Z_ABS = 8.0
 AMP, AMP_PHI = 12.0, 0.5 * math.pi
+OBS, REC, C_OBS = 4.0, 4.0, 8.0
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -233,6 +239,42 @@ def test_line_amplitudes_match_mpmath(pair, beta):
     lines = spectrum._spectrum_lines(params, beta, AMP_PHI)
     for line, (want, scale) in zip(lines, _amplitude_reference(*pair, beta).values()):
         assert abs(line.amplitude - want) <= AMP * gap_tol * scale, (line, want, scale)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+# p1 p4 -> 0, where the radicand 16 p1 p4 cancels; cos 2theta = 1e-6; a homonuclear point.
+@hypothesis.example(pair=(1e4, 1.0), beta=1e3)
+@hypothesis.example(pair=(0.0, 1e-6), beta=1.0)
+@hypothesis.example(pair=(1.0, 0.0), beta=5.0)
+@hypothesis.given(pair=OMEGA_PAIRS, beta=_log_uniform(1e-3, 1e3))
+def test_observables_match_mpmath(pair, beta):
+    params = model.derive_from_sigma_delta(*pair, 1.0)
+    pops, theta = thermo._populations(params, beta), params.theta
+    obs = observe.polarizations(pops, theta)
+    with mp.workdps(60):
+        p1, p2, p3, p4 = map(mp.mpf, pops)
+        c, tan = mp.cos(2 * mp.mpf(theta)), mp.tan(2 * mp.mpf(theta))
+        for got, want in zip(obs, (p1 - p4 + (p2 - p3) * c, p1 - p4 + (p3 - p2) * c,
+                                   p1 + p4 - p2 - p3)):
+            assert abs(got - want) <= OBS * EPS, (got, want)
+        if abs(c) < observe.SINGULAR_COS2THETA:
+            return
+        q1, q2, q12 = map(mp.mpf, obs)
+        skew = (q1 - q2) / c
+        want = [(1 + q1 + q2 + q12) / 4, (1 - q12 + skew) / 4, (1 - q12 - skew) / 4,
+                (1 - q1 - q2 + q12) / 4]
+        bound = REC * EPS * (1 + float(abs(skew)))
+        for got, ref in zip(observe.reconstruct_populations(obs, theta), want):
+            assert abs(got - min(max(ref, 0), 1)) <= bound, (got, ref)
+        # A rounding d_rad of the radicand moves its root by min(sqrt(d_rad), d_rad / 2 root).
+        radicand = (1 + q12) ** 2 - (q1 + q2) ** 2
+        root, gain = mp.sqrt(max(radicand, 0)), abs(q1 - q2) * abs(tan)
+        d_rad = C_OBS * EPS * ((1 + q12) ** 2 + (q1 + q2) ** 2)
+        d_root = min(mp.sqrt(d_rad), d_rad / (2 * root)) if root else mp.sqrt(d_rad)
+        bound = float((d_root + C_OBS * EPS * (gain + root)) / 2)
+        want = max(gain - root, 0) / 2
+        got = observe.concurrence_from_observables(obs, theta)
+        assert abs(got - want) <= bound, (got, want, bound)
 
 
 def _mp_threshold_x(s):

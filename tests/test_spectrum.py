@@ -74,7 +74,7 @@ def _reference_amplitudes(pops, theta, phi):
     c2 = c * c  # correctly rounded, where c ** 2 calls pow
     sp2 = math.sin(0.5 * phi) ** 2
     cp2 = math.cos(0.5 * phi) ** 2
-    pre = -0.5 * math.sin(phi)
+    pre = -0.5 * (0.0 if phi == math.pi else math.sin(phi))  # sin pi = 0, not sin(math.pi)
     outer = c2 / (1.0 + s)  # 1 - s without the cancellation
     return {
         "T43": pre
@@ -170,6 +170,12 @@ def test_frequencies_homonuclear_low_field():
 def test_amplitudes_silent_singlet():
     amps = _amps((0, 0, 1, 0), math.pi / 4, math.radians(5.0))
     assert all(abs(a) <= 1e-12 for a in amps.values())
+
+
+def test_inversion_pulse_has_zero_amplitudes():
+    # phi = math.pi reads as pi; the float just below it keeps sin phi = 1.2e-16.
+    assert list(_amps((0.1, 0.2, 0.3, 0.4), 0.3, math.pi).values()) == [0.0] * 4
+    assert all(_amps((0.1, 0.2, 0.3, 0.4), 0.3, math.nextafter(math.pi, 0.0)).values())
 
 
 def test_amplitudes_pure4_example():

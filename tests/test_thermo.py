@@ -134,6 +134,13 @@ def test_degeneracy_scale_is_the_largest_level_magnitude():
     assert thermo.populations(levels, math.inf).probs == (0.5, 0.5, 0.0, 0.0)
     levels = thermo.EnergyLevels(-1e6, -1e6 + 2e-6, 5.0, 3.0)
     assert thermo.populations(levels, math.inf).probs == (1.0, 0.0, 0.0, 0.0)
+    # Scales 1, D/2 + J/4 = 3 and omega_sigma/2 + J/4 = 5: RTOL x scale joins, the next float not.
+    assert thermo.populations((1.0, 1.0, 0.0, 1e-12), math.inf).probs == (0.0, 0.0, 0.5, 0.5)
+    assert thermo.populations((1.0, 1.0, 0.0, math.nextafter(1e-12, 1.0)), math.inf).probs[2] == 1.0
+    params = _params(2.0, 0.0, 4.0)  # J = 4, omega_delta = 0: D = 4
+    for omega_sigma, t43 in ((2.0, 3e-12), (8.0, 5e-12)):
+        assert thermo._ground(params, omega_sigma, t43=t43) == [2, 3]
+        assert thermo._ground(params, omega_sigma, t43=math.nextafter(t43, 1.0)) == [2]
 
 
 def test_populations_sum_and_range():
