@@ -25,9 +25,9 @@ D - omega_delta = J^2 / (D + omega_delta) and D - J = omega_delta^2 / (D + J):
     T42 = -(omega_sigma + (D - J)) / 2,   T31 = (omega_sigma + D + J) / 2
 
 The equilibrium state in the product basis is X-shaped: four real diagonals
-plus one real coherence between |ab> and |ba>. beta = inf spreads probability
-evenly over the levels within DEGENERACY_RTOL max(1, max |E_i|) of the lowest;
-from params, _ground decides that set on the offsets (T31, D, 0, T43), as above.
+plus one real coherence between |ab> and |ba>. beta = inf spreads probability evenly over
+the levels within 1e-12 max |E_i| of the lowest, a scale floored at the least normal float and
+so the same in any unit. _ground_set is that one rule, for the levels and for _ground's offsets.
 """
 
 from __future__ import annotations
@@ -120,14 +120,10 @@ def partition(levels: EnergyLevels, beta: float) -> float:
 
 
 def populations(levels: EnergyLevels, beta: float) -> Populations:
-    """Boltzmann occupations; at beta = inf, equal shares of the ground set: the levels within
-    DEGENERACY_RTOL max(1, max |E_i|) of the lowest."""
+    """Boltzmann occupations; at beta = inf, equal shares of _ground_set at scale max |E_i|."""
     if _is_zero_temperature(beta):
         es = _check_levels(levels)
-        emin = min(es)
-        tol = DEGENERACY_RTOL * max(1.0, max(es), -emin)  # max(max E_i, -min E_i) is max |E_i|
-        ground = [i for i, e in enumerate(es) if e - emin <= tol]
-        return Populations(*(1.0 / len(ground) if i in ground else 0.0 for i in range(4)))
+        return _shares(_ground_set(es, max(map(abs, es))))
     _, weights = _shifted_weights(levels, beta)
     total = sum(weights)
     return Populations(*(w / total for w in weights))
@@ -136,8 +132,7 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
 def _populations(params: DerivedParams, beta: float) -> Populations:
     """populations at params, from the offsets E_i - E3 = (T31, D, 0, T43) at every beta."""
     if _is_zero_temperature(beta):
-        ground = _ground(params)
-        return Populations(*(1.0 / len(ground) if i in ground else 0.0 for i in range(4)))
+        return _shares(_ground(params))
     t43, _, _, t31 = _gaps(params)
     return populations(EnergyLevels(t31, params.d_coupling, 0.0, t43), beta)
 
@@ -163,15 +158,25 @@ def _gaps(params: DerivedParams) -> tuple[float, float, float, float]:
 
 
 def _ground(params: DerivedParams, omega_sigma=None, t43=None) -> list[int]:
-    """populations' 0-based ground set at omega_sigma (params' own by default), decided on the
-    offsets (T31 = T43 + omega_sigma, D, 0, T43); T31 = +inf is never ground. The scale
-    max(1, E1, -E3) is max(1, max |E_i|) (|E4| <= E1, |E2| <= -E3), halved as energies halves."""
+    """populations' ground set at omega_sigma (params' own by default): the _ground_set of the
+    offsets (T31 = T43 + omega_sigma, D, 0, T43), where T31 = +inf is never ground, at the scale
+    max(E1, -E3) = max |E_i| (|E4| <= E1, |E2| <= -E3), halved as energies halves."""
     if t43 is None:
         omega_sigma = params.omega_sigma
         t43 = _gap_terms(params)[0] - 0.5 * (omega_sigma - params.omega_delta)
     d, j = params.d_coupling, 0.25 * params.coupling
-    tol, low = DEGENERACY_RTOL * max(1.0, 0.5 * omega_sigma + j, 0.5 * d + j), min(t43, 0.0)
-    return [i for i, o in enumerate((t43 + omega_sigma, d, 0.0, t43)) if o - low <= tol]
+    return _ground_set((t43 + omega_sigma, d, 0.0, t43), max(0.5 * omega_sigma + j, 0.5 * d + j))
+
+
+def _ground_set(offsets, scale: float) -> list[int]:
+    """0-based indices of the four offsets at most 1e-12 max(scale, float min) above the least."""
+    low, tol = min(offsets), DEGENERACY_RTOL * max(scale, sys.float_info.min)
+    return [i for i, o in enumerate(offsets) if o - low <= tol]
+
+
+def _shares(ground: list[int]) -> Populations:
+    """The beta = inf occupations: equal shares of the 0-based ground set."""
+    return Populations(*(1.0 / len(ground) if i in ground else 0.0 for i in range(4)))
 
 
 def _probs(pops, theta: float) -> tuple[float, float, float, float]:

@@ -123,6 +123,32 @@ def test_x_path_matches_block_formula_and_dense_path():
     assert outer_wins > 100 and inner_wins > 100
 
 
+def test_x_path_matches_mpmath():
+    # The X path against the 60-digit C = 2 max(0, |rho14| - sqrt(rho22 rho33),
+    # |rho23| - sqrt(rho11 rho44)) of the same float entries. The bound counts the
+    # roundings, u = 2^-53, with o = sqrt(rho11 rho44), i = sqrt(rho22 rho33), a = |rho14|,
+    # b = |rho23| (a <= o, b <= i): o and i err by 1.5u (product, sqrt), a and b by 2u
+    # (one ulp of hypot); the four l = o +- a, i +- b add u each and the three
+    # subtractions u times 2a or 2b, |2a - i - b| and C. Summed to first order, the error
+    # is below u (5o + 6i + 10a + 5b) when the outer block wins, with o, i and a, b
+    # swapped when the inner one does; u (6(o + i) + 10(a + b)) covers both, and the
+    # factor 1 + 2^-20 the second-order terms.
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    with mp.workdps(60):
+        for _ in range(300):
+            rho = _mixed_x_state(rng)
+            c = oracle.wootters_concurrence(rho)
+            a, b = (mp.hypot(z.real, z.imag) for z in (rho[0, 3], rho[1, 2]))
+            o, i = (mp.sqrt(mp.mpf(rho[k, k].real) * rho[3 - k, 3 - k].real) for k in (0, 1))
+            want = 2 * max(0, a - i, b - o)
+            bound = mp.mpf(2) ** -53 * (6 * (o + i) + 10 * (a + b)) * (1 + mp.mpf(2) ** -20)
+            assert abs(c - want) <= bound, (rho, c, want)
+            worst = max(worst, float(abs(c - want) / bound))
+    assert worst > 0.0  # the reference sees the roundings
+
+
 def test_wootters_thermal_x_state():
     rho, params = _thermal_rho(2.0, 0.0, 2.0)
     expected = (math.exp(2.0) - 3.0) / (2.0 * math.cosh(2.0) + math.exp(2.0) + 1.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinpair import entangle, model, thermo
+from spinpair import entangle, model, spectrum, thermo
 
 
 def _params(omega_sigma, omega_delta, coupling=1.0):
@@ -129,18 +129,24 @@ def test_populations_zero_temperature_degenerate_pair():
 
 
 def test_degeneracy_scale_is_the_largest_level_magnitude():
-    # The tolerance is DEGENERACY_RTOL max(1, |E_i|), also where a negative level is largest.
+    # The tolerance is DEGENERACY_RTOL max |E_i|, also where a negative level is largest.
     levels = thermo.EnergyLevels(-1e6, -1e6 + 5e-7, 5.0, 3.0)
     assert thermo.populations(levels, math.inf).probs == (0.5, 0.5, 0.0, 0.0)
     levels = thermo.EnergyLevels(-1e6, -1e6 + 2e-6, 5.0, 3.0)
     assert thermo.populations(levels, math.inf).probs == (1.0, 0.0, 0.0, 0.0)
-    # Scales 1, D/2 + J/4 = 3 and omega_sigma/2 + J/4 = 5: RTOL x scale joins, the next float not.
-    assert thermo.populations((1.0, 1.0, 0.0, 1e-12), math.inf).probs == (0.0, 0.0, 0.5, 0.5)
-    assert thermo.populations((1.0, 1.0, 0.0, math.nextafter(1e-12, 1.0)), math.inf).probs[2] == 1.0
-    params = _params(2.0, 0.0, 4.0)  # J = 4, omega_delta = 0: D = 4
-    for omega_sigma, t43 in ((2.0, 3e-12), (8.0, 5e-12)):
-        assert thermo._ground(params, omega_sigma, t43=t43) == [2, 3]
-        assert thermo._ground(params, omega_sigma, t43=math.nextafter(t43, 1.0)) == [2]
+    # Scales 1, D/2 + J/4 = 3 and omega_sigma/2 + J/4 = 5, in units 1 and 2^40 times finer:
+    # RTOL x scale joins, the next float not.
+    for f in (1.0, 2.0**-40):
+        levels = (f, f, 0.0, 1e-12 * f)
+        assert thermo.populations(levels, math.inf).probs == (0.0, 0.0, 0.5, 0.5)
+        levels = (f, f, 0.0, math.nextafter(1e-12 * f, 1.0))
+        assert thermo.populations(levels, math.inf).probs[2] == 1.0
+        params = _params(2.0 * f, 0.0, 4.0 * f)  # J = 4, omega_delta = 0: D = 4
+        for omega_sigma, t43 in ((2.0 * f, 3e-12 * f), (8.0 * f, 5e-12 * f)):
+            assert thermo._ground(params, omega_sigma, t43=t43) == [2, 3]
+            assert thermo._ground(params, omega_sigma, t43=math.nextafter(t43, 1.0)) == [2]
+    # The scale's floor, the least normal float, makes a subnormal offset a tie.
+    assert thermo.populations((0.0, 0.0, 0.0, 5e-324), math.inf).probs == (0.25,) * 4
 
 
 def test_populations_sum_and_range():
@@ -273,7 +279,7 @@ def test_offset_ground_set_is_the_level_ground_set_at_the_tolerance_edge():
     pairs += [tuple(10.0 ** rng.uniform(-16.0, (8.0, 4.0))) for _ in range(120)]
     for omega_delta, coupling in pairs:
         crossing = _params(0.0, omega_delta, coupling).d_coupling + coupling
-        edge = 2.0 * thermo.DEGENERACY_RTOL * max(1.0, 0.5 * crossing + 0.25 * coupling)
+        edge = 2.0 * thermo.DEGENERACY_RTOL * (0.5 * crossing + 0.25 * coupling)
         grid = {0.0, 5e-324, crossing, math.nextafter(crossing, 0.0),
                 math.nextafter(crossing, math.inf)}
         for r in 10.0 ** rng.uniform(-17.0, 0.0, 25):
@@ -310,3 +316,45 @@ def test_zero_temperature_past_float_range_is_the_level_route():
         rows = entangle.sweep("field", [1e308, params.omega_sigma], omega_delta=params.omega_delta,
                               tau=0.0, coupling=1e308)
         assert rows[-1] == (params.omega_sigma, params.sin_2theta)
+
+
+def _scaled_results(omega_sigma, omega_delta, coupling, beta, f):
+    # Everything that must not depend on the unit at (omega_sigma, omega_delta, J) f and beta / f,
+    # with each gap and line frequency divided back by f (exact for a power of two f).
+    params, j, b = _params(omega_sigma * f, omega_delta * f, coupling * f), coupling * f, beta / f
+    lines = spectrum._spectrum_lines(params, b, math.pi / 2)
+    return (
+        entangle.concurrence_for_params(params, j, b),
+        thermo._populations(params, b),
+        thermo.populations(thermo.energies(params, j), b),
+        thermo._ground(params),
+        [(line.amplitude, line.frequency / f) for line in lines],
+        [g / f for g in thermo._gaps(params)],
+        entangle.threshold_tau(omega_delta * f, j),
+    )
+
+
+def test_results_do_not_depend_on_the_unit():
+    # Scaling (omega_sigma, omega_delta, J) by 2^k and beta by 2^-k is exact in floats, and
+    # each beta gap, J / D and every ratio of frequencies is the same float: C, populations,
+    # ground set, line amplitudes and tau_t are bit-identical, each gap scales exactly. A
+    # degeneracy tolerance fixed in one unit would show at beta = inf: the pair below is a
+    # singlet (C = 1) in every unit, though its gaps, about J, fall below 1e-12 at k = -40.
+    rng = np.random.default_rng(31)
+    cases = [(0.002217498673316992, 0.0, 0.4096668797715603, math.inf)]
+    for _ in range(200):
+        omega_delta, coupling = map(float, 10.0 ** rng.uniform(-3.0, 3.0, 2))
+        crossing = _params(0.0, omega_delta, coupling).d_coupling + coupling
+        # About the E3/E4 crossing, out to a few tolerance widths, or anywhere up to 1e3.
+        omega_sigma = [crossing * (1.0 + rng.uniform(-5e-12, 5e-12)),
+                       crossing * (1.0 + rng.uniform(-1e-6, 1e-6)),
+                       10.0 ** rng.uniform(-3.0, 3.0)][rng.integers(3)]
+        if rng.uniform() < 0.1:  # homonuclear, or uncoupled
+            omega_delta, coupling = [(0.0, coupling), (omega_delta, 0.0)][rng.integers(2)]
+        for beta in (math.inf, 0.0, 10.0 ** rng.uniform(-3.0, 3.0)):
+            cases.append((omega_sigma, omega_delta, coupling, beta))
+    for case in cases:
+        want = _scaled_results(*case, 1.0)
+        for k in (-40, -7, 1, 9, 60):
+            assert _scaled_results(*case, 2.0**k) == want, (case, k)
+    assert _scaled_results(*cases[0], 2.0**-40)[:2] == (1.0, (0.0, 0.0, 1.0, 0.0))
