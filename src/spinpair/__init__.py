@@ -22,8 +22,9 @@ from .thermo import (
     Populations,
     density_matrix,
     energies,
-    partition,
+    partition_for_params,
     populations,
+    populations_for_params,
 )
 from .entangle import (
     concurrence_for_params,
@@ -52,7 +53,7 @@ from .spectrum import (
     render_lorentzian,
     simulate_spectrum,
     transition_amplitudes,
-    transition_frequencies,
+    transition_frequencies_for_params,
 )
 from .observe import (
     Observables,
@@ -93,9 +94,10 @@ __all__ = [
     "energies",
     "from_si",
     "ground_state",
-    "partition",
+    "partition_for_params",
     "polarizations",
     "populations",
+    "populations_for_params",
     "preset",
     "reconstruct_populations",
     "render_lorentzian",
@@ -106,6 +108,6 @@ __all__ = [
     "threshold_tau",
     "threshold_temperature",
     "transition_amplitudes",
-    "transition_frequencies",
+    "transition_frequencies_for_params",
     "wootters_concurrence",
 ]

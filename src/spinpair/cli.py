@@ -106,7 +106,7 @@ def _cmd_concurrence(args) -> dict:
     params, beta = _point(args)
     return {
         "concurrence": entangle.concurrence_for_params(params, 1.0, beta),
-        "populations": thermo._populations(params, beta).probs,
+        "populations": thermo.populations_for_params(params, 1.0, beta).probs,
     }
 
 

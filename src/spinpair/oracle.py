@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,9 +31,9 @@ EIGENVALUE_FLOOR = -1e-10
 # flipping both spins reverses the basis order and these signs.
 _FLIP_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 
-# Row-major indices 4i + j: the (ij, ji) pairs with i <= j, and the zeros of an X matrix.
+# Row-major indices 4i + j: the (ij, ji) pairs with i <= j; a getter of the zeros of an X matrix.
 _UPPER = [(4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4)]
-_OFF_X = [4 * i + j for i in range(4) for j in range(4) if j not in (i, 3 - i)]
+_OFF_X = itemgetter(*(4 * i + j for i in range(4) for j in range(4) if j not in (i, 3 - i)))
 
 
 def _as_hermitian4(matrix, error: str) -> tuple[np.ndarray, list[complex]]:
@@ -57,7 +58,7 @@ def _as_state(rho):
     trace = (e[0] + e[5]) + (e[10] + e[15])
     if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
         raise ValueError("density matrix must have unit trace")
-    eig = np.linalg.eigh(m) if any(e[k] for k in _OFF_X) else None
+    eig = np.linalg.eigh(m) if any(_OFF_X(e)) else None
     if not (_x_lowest(e) if eig is None else eig[0][0]) >= EIGENVALUE_FLOOR:  # NaN too
         raise ValueError("density matrix has a negative eigenvalue")
     return e, eig

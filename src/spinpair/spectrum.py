@@ -4,7 +4,7 @@ Each of the four observable lines joins an outer level (E1 or E4) to an
 inner one (E2 or E3), as _LINES lists. Frequencies are |E_outer - E_inner|,
 labelled by identity, never by rank, since only two statements about them
 are convention-free: freq(T42) - freq(T21) = D - J and freq(T42) - freq(T31)
-differs by J. A simulated spectrum takes them from thermo._gaps, which forms
+differs by J. transition_frequencies_for_params and spectra use thermo._gaps, which forms
 T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2, T21 = (omega_sigma - (D - J)) / 2,
 T42 = -(omega_sigma + (D - J)) / 2 and T31 = (omega_sigma + D + J) / 2 without cancellation.
 
@@ -28,7 +28,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .model import DerivedParams, SpinSystem, _check_grid, derive
+from .model import DerivedParams, SpinSystem, _check_grid, _check_same_coupling, derive
 from . import thermo
 
 # Line name -> 0-based (outer, inner) level pair; the order is the output order.
@@ -43,13 +43,10 @@ class SpectrumLine(namedtuple("SpectrumLine", "transition frequency amplitude"))
     __slots__ = ()
 
 
-def transition_frequencies(levels: thermo.EnergyLevels) -> dict[str, float]:
-    """|E_outer - E_inner| of each line from four finite levels; ArithmeticError past float max."""
-    e = thermo._check_levels(levels)
-    freqs = {name: abs(e[inner] - e[outer]) for name, (outer, inner) in _LINES.items()}
-    if math.inf in freqs.values():
-        raise ArithmeticError(f"a frequency |E_outer - E_inner| exceeds float range: {freqs!r}")
-    return freqs
+def transition_frequencies_for_params(params: DerivedParams, coupling: float) -> dict[str, float]:
+    """|E_outer - E_inner| of each line at params, from thermo._gaps; ArithmeticError past max."""
+    _check_same_coupling(params, coupling)
+    return {name: abs(gap) for name, gap in zip(TRANSITIONS, thermo._gaps(params))}
 
 
 def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:
@@ -91,7 +88,7 @@ def simulate_spectrum(
 
 
 def _spectrum_lines(params: DerivedParams, beta: float, phi: float) -> list[SpectrumLine]:
-    p = thermo._populations(params, beta)
+    p = thermo.populations_for_params(params, params.coupling, beta)
     gaps, d = thermo._gaps(params), params.d_coupling
     diffs = [_difference(p[o], p[i], beta * g) for (o, i), g in zip(_LINES.values(), gaps)]
     d32 = _difference(p[2], p[1], -beta * d)

@@ -8,10 +8,9 @@ is halved before the sum, so the levels are finite for every valid input):
     E3 = -(D + J/2) / 2                   -sin(t)|ab> + cos(t)|ba>
     E4 = (-omega_sigma + J/2) / 2         |bb>
 
-Boltzmann weights p_i = exp(-beta E_i) / Z. partition sums Z relative to
-the lowest level and so forms log Z first; where Z leaves float range
-(log Z > 709.78) it raises ArithmeticError instead of returning inf. The
-tests check it against the closed form
+Boltzmann weights p_i = exp(-beta E_i) / Z. The *_for_params routes weigh the offsets E_i - E3
+= (T31, D, 0, T43) of _gaps; Z forms log Z first and raises ArithmeticError past log Z = 709.78.
+populations(levels, beta) is kept for the benchmark. The tests check Z against the closed form
 
     Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
                          + cosh(beta D/2)].
@@ -67,14 +66,10 @@ class DensityMatrixX(namedtuple("DensityMatrixX", "rho11 rho22 rho33 rho44 rho23
     __slots__ = ()
 
     def to_array(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.rho11, 0.0, 0.0, 0.0],
-                [0.0, self.rho22, self.rho23, 0.0],
-                [0.0, self.rho23, self.rho33, 0.0],
-                [0.0, 0.0, 0.0, self.rho44],
-            ]
-        )
+        m = np.zeros((4, 4))
+        m[0, 0], m[1, 1], m[2, 2], m[3, 3], m[1, 2] = self
+        m[2, 1] = self.rho23
+        return m
 
 
 def energies(params: DerivedParams, coupling: float) -> EnergyLevels:
@@ -100,23 +95,11 @@ def _check_levels(levels) -> tuple[float, ...]:
     return es
 
 
-def _shifted_weights(levels, beta: float) -> tuple[float, list[float]]:
-    """The lowest level and exp(-beta (E_i - E_min)), each at most 1 and 1 at beta = 0."""
+def _shifted_weights(levels, beta: float) -> list[float]:
+    """exp(-beta (E_i - E_min)) of four finite levels, each at most 1 and 1 at beta = 0."""
     es = _check_levels(levels)
     emin = min(es)
-    return emin, [math.exp(-beta * (e - emin)) if beta else 1.0 for e in es]
-
-
-def partition(levels: EnergyLevels, beta: float) -> float:
-    """Z = sum_i exp(-beta E_i) at finite beta >= 0, summed relative to the lowest level as
-    log Z; a Z beyond float range raises instead of saturating to inf."""
-    if _is_zero_temperature(beta):
-        raise ValueError("Z needs a finite beta")
-    emin, weights = _shifted_weights(levels, beta)
-    log_z = -beta * emin + math.log(sum(weights))
-    if log_z > _LOG_FLOAT_MAX:
-        raise ArithmeticError(f"partition function exceeds float range: log Z = {log_z!r}")
-    return math.exp(log_z)
+    return [math.exp(-beta * (e - emin)) if beta else 1.0 for e in es]
 
 
 def populations(levels: EnergyLevels, beta: float) -> Populations:
@@ -124,17 +107,33 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
     if _is_zero_temperature(beta):
         es = _check_levels(levels)
         return _shares(_ground_set(es, max(map(abs, es))))
-    _, weights = _shifted_weights(levels, beta)
+    weights = _shifted_weights(levels, beta)
     total = sum(weights)
     return Populations(*(w / total for w in weights))
 
 
-def _populations(params: DerivedParams, beta: float) -> Populations:
+def populations_for_params(params: DerivedParams, coupling: float, beta: float) -> Populations:
     """populations at params, from the offsets E_i - E3 = (T31, D, 0, T43) at every beta."""
+    _check_same_coupling(params, coupling)
     if _is_zero_temperature(beta):
         return _shares(_ground(params))
     t43, _, _, t31 = _gaps(params)
     return populations(EnergyLevels(t31, params.d_coupling, 0.0, t43), beta)
+
+
+def partition_for_params(params: DerivedParams, coupling: float, beta: float) -> float:
+    """Z = sum_i exp(-beta E_i) at finite beta >= 0 as log Z: -beta min(E3, E4), the lowest level,
+    plus log sum_i exp(-beta (o_i - min o)) over the offsets o = (T31, D, 0, T43) of _gaps."""
+    e3, e4 = energies(params, coupling)[2:]
+    if _is_zero_temperature(beta):
+        raise ValueError("Z needs a finite beta")
+    # At beta = 0 every weight is 1, also where T31 passes float max and _gaps raises.
+    t43, _, _, t31 = _gaps(params) if beta else (0.0,) * 4
+    weights = _shifted_weights((t31, params.d_coupling, 0.0, t43), beta)
+    log_z = -beta * min(e3, e4) + math.log(sum(weights))
+    if log_z > _LOG_FLOAT_MAX:
+        raise ArithmeticError(f"partition function exceeds float range: log Z = {log_z!r}")
+    return math.exp(log_z)
 
 
 def _gap_terms(params: DerivedParams) -> tuple[float, float, float]:

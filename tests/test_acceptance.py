@@ -107,7 +107,7 @@ def test_criterion_05_oracle_equivalence():
         wd = rng.uniform(0.0, 5.0)
         beta = 1.0 / rng.uniform(0.05, 2.0)
         params = model.derive_from_sigma_delta(ws, wd, 1.0)
-        pops = thermo.populations(thermo.energies(params, 1.0), beta)
+        pops = thermo.populations_for_params(params, 1.0, beta)
         rho = thermo.density_matrix(pops, params.theta).to_array()
         closed = entangle.concurrence_for_params(params, 1.0, beta)
         worst = max(worst, abs(oracle.wootters_concurrence(rho) - closed))
@@ -173,7 +173,7 @@ def test_criterion_08_roofing_ratio():
     theta = math.pi / 8
     omega_delta = 1.0 / math.tan(2.0 * theta)
     params = model.derive_from_sigma_delta(1000.0, omega_delta, 1.0)
-    pops = thermo.populations(thermo.energies(params, 1.0), 0.01)
+    pops = thermo.populations_for_params(params, 1.0, 0.01)
     amps = spectrum.transition_amplitudes(pops, params.theta, math.radians(1.0))
     ratio = abs(amps["T42"]) / abs(amps["T43"])
     target = (1.0 + math.sin(2 * theta)) / (1.0 - math.sin(2 * theta))

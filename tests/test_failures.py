@@ -10,6 +10,7 @@ guard's one fragment below. Checks that need a monkeypatch, or that expect
 TypeError or AttributeError, stay in the other test modules.
 """
 
+import contextlib
 import copy
 import inspect
 import math
@@ -90,11 +91,13 @@ _PURE3 = (0.0, 0.0, 1.0, 0.0)
 _TAU_SWEEP = partial(entangle.sweep, "temperature", omega_sigma=0.0, omega_delta=0.0)
 _LINE = [spectrum.SpectrumLine("T21", 0.5, 0.2)]
 _BIG = sys.float_info.max
-# Each level route at each beta it takes levels at, and levels with a NaN or an infinity.
+# The level route at each beta, and levels with a NaN or an infinity.
 _LEVEL_ROUTES = [(thermo.populations, b) for b in (0.0, 1.0, math.inf)]
-_LEVEL_ROUTES += [(thermo.partition, b) for b in (0.0, 1.0)]
 _BAD_LEVELS = [(0.0, bad, 1.0, 2.0) for bad in (math.nan, math.inf)]
 _BAD_LEVELS += [(bad, 0.0, 0.0, 0.0) for bad in (math.nan, math.inf)]
+# Each route from parameters, with the arguments after params and J.
+_PARAMS_ROUTES = [(thermo.populations_for_params, (1.0,)), (thermo.partition_for_params, (1.0,)),
+                  (spectrum.transition_frequencies_for_params, ())]
 # Parameters whose T31 = (omega_sigma + D + J) / 2 passes float max.
 _T31_PAST_MAX = [model.derive(model.SpinSystem(2.5879320237511028, 1e300, _BIG)),
                  model.derive(model.SpinSystem(1e308, 0.7e308, 1e308)),
@@ -205,30 +208,37 @@ LIBRARY_FAILURES = [
                 [0.0, math.inf])),
     *(_row(partial(model._check_grid, g), ValueError, _INCREASING, f"grid-{g}")
       for g in ([1.0, 1.0], [1.0, 0.5])),
-    # thermo: levels, Z, populations and the X state.
+    # thermo: levels, populations, Z and the X state.
     _row(partial(thermo.energies, _PARAMS, 2.0), ValueError, _SECOND_J, "energies-J-2",
          accepts=partial(thermo.energies, _PARAMS, 1.0)),
     *(_row(partial(thermo.energies, _PARAMS, j), ValueError, _SECOND_J, f"energies-J-{j}")
       for j in (-1.0, math.nan, math.inf)),
     _row(partial(thermo.populations, _LEVELS, _past(0.0)), ValueError, _BETA, "beta-past-0",
          accepts=partial(thermo.populations, _LEVELS, 0.0)),
-    _row(partial(thermo.partition, _LEVELS, math.inf), ValueError, "Z needs a finite beta",
-         "partition-beta-inf"),
-    # log Z = -beta E3 here: log(float max) itself is accepted, the float after it is not.
-    _row(partial(thermo.partition, (0.0, 0.0, -_past(709.782712893384, math.inf), 0.0), 1.0),
+    # Each route from parameters takes only the J of params.
+    *(_row(partial(f, _PARAMS, j, *b), ValueError, _SECOND_J, f"{f.__name__}-J-{j}",
+           accepts=partial(f, _PARAMS, 1.0, *b))
+      for f, b in _PARAMS_ROUTES for j in (2.0, -1.0, math.nan, math.inf)),
+    _row(partial(thermo.partition_for_params, _PARAMS, 1.0, math.inf), ValueError,
+         "Z needs a finite beta", "partition-beta-inf"),
+    *(_row(partial(thermo.partition_for_params, _PARAMS, 1.0, b), ValueError, _BETA,
+           f"partition-beta-{b}") for b in (-math.inf, -1.0, math.nan)),
+    # log Z = -beta E3 = beta at omega_sigma = J = 0, D = 2, where the other weights fall below
+    # the rounding of 1: log(float max) itself is accepted, the float after it is not.
+    _row(partial(thermo.partition_for_params, _params(0.0, 2.0, 0.0), 0.0,
+                 _past(709.782712893384, math.inf)),
          ArithmeticError, "partition function exceeds float range", "partition-past-log-max",
-         accepts=partial(thermo.partition, (0.0, 0.0, -709.782712893384, 0.0), 1.0)),
+         accepts=partial(thermo.partition_for_params, _params(0.0, 2.0, 0.0), 0.0,
+                         709.782712893384)),
     # log Z = 715 > log(float max) = 709.78; beta J and beta omega_sigma past float max.
-    *(_row(partial(thermo.partition, thermo.energies(_params(ws, 1.0, j), j), b), ArithmeticError,
+    *(_row(partial(thermo.partition_for_params, _params(ws, 1.0, j), j, b), ArithmeticError,
            "partition function exceeds float range", f"partition-{ws}-{b}")
       for ws, j, b in ((14.8, 1.0, 100.0), (1e10, 1e10, 1e300))),
-    # Every level route takes exactly four levels, each finite.
+    # The level route takes exactly four levels, each finite.
     *(_row(partial(f, lv, b), ValueError, _FOUR_LEVELS, f"{f.__name__}-{len(lv)}-levels-{b}")
       for f, b in _LEVEL_ROUTES for lv in ((0.0, 1.0, 2.0), (0.0,) * 5)),
     *(_row(partial(f, lv, b), ValueError, _FINITE_LEVELS, f"{f.__name__}-{lv}-{b}")
       for f, b in _LEVEL_ROUTES for lv in _BAD_LEVELS),
-    *(_row(partial(thermo.partition, lv, math.inf), ValueError, "Z needs a finite beta",
-           f"partition-{lv}-inf") for lv in _BAD_LEVELS),
     # The X state's bounds: each population at 1, theta at 0 and at pi/4.
     *(_row(partial(thermo.density_matrix, [_ABOVE_ONE if k == i else 0.0 for k in range(4)], 0.3),
            ValueError, _POPULATIONS, f"density-p{i + 1}-past-1",
@@ -243,13 +253,18 @@ LIBRARY_FAILURES = [
     *(_row(partial(thermo.density_matrix, p, 0.3), ValueError, _POPULATIONS, f"density-{p}")
       for p in ((math.nan, 1.0, 0.0, 0.0), (-1.0, 1.0, 0.0, 1.0),
                 thermo.Populations(0.0, math.inf, 0.0, 0.0))),
-    # Only T31 = (omega_sigma + D + J) / 2 can pass float max.
+    # Only T31 = (omega_sigma + D + J) / 2 can pass float max, and every route from
+    # parameters at finite beta > 0 meets it.
     *(_row(partial(thermo._gaps, p), ArithmeticError, _T31, f"gaps-{p.omega_sigma}-{p.omega_delta}")
       for p in _T31_PAST_MAX),
+    *(_row(partial(f, p, p.coupling, *b), ArithmeticError, _T31,
+           f"{f.__name__}-T31-{p.omega_sigma}-{p.omega_delta}")
+      for f, b in _PARAMS_ROUTES for p in _T31_PAST_MAX),
     # entangle: concurrence forms, thresholds and sweeps. A beta outside [0, inf], everywhere:
     *(_row(partial(f, *args, b), ValueError, _BETA, f"{f.__name__}-beta-{b}")
       for f, args in ((entangle.concurrence_for_params, (_PARAMS, 1.0)),
-                      (thermo.populations, (_LEVELS,)), (thermo.partition, (_LEVELS,)),
+                      (thermo.populations, (_LEVELS,)),
+                      (thermo.populations_for_params, (_PARAMS, 1.0)),
                       (entangle.concurrence_homonuclear, (0.5, 1.0)),
                       (entangle.concurrence_thermal, (_SYSTEM,)),
                       (spectrum.simulate_spectrum, (_SYSTEM,)))
@@ -361,14 +376,9 @@ LIBRARY_FAILURES = [
     _row(partial(oracle.wootters_concurrence, _x_block(_past(1e-10, 1.0))), ValueError,
          _NEGATIVE_EIGENVALUE, "wootters-past-eigenvalue-floor",
          accepts=partial(oracle.wootters_concurrence, _x_block(1e-10))),
-    # spectrum: frequencies from four finite levels, amplitudes and line shapes.
-    *(_row(partial(spectrum.transition_frequencies, lv), ValueError, _FOUR_LEVELS,
-           f"frequencies-{len(lv)}-levels") for lv in ((), (0.0, 1.0, 2.0), (0.0,) * 5)),
-    *(_row(partial(spectrum.transition_frequencies, lv), ValueError, _FINITE_LEVELS,
-           f"frequencies-{lv}") for lv in ((0.0, 1.0, math.nan, 2.0), (0.0, 1.0, math.inf, 2.0))),
-    _row(partial(spectrum.transition_frequencies,
-                 thermo.energies(_params(1.7e308, 1e300, 1.7e308), 1.7e308)),
-         ArithmeticError, "frequency |E_outer - E_inner| exceeds float range", "frequencies-T31"),
+    # spectrum: frequencies, amplitudes and line shapes.
+    _row(partial(spectrum.transition_frequencies_for_params, _params(1.7e308, 1e300, 1.7e308),
+                 1.7e308), ArithmeticError, _T31, "frequencies-T31"),
     _row(partial(spectrum.transition_amplitudes, _PURE3, 0.3, _past(math.pi, 4.0)), ValueError,
          _FLIP_ANGLE, "phi-past-pi", accepts=partial(spectrum.transition_amplitudes, _PURE3, 0.3,
                                                      math.pi)),
@@ -442,6 +452,21 @@ def test_library_failures(call, error, fragment, accepts):
     # Exactly the row's class: an OverflowError or ZeroDivisionError escaping from the
     # arithmetic is no ArithmeticError raised on purpose, nor a LinAlgError a ValueError.
     assert type(exc.value) is error
+
+
+def test_partition_is_four_at_beta_zero_on_every_params_of_the_table():
+    # Every weight is 1 at beta = 0, whatever the levels: also where T31 passes float max.
+    found = set()
+    for row in LIBRARY_FAILURES:
+        for call in (row.values[0], row.values[3]):
+            for arg in call.args if call is not None else ():
+                with contextlib.suppress(ArithmeticError):  # an overflowing system
+                    arg = model.derive(arg) if isinstance(arg, model.SpinSystem) else arg
+                if isinstance(arg, model.DerivedParams):
+                    found.add(arg)
+    assert found >= {_PARAMS, *_T31_PAST_MAX}
+    for params in found:
+        assert thermo.partition_for_params(params, params.coupling, 0.0) == 4.0, params
 
 
 # Every public function, the threshold solve behind threshold_tau, and the two value

@@ -43,6 +43,7 @@ subnormal where those are subnormal.
 """
 
 import math
+import random
 import sys
 
 import pytest
@@ -148,15 +149,14 @@ def test_closed_forms_match_mpmath(pair, beta):
     params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
     tol = EPS * (1.0 + beta * (omega_sigma + params.d_coupling + 1.0))
     gap_tol = EPS * (1.0 + beta * (t43 + 1.0))
-    levels = thermo.energies(params, 1.0)
-    pops = thermo.populations(levels, beta)
-
-    for p, ref in zip(pops.probs, ps_ref):
+    # The level route, kept for the benchmark until it goes.
+    for p, ref in zip(thermo.populations(thermo.energies(params, 1.0), beta), ps_ref):
         err = abs(p - ref)
         assert err <= P_ABS * tol, (p, ref)
         assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
-    # The populations that concurrence and spectrum print come from the gaps.
-    for p, ref in zip(thermo._populations(params, beta), ps_ref):
+    # The public route, whose populations concurrence and spectrum print, takes the gaps.
+    pops = thermo.populations_for_params(params, 1.0, beta)
+    for p, ref in zip(pops, ps_ref):
         err = abs(p - ref)
         assert err <= GAP_P_ABS * gap_tol, (p, ref)
         assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
@@ -170,12 +170,15 @@ def test_closed_forms_match_mpmath(pair, beta):
     c_pop = entangle.concurrence_from_populations(pops, params.theta)
     assert abs(c_pop - c_ref) <= C_POP_ABS * tol, (c_pop, c_ref)
 
-    # Compare Z in log space. partition returns Z while the exact log Z is
-    # at most log(float max) and raises ArithmeticError above it; within
-    # rounding of that limit either outcome is correct.
-    bound = LOG_Z_ABS * tol
+    _check_partition(params, beta, log_z_ref, LOG_Z_ABS * tol)
+
+
+def _check_partition(params, beta, log_z_ref, bound):
+    """Z in log space. partition_for_params returns Z while the exact log Z is at most
+    log(float max) and raises ArithmeticError above it; within rounding of that limit
+    either outcome is correct."""
     try:
-        z = thermo.partition(levels, beta)
+        z = thermo.partition_for_params(params, 1.0, beta)
     except ArithmeticError as exc:
         assert not isinstance(exc, OverflowError), exc
         assert log_z_ref > LOG_FLOAT_MAX - bound, (exc, log_z_ref)
@@ -188,16 +191,62 @@ def test_closed_forms_match_mpmath(pair, beta):
 @hypothesis.example(pair=(0.0, 1e-6))
 @hypothesis.given(pair=OMEGA_PAIRS)
 def test_line_frequencies_match_mpmath(pair):
-    omega_sigma, omega_delta = pair
-    params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
+    params = model.derive_from_sigma_delta(*pair, 1.0)
+    freqs = spectrum.transition_frequencies_for_params(params, 1.0)
     lines = spectrum._spectrum_lines(params, 1.0, spectrum.DEFAULT_FLIP_ANGLE)
+    assert [line.frequency for line in lines] == list(freqs.values())
+    _check_frequencies(freqs, *pair)
+
+
+def _check_frequencies(freqs, omega_sigma, omega_delta):
+    """Each line frequency at J = 1 within FREQ eps of its 60-digit value, relative to
+    |gap| + J for T43 and T21."""
     with mp.workdps(60):
         ws, wd, j = (mp.mpf(v) for v in (omega_sigma, omega_delta, 1.0))
         d = mp.sqrt(wd * wd + j * j)
         want = [abs(d + j - ws) / 2, abs(ws - d + j) / 2, (ws + d - j) / 2, (ws + d + j) / 2]
-        for line, ref in zip(lines, want):
-            scale = ref if line.transition in ("T42", "T31") else ref + j
-            assert abs(line.frequency - ref) <= FREQ * EPS * scale, (line, ref)
+        for (name, got), ref in zip(freqs.items(), want):
+            scale = ref if name in ("T42", "T31") else ref + j
+            assert abs(got - ref) <= FREQ * EPS * scale, (name, got, ref)
+
+
+def _high_field_points():
+    """(omega_sigma, omega_delta, beta) with omega_delta >> J = 1 and omega_sigma a few J from
+    either crossing, D + J or D - J, but never on it."""
+    rng = random.Random(32)
+    points = [(math.hypot(1e8, 1.0) + 1.5, 1e8, 10.0)]
+    for _ in range(30):
+        omega_delta = 10.0 ** rng.uniform(4.0, 8.0)
+        crossing = math.hypot(omega_delta, 1.0) + rng.choice((1.0, -1.0))
+        offset = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-1.0, 0.5)
+        points.append((crossing + offset, omega_delta, 10.0 ** rng.uniform(-9.0, 2.0)))
+    return points
+
+
+def test_high_field_state_matches_mpmath():
+    # Each level is about omega_delta / 2, so a difference of two rounded levels keeps
+    # only the digits below 1e-16 omega_delta: 8 of them at omega_delta = 1e8. The
+    # routes from parameters take the gaps themselves and must meet the gap-route bounds.
+    for omega_sigma, omega_delta, beta in _high_field_points():
+        ps_ref, _, log_z_ref, _, t43 = _reference(omega_sigma, omega_delta, beta)
+        params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
+        tol = EPS * (1.0 + beta * (omega_sigma + params.d_coupling + 1.0))
+        gap_tol = EPS * (1.0 + beta * (t43 + 1.0))
+        pops = thermo.populations_for_params(params, 1.0, beta)
+        for p, ref in zip(pops, ps_ref):
+            err = abs(p - ref)
+            assert err <= GAP_P_ABS * gap_tol, (omega_sigma, omega_delta, beta, p, ref)
+            assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
+        _check_partition(params, beta, log_z_ref, LOG_Z_ABS * tol)
+        _check_frequencies(spectrum.transition_frequencies_for_params(params, 1.0), omega_sigma,
+                           omega_delta)
+    # The 60-digit values at omega_delta = 1e8, omega_sigma = D + J + 1/2, beta = 10.
+    params = model.derive_from_sigma_delta(*_high_field_points()[0][:2], 1.0)
+    freqs = spectrum.transition_frequencies_for_params(params, 1.0)
+    assert math.isclose(freqs["T43"], 0.2499999975, rel_tol=1e-15)
+    assert math.isclose(freqs["T21"], 1.2499999975, rel_tol=1e-15)
+    p3 = thermo.populations_for_params(params, 1.0, 10.0).p3
+    assert math.isclose(p3, 0.0758581817738365, rel_tol=1e-14)
 
 
 def _amplitude_reference(omega_sigma, omega_delta, beta):
@@ -249,7 +298,7 @@ def test_line_amplitudes_match_mpmath(pair, beta):
 @hypothesis.given(pair=OMEGA_PAIRS, beta=_log_uniform(1e-3, 1e3))
 def test_observables_match_mpmath(pair, beta):
     params = model.derive_from_sigma_delta(*pair, 1.0)
-    pops, theta = thermo._populations(params, beta), params.theta
+    pops, theta = thermo.populations_for_params(params, 1.0, beta), params.theta
     obs = observe.polarizations(pops, theta)
     with mp.workdps(60):
         p1, p2, p3, p4 = map(mp.mpf, pops)

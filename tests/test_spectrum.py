@@ -130,20 +130,23 @@ def _line_table_cases(count):
         if rng.random() < 0.5:
             omega_delta = rng.choice((0.0, rng.uniform(0.0, 5.0)))
             params = _params(rng.uniform(0.0, 10.0), omega_delta, rng.uniform(0.0, 3.0))
-            levels = thermo.energies(params, params.coupling)
         else:
-            levels = tuple(rng.choice((0.0, -0.0, 1.0, rng.uniform(-1e3, 1e3))) for _ in range(4))
-        yield pops, theta, phi, levels
+            params = _params(*(rng.choice((0.0, 1.0, rng.uniform(0.0, 1e3))) for _ in range(3)))
+        yield pops, theta, phi, params
 
 
 def test_line_table_matches_hand_expanded_lines():
-    for pops, theta, phi, levels in _line_table_cases(12000):
+    for pops, theta, phi, params in _line_table_cases(12000):
         amps = spectrum.transition_amplitudes(pops, theta, phi)
         assert list(amps) == list(spectrum.TRANSITIONS)
         assert _hex(amps) == _hex(_reference_amplitudes(pops, theta, phi))
-        freqs = spectrum.transition_frequencies(levels)
+        # Each line is the level difference its name gives, to the levels' rounding.
+        freqs = spectrum.transition_frequencies_for_params(params, params.coupling)
         assert list(freqs) == list(spectrum.TRANSITIONS)
-        assert _hex(freqs) == _hex(_reference_frequencies(levels))
+        want = _reference_frequencies(thermo.energies(params, params.coupling))
+        atol = 1e-13 * (params.omega_sigma + params.omega_delta + params.coupling)
+        for name, value in want.items():
+            assert math.isclose(freqs[name], value, rel_tol=1e-13, abs_tol=atol), (params, name)
 
 
 def test_frequency_identities():
@@ -153,7 +156,7 @@ def test_frequency_identities():
         w1 = w2 + rng.uniform(0.0, 5.0)
         j = rng.uniform(0.0, 5.0)
         params = model.derive(model.SpinSystem(w1, w2, j))
-        freqs = spectrum.transition_frequencies(thermo.energies(params, j))
+        freqs = spectrum.transition_frequencies_for_params(params, j)
         scale = max(1.0, params.omega_sigma + params.d_coupling + j)
         assert abs(abs(freqs["T42"] - freqs["T21"]) - (params.d_coupling - j)) <= 1e-12 * scale
         assert abs(abs(freqs["T42"] - freqs["T31"]) - j) <= 1e-12 * scale
@@ -161,8 +164,7 @@ def test_frequency_identities():
 
 def test_frequencies_homonuclear_low_field():
     # inner lines coincide, outer lines sit 2J apart
-    levels = thermo.energies(_params(4.0, 0.0), 1.0)
-    freqs = spectrum.transition_frequencies(levels)
+    freqs = spectrum.transition_frequencies_for_params(_params(4.0, 0.0), 1.0)
     assert freqs["T42"] - freqs["T21"] == 0.0
     assert math.isclose(freqs["T31"] - freqs["T43"], 2.0, rel_tol=1e-14)
 
@@ -244,7 +246,7 @@ def test_roofing_ratio_limit():
         wd = 1.0 / math.tan(2.0 * theta)
         d = math.hypot(wd, 1.0)
         params = _params(2000.0 * (d + 1.0), wd)
-        pops = thermo.populations(thermo.energies(params, 1.0), beta)
+        pops = thermo.populations_for_params(params, 1.0, beta)
         amps = spectrum.transition_amplitudes(pops, params.theta, phi)
         ratio = abs(amps["T42"]) / abs(amps["T43"])
         target = (1.0 + params.sin_2theta) / (1.0 - params.sin_2theta)
@@ -275,7 +277,7 @@ def test_simulate_spectrum_at_zero_splitting():
     # J = omega_delta = 0 gives D = 0, where cos 2theta = omega_delta / D is taken as 1:
     # the outer roofing factor is 1, as the population route's cos(2 * 0) gives.
     system = model.SpinSystem(1.5, 1.5, 0.0)
-    pops = thermo._populations(model.derive(system), 0.7)
+    pops = thermo.populations_for_params(model.derive(system), 0.0, 0.7)
     want = spectrum.transition_amplitudes(pops, 0.0, 0.5 * math.pi)
     for line in spectrum.simulate_spectrum(system, 0.7, 0.5 * math.pi):
         assert line.amplitude < -0.1
@@ -328,7 +330,6 @@ def test_render_extreme_linewidths():
     ],
 )
 def test_line_frequencies_keep_the_small_gaps(omega_sigma, omega_delta, want):
-    lines = spectrum._spectrum_lines(_params(omega_sigma, omega_delta), 1.0, 0.1)
-    got = {line.transition: line.frequency for line in lines}
+    got = spectrum.transition_frequencies_for_params(_params(omega_sigma, omega_delta), 1.0)
     for name, value in want.items():
         assert math.isclose(got[name], value, rel_tol=1e-12), (name, got[name], value)

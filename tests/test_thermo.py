@@ -46,16 +46,15 @@ def test_e2_minus_e3_is_d():
 
 
 def test_partition_infinite_temperature():
-    levels = thermo.energies(_params(2.0, 1.0), 1.0)
-    assert thermo.partition(levels, 0.0) == 4.0
+    assert thermo.partition_for_params(_params(2.0, 1.0), 1.0, 0.0) == 4.0
 
 
 def test_partition_homonuclear_zero_field():
     # beta J = ln 3 at omega = 0: direct sum over the four levels
     beta = math.log(3.0)
-    levels = thermo.energies(_params(0.0, 0.0, 1.0), 1.0)
+    z = thermo.partition_for_params(_params(0.0, 0.0, 1.0), 1.0, beta)
     expected = 3.0 * 3.0 ** (-0.25) + 3.0**0.75
-    assert math.isclose(thermo.partition(levels, beta), expected, rel_tol=1e-12)
+    assert math.isclose(z, expected, rel_tol=1e-12)
 
 
 def test_partition_matches_closed_form():
@@ -65,7 +64,7 @@ def test_partition_matches_closed_form():
         ws, wd, j = rng.uniform(0, 5, size=3)
         beta = rng.uniform(0.0, 20.0)
         params = _params(ws, wd, j)
-        z_sum = thermo.partition(thermo.energies(params, j), beta)
+        z_sum = thermo.partition_for_params(params, j, beta)
         z_closed = 2.0 * math.exp(0.25 * beta * j) * (
             math.exp(-0.5 * beta * j) * math.cosh(0.5 * beta * ws)
             + math.cosh(0.5 * beta * params.d_coupling)
@@ -74,9 +73,10 @@ def test_partition_matches_closed_form():
 
 
 def test_partition_ground_state_dominance():
-    levels = thermo.EnergyLevels(1.0, 2.0, 3.0, 4.0)
-    z = thermo.partition(levels, 100.0)
-    assert math.isclose(math.log(z), -100.0, rel_tol=1e-9)
+    # E3 lies 0.56 below E4, and further below E1 and E2: Z = exp(-beta E3) (1 + 5e-25).
+    params = _params(1.0, 0.5)
+    z = thermo.partition_for_params(params, 1.0, 100.0)
+    assert math.isclose(math.log(z), -100.0 * thermo.energies(params, 1.0).e3, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ def test_partition_ground_state_dominance():
 def test_partition_near_float_max(omega_sigma, z):
     # J = omega_delta = 1, beta = 100: Z is finite just below float max.
     params = _params(omega_sigma, 1.0)
-    assert thermo.partition(thermo.energies(params, 1.0), 100.0) == z
+    assert thermo.partition_for_params(params, 1.0, 100.0) == z
 
 
 def test_levels_stay_finite_near_float_max():
@@ -111,20 +111,22 @@ def test_populations_infinite_temperature():
 
 
 def test_populations_zero_temperature_unique_ground():
-    levels = thermo.energies(_params(1.0, 0.0, 1.0), 1.0)
+    params = _params(1.0, 0.0, 1.0)
+    levels = thermo.energies(params, 1.0)
     pops = thermo.populations(levels, math.inf)
     assert pops.probs == (0.0, 0.0, 1.0, 0.0)
     # Z exp(beta E_min) tends to the ground-state multiplicity
-    z_shifted = thermo.partition(levels, 200.0) * math.exp(200.0 * levels.e3)
+    z_shifted = thermo.partition_for_params(params, 1.0, 200.0) * math.exp(200.0 * levels.e3)
     assert math.isclose(z_shifted, 1.0, rel_tol=1e-12)
 
 
 def test_populations_zero_temperature_degenerate_pair():
     # level crossing of the homonuclear system at omega_sigma = 2 J
-    levels = thermo.energies(_params(2.0, 0.0, 1.0), 1.0)
+    params = _params(2.0, 0.0, 1.0)
+    levels = thermo.energies(params, 1.0)
     pops = thermo.populations(levels, math.inf)
     assert pops.probs == (0.0, 0.0, 0.5, 0.5)
-    z_shifted = thermo.partition(levels, 200.0) * math.exp(200.0 * levels.e3)
+    z_shifted = thermo.partition_for_params(params, 1.0, 200.0) * math.exp(200.0 * levels.e3)
     assert math.isclose(z_shifted, 2.0, rel_tol=1e-12)
 
 
@@ -226,11 +228,11 @@ def test_density_matrix_accepts_a_sequence():
 
 
 def test_populations_at_beta_zero_are_uniform_past_float_range():
-    # E1 - E4 overflows, and 0 * inf would make every weight nan.
+    # E1 - E4 and T31 overflow, and 0 * inf would make every weight nan.
     params = _params(1.7976931348623157e308, 710.0, 1e308)
     levels = thermo.energies(params, 1e308)
     assert thermo.populations(levels, 0.0).probs == (0.25, 0.25, 0.25, 0.25)
-    assert thermo.partition(levels, 0.0) == 4.0
+    assert thermo.partition_for_params(params, 1e308, 0.0) == 4.0
 
 
 def test_gaps_are_the_level_differences():
@@ -259,11 +261,11 @@ def test_gap_populations_shift_the_levels_at_finite_beta():
     # they give the levels' ground set.
     for ws, wd, beta in ((1.0, 0.5, 2.0), (2.25, 0.75, 30.0), (3.0, 0.0, 0.3)):
         params = _params(ws, wd)
-        gap = thermo._populations(params, beta)
+        gap = thermo.populations_for_params(params, 1.0, beta)
         level = thermo.populations(thermo.energies(params, 1.0), beta)
         assert all(math.isclose(a, b, rel_tol=1e-14, abs_tol=1e-16) for a, b in zip(gap, level))
     params = _params(2.25, 0.75)
-    assert thermo._populations(params, math.inf) == (0.0, 0.0, 0.5, 0.5)
+    assert thermo.populations_for_params(params, 1.0, math.inf) == (0.0, 0.0, 0.5, 0.5)
 
 
 def test_offset_ground_set_is_the_level_ground_set_at_the_tolerance_edge():
@@ -298,20 +300,20 @@ def test_offset_ground_set_is_the_level_ground_set_at_the_tolerance_edge():
             pops = thermo.populations(thermo.energies(params, coupling), math.inf)
             ground = [i for i, p in enumerate(pops) if p > 0.0]
             assert thermo._ground(params) == ground, (omega_sigma, omega_delta, coupling)
-            assert thermo._populations(params, math.inf) == pops
+            assert thermo.populations_for_params(params, coupling, math.inf) == pops
             s2 = params.sin_2theta
             assert c == (s2 if ground == [2] else 0.5 * s2 if ground == [2, 3] else 0.0)
 
 
 def test_zero_temperature_past_float_range_is_the_level_route():
     # At J = 1e308, T31 = (omega_sigma + D + J) / 2 overflows (_gaps raises), while the
-    # halved levels stay finite: the kernel and _populations give the levels' values.
+    # halved levels stay finite: the kernel and populations_for_params give the levels' values.
     big = 1.7976931348623157e308
     systems = [model.derive(model.SpinSystem(1e308, 0.7e308, 1e308))]
     systems += [_params(big, wd, 1e308) for wd in (0.0, 1e308, 1.3e308)]
     for params in systems:
         pops = thermo.populations(thermo.energies(params, 1e308), math.inf)
-        assert thermo._populations(params, math.inf) == pops == (0.0, 0.0, 1.0, 0.0)
+        assert thermo.populations_for_params(params, 1e308, math.inf) == pops == (0.0, 0.0, 1.0, 0.0)
         assert entangle.concurrence_for_params(params, 1e308, math.inf) == params.sin_2theta
         rows = entangle.sweep("field", [1e308, params.omega_sigma], omega_delta=params.omega_delta,
                               tau=0.0, coupling=1e308)
@@ -325,7 +327,7 @@ def _scaled_results(omega_sigma, omega_delta, coupling, beta, f):
     lines = spectrum._spectrum_lines(params, b, math.pi / 2)
     return (
         entangle.concurrence_for_params(params, j, b),
-        thermo._populations(params, b),
+        thermo.populations_for_params(params, j, b),
         thermo.populations(thermo.energies(params, j), b),
         thermo._ground(params),
         [(line.amplitude, line.frequency / f) for line in lines],
