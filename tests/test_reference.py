@@ -25,6 +25,9 @@ are within 8 eps of their 60-digit values, relative for T42 and T31 and
 relative to |gap| + J for T43 and T21, which cancel at the crossings (1.9
 seen). Both forms of Z are compared in log space up to log(float max), and
 must raise ArithmeticError above it.
+The gap-route bounds also hold at high field, omega_delta up to 1e8 with
+omega_sigma a few J from either crossing, where a difference of two rounded
+levels keeps 8 digits: the public routes from parameters must not take one.
 The line amplitudes at phi = pi/2 are within 12 eps gap_cond of the sum of
 the magnitudes of their three terms (2.8 seen on 7.5e4 random points, with
 omega_delta << J and small beta gap drawn on purpose). The gap_cond comes in
@@ -156,10 +159,7 @@ def test_closed_forms_match_mpmath(pair, beta):
         assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
     # The public route, whose populations concurrence and spectrum print, takes the gaps.
     pops = thermo.populations_for_params(params, 1.0, beta)
-    for p, ref in zip(pops, ps_ref):
-        err = abs(p - ref)
-        assert err <= GAP_P_ABS * gap_tol, (p, ref)
-        assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
+    _check_gap_populations(pops, ps_ref, gap_tol, tol)
     c = entangle.concurrence_for_params(params, 1.0, beta)
     assert abs(c - c_ref) <= GAP_C_ABS * gap_tol, (c, c_ref)
     if c_ref >= sys.float_info.min:
@@ -171,6 +171,13 @@ def test_closed_forms_match_mpmath(pair, beta):
     assert abs(c_pop - c_ref) <= C_POP_ABS * tol, (c_pop, c_ref)
 
     _check_partition(params, beta, log_z_ref, LOG_Z_ABS * tol)
+
+
+def _check_gap_populations(pops, ps_ref, gap_tol, tol):
+    for p, ref in zip(pops, ps_ref):
+        err = abs(p - ref)
+        assert err <= GAP_P_ABS * gap_tol, (p, ref)
+        assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
 
 
 def _check_partition(params, beta, log_z_ref, bound):
@@ -210,11 +217,16 @@ def _check_frequencies(freqs, omega_sigma, omega_delta):
             assert abs(got - ref) <= FREQ * EPS * scale, (name, got, ref)
 
 
+# omega_delta = 1e8, J = 1, omega_sigma = D + J + 1/2, beta = 10: the level route's
+# p3 and T43, T21 are 0.07585818002124 and 0.25, 1.25 here.
+_HIGH_FIELD = (math.hypot(1e8, 1.0) + 1.5, 1e8, 10.0)
+
+
 def _high_field_points():
     """(omega_sigma, omega_delta, beta) with omega_delta >> J = 1 and omega_sigma a few J from
     either crossing, D + J or D - J, but never on it."""
     rng = random.Random(32)
-    points = [(math.hypot(1e8, 1.0) + 1.5, 1e8, 10.0)]
+    points = [_HIGH_FIELD]
     for _ in range(30):
         omega_delta = 10.0 ** rng.uniform(4.0, 8.0)
         crossing = math.hypot(omega_delta, 1.0) + rng.choice((1.0, -1.0))
@@ -232,20 +244,17 @@ def test_high_field_state_matches_mpmath():
         params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
         tol = EPS * (1.0 + beta * (omega_sigma + params.d_coupling + 1.0))
         gap_tol = EPS * (1.0 + beta * (t43 + 1.0))
-        pops = thermo.populations_for_params(params, 1.0, beta)
-        for p, ref in zip(pops, ps_ref):
-            err = abs(p - ref)
-            assert err <= GAP_P_ABS * gap_tol, (omega_sigma, omega_delta, beta, p, ref)
-            assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
+        _check_gap_populations(thermo.populations_for_params(params, 1.0, beta), ps_ref, gap_tol,
+                               tol)
         _check_partition(params, beta, log_z_ref, LOG_Z_ABS * tol)
         _check_frequencies(spectrum.transition_frequencies_for_params(params, 1.0), omega_sigma,
                            omega_delta)
-    # The 60-digit values at omega_delta = 1e8, omega_sigma = D + J + 1/2, beta = 10.
-    params = model.derive_from_sigma_delta(*_high_field_points()[0][:2], 1.0)
+    # The 60-digit values at _HIGH_FIELD.
+    params = model.derive_from_sigma_delta(*_HIGH_FIELD[:2], 1.0)
     freqs = spectrum.transition_frequencies_for_params(params, 1.0)
     assert math.isclose(freqs["T43"], 0.2499999975, rel_tol=1e-15)
     assert math.isclose(freqs["T21"], 1.2499999975, rel_tol=1e-15)
-    p3 = thermo.populations_for_params(params, 1.0, 10.0).p3
+    p3 = thermo.populations_for_params(params, 1.0, _HIGH_FIELD[2]).p3
     assert math.isclose(p3, 0.0758581817738365, rel_tol=1e-14)
 
 
