@@ -117,23 +117,25 @@ def populations_for_params(params: DerivedParams, coupling: float, beta: float) 
     _check_same_coupling(params, coupling)
     if _is_zero_temperature(beta):
         return _shares(_ground(params))
-    t43, _, _, t31 = _gaps(params)
-    return populations(EnergyLevels(t31, params.d_coupling, 0.0, t43), beta)
+    return populations(_offsets(params, beta), beta)
 
 
 def partition_for_params(params: DerivedParams, coupling: float, beta: float) -> float:
     """Z = sum_i exp(-beta E_i) at finite beta >= 0 as log Z: -beta min(E3, E4), the lowest level,
-    plus log sum_i exp(-beta (o_i - min o)) over the offsets o = (T31, D, 0, T43) of _gaps."""
+    plus log sum_i exp(-beta (o_i - min o)) over the offsets o = (T31, D, 0, T43) of _offsets."""
     e3, e4 = energies(params, coupling)[2:]
     if _is_zero_temperature(beta):
         raise ValueError("Z needs a finite beta")
-    # At beta = 0 every weight is 1, also where T31 passes float max and _gaps raises.
-    t43, _, _, t31 = _gaps(params) if beta else (0.0,) * 4
-    weights = _shifted_weights((t31, params.d_coupling, 0.0, t43), beta)
-    log_z = -beta * min(e3, e4) + math.log(sum(weights))
+    log_z = -beta * min(e3, e4) + math.log(sum(_shifted_weights(_offsets(params, beta), beta)))
     if log_z > _LOG_FLOAT_MAX:
         raise ArithmeticError(f"partition function exceeds float range: log Z = {log_z!r}")
     return math.exp(log_z)
+
+
+def _offsets(params: DerivedParams, beta: float) -> EnergyLevels:
+    """The offsets (T31, D, 0, T43) of _gaps; at beta = 0, where T31 may overflow, (0, D, 0, 0)."""
+    t43, _, _, t31 = _gaps(params) if beta else (0.0,) * 4
+    return EnergyLevels(t31, params.d_coupling, 0.0, t43)
 
 
 def _gap_terms(params: DerivedParams) -> tuple[float, float, float]:

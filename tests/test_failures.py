@@ -10,7 +10,6 @@ guard's one fragment below. Checks that need a monkeypatch, or that expect
 TypeError or AttributeError, stay in the other test modules.
 """
 
-import contextlib
 import copy
 import inspect
 import math
@@ -254,11 +253,12 @@ LIBRARY_FAILURES = [
       for p in ((math.nan, 1.0, 0.0, 0.0), (-1.0, 1.0, 0.0, 1.0),
                 thermo.Populations(0.0, math.inf, 0.0, 0.0))),
     # Only T31 = (omega_sigma + D + J) / 2 can pass float max, and every route from
-    # parameters at finite beta > 0 meets it.
+    # parameters at finite beta > 0 meets it; at beta = 0 every weight is 1 without it.
     *(_row(partial(thermo._gaps, p), ArithmeticError, _T31, f"gaps-{p.omega_sigma}-{p.omega_delta}")
       for p in _T31_PAST_MAX),
     *(_row(partial(f, p, p.coupling, *b), ArithmeticError, _T31,
-           f"{f.__name__}-T31-{p.omega_sigma}-{p.omega_delta}")
+           f"{f.__name__}-T31-{p.omega_sigma}-{p.omega_delta}",
+           accepts=partial(f, p, p.coupling, 0.0) if b else None)
       for f, b in _PARAMS_ROUTES for p in _T31_PAST_MAX),
     # entangle: concurrence forms, thresholds and sweeps. A beta outside [0, inf], everywhere:
     *(_row(partial(f, *args, b), ValueError, _BETA, f"{f.__name__}-beta-{b}")
@@ -452,21 +452,6 @@ def test_library_failures(call, error, fragment, accepts):
     # Exactly the row's class: an OverflowError or ZeroDivisionError escaping from the
     # arithmetic is no ArithmeticError raised on purpose, nor a LinAlgError a ValueError.
     assert type(exc.value) is error
-
-
-def test_partition_is_four_at_beta_zero_on_every_params_of_the_table():
-    # Every weight is 1 at beta = 0, whatever the levels: also where T31 passes float max.
-    found = set()
-    for row in LIBRARY_FAILURES:
-        for call in (row.values[0], row.values[3]):
-            for arg in call.args if call is not None else ():
-                with contextlib.suppress(ArithmeticError):  # an overflowing system
-                    arg = model.derive(arg) if isinstance(arg, model.SpinSystem) else arg
-                if isinstance(arg, model.DerivedParams):
-                    found.add(arg)
-    assert found >= {_PARAMS, *_T31_PAST_MAX}
-    for params in found:
-        assert thermo.partition_for_params(params, params.coupling, 0.0) == 4.0, params
 
 
 # Every public function, the threshold solve behind threshold_tau, and the two value

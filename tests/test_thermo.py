@@ -229,10 +229,19 @@ def test_density_matrix_accepts_a_sequence():
 
 def test_populations_at_beta_zero_are_uniform_past_float_range():
     # E1 - E4 and T31 overflow, and 0 * inf would make every weight nan.
-    params = _params(1.7976931348623157e308, 710.0, 1e308)
+    big = 1.7976931348623157e308
+    params = _params(big, 710.0, 1e308)
     levels = thermo.energies(params, 1e308)
     assert thermo.populations(levels, 0.0).probs == (0.25, 0.25, 0.25, 0.25)
-    assert thermo.partition_for_params(params, 1e308, 0.0) == 4.0
+    # The routes from parameters at beta = 0, at the T31 overflows of test_failures and at
+    # ordinary, zero and float-max parameters.
+    extremes = [model.derive(model.SpinSystem(2.5879320237511028, 1e300, big)),
+                model.derive(model.SpinSystem(1e308, 0.7e308, 1e308)),
+                *(_params(big, wd, 1e308) for wd in (0.0, 710.0, 1e308, 1.3e308)),
+                _params(1.0, 0.5), _params(0.0, 0.0, 0.0), _params(big, big), _params(5e-324, 0.0)]
+    for p in extremes:
+        assert thermo.partition_for_params(p, p.coupling, 0.0) == 4.0, p
+        assert thermo.populations_for_params(p, p.coupling, 0.0).probs == (0.25,) * 4, p
 
 
 def test_gaps_are_the_level_differences():

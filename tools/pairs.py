@@ -1,13 +1,14 @@
 """Paired benchmark runs of a change against its parent commit, with a verdict per metric.
 
-    python3 tools/pairs.py --base HEAD --pairs 10 --seed 1 --out BENCH_n.json
+    python3 tools/pairs.py --base HEAD --out BENCH_n.json
 
 The change is the source tree this script sits in, as it stands; the parent is
 the commit --base names (HEAD while the change is uncommitted, HEAD~1 once it is
 committed), exported with `git archive` into a temporary directory. The two
 trees must hold the same bench/ and BENCHMARK.json, or nothing runs. For each
-workload, `bench/run.py --trace 0` runs on both trees in alternating pairs, the
-parent first in even pairs and the change first in odd ones. The output file
+workload, `bench/run.py --seed 1 --trace 0` runs on both trees in ten alternating
+pairs (a gain needs nine of the ten won), the parent first in even pairs and the
+change first in odd ones. The output file
 holds every run's metrics and, for each end-to-end metric of BENCHMARK.json,
 both sides' median and quartiles, the pair wins and a verdict:
 
@@ -43,6 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = "BENCHMARK.json"
 SIDES = ("base", "change")
+PAIRS = 10
+SEED = 1
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -125,12 +128,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="the parent commit (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
     spec = json.loads((ROOT / SPEC).read_text())
     seconds = spec["run_seconds"]
 
@@ -148,16 +147,16 @@ def main(argv=None) -> int:
             "change": {"tree": "the working tree at " + subprocess.run(
                 ["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True,
                 text=True).stdout.strip()},
-            "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
+            "seed": SEED, "seconds": seconds, "pairs": PAIRS,
             "host": {"python": platform.python_version(), "machine": platform.machine(),
                      "nproc": os.cpu_count()},
             "workloads": {},
         }
         for workload in (w["name"] for w in spec["workloads"]):
             runs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    res = run_once(trees[side], workload, args.seed, seconds)
+                    res = run_once(trees[side], workload, SEED, seconds)
                     runs.append({"pair": i, "side": side, "correct": res["correct"],
                                  "attempted": res["attempted"], "failed": res["failed"],
                                  "metrics": {k: v["value"] for k, v in res["metrics"].items()}})
@@ -180,7 +179,7 @@ def main(argv=None) -> int:
             }
             for name, m in metrics.items():
                 print(f"{workload:10s} {name:14s} {m['base']['median']:12.6g} -> "
-                      f"{m['change']['median']:12.6g} {m['unit']:4s} wins {m['wins']}/{args.pairs}"
+                      f"{m['change']['median']:12.6g} {m['unit']:4s} wins {m['wins']}/{PAIRS}"
                       f"  {m['verdict']}", flush=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
