@@ -18,6 +18,8 @@ in the coupled eigenbasis and lies in [0, pi/4]; the homonuclear case
 degenerate case J = 0, omega_delta = 0 is fixed at 0 so all
 coupling-dependent terms vanish in the uncoupled limit. DerivedParams
 keeps the J of D and theta; a function also given J rejects any other J.
+A DerivedParams built by hand, or by _replace, is derived again from
+(omega_sigma, omega_delta, J), and its D and theta must be the derived ones.
 """
 
 from __future__ import annotations
@@ -82,6 +84,18 @@ class DerivedParams(namedtuple("DerivedParams", "omega_sigma omega_delta d_coupl
 
     __slots__ = ()
 
+    def __new__(cls, omega_sigma, omega_delta, d_coupling, theta, coupling):
+        # Built by hand: derive again, and keep D and theta only if they are the derived ones.
+        params = derive_from_sigma_delta(omega_sigma, omega_delta, coupling)
+        if (d_coupling, theta) != params[2:4]:
+            raise ValueError("d_coupling and theta must be those of (omega_sigma, omega_delta, J)")
+        return params
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its result through _make: validate there too.
+        return cls(*iterable)
+
     @property
     def sin_2theta(self) -> float:
         # Halving a subnormal 2 theta drops its last bit; J / D keeps it.
@@ -129,7 +143,7 @@ def derive_from_sigma_delta(
     # atan2(J, 0) = pi/2 makes the homonuclear angle exactly pi/4. Adding +0.0
     # turns a signed zero into +0.0: atan2(0, -0.0) = pi, atan2(-0.0, 1) = -0.0.
     theta = 0.5 * math.atan2(coupling + 0.0, omega_delta + 0.0)
-    return DerivedParams(omega_sigma, omega_delta, d, theta, coupling)
+    return tuple.__new__(DerivedParams, (omega_sigma, omega_delta, d, theta, coupling))
 
 
 def _check_coupling(coupling: float) -> None:

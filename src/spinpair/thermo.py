@@ -8,9 +8,11 @@ is halved before the sum, so the levels are finite for every valid input):
     E3 = -(D + J/2) / 2                   -sin(t)|ab> + cos(t)|ba>
     E4 = (-omega_sigma + J/2) / 2         |bb>
 
-Boltzmann weights p_i = exp(-beta E_i) / Z. The *_for_params routes weigh the offsets E_i - E3
-= (T31, D, 0, T43) of _gaps; Z forms log Z first and raises ArithmeticError past log Z = 709.78.
-populations(levels, beta) is kept for the benchmark. The tests check Z against the closed form
+Boltzmann weights p_i = exp(-beta E_i) / Z, as exp(-beta (h_i - min h) 2) from halves h_i = E_i / 2
+of the levels, or of the offsets (T31, D, 0, T43) from params: no difference overflows, and away
+from subnormals the weights are bit for bit exp(-beta (E_i - E_min)). Z forms log Z first and
+raises ArithmeticError past log Z = 709.78. populations(levels, beta) is kept for the benchmark.
+The tests check Z against the closed form
 
     Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
                          + cosh(beta D/2)].
@@ -85,31 +87,28 @@ def _is_zero_temperature(beta: float) -> bool:
     return beta == math.inf
 
 
-def _check_levels(levels) -> tuple[float, ...]:
-    """The levels as a tuple; ValueError unless there are exactly four, each finite."""
+def _shifted_weights(halves, beta: float) -> list[float]:
+    """exp(-beta (E_i - E_min)), each at most 1, of four levels or offsets given as halves; beta
+    multiplies each difference of halves before it is doubled, so no finite weight overflows."""
+    low = min(halves)
+    return [math.exp(-beta * (h - low) * 2.0) for h in halves]
+
+
+def _normalised(weights: list[float]) -> Populations:
+    total = sum(weights)
+    return Populations(*[w / total for w in weights])
+
+
+def populations(levels: EnergyLevels, beta: float) -> Populations:
+    """Boltzmann occupations; at beta = inf, equal shares of _ground_set at scale max |E_i|."""
     es = tuple(levels)
     if len(es) != 4:
         raise ValueError(f"expected four energy levels, got {len(es)}")
     if not all(map(math.isfinite, es)):
         raise ValueError("energy levels must be finite")
-    return es
-
-
-def _shifted_weights(levels, beta: float) -> list[float]:
-    """exp(-beta (E_i - E_min)) of four finite levels, each at most 1 and 1 at beta = 0."""
-    es = _check_levels(levels)
-    emin = min(es)
-    return [math.exp(-beta * (e - emin)) if beta else 1.0 for e in es]
-
-
-def populations(levels: EnergyLevels, beta: float) -> Populations:
-    """Boltzmann occupations; at beta = inf, equal shares of _ground_set at scale max |E_i|."""
     if _is_zero_temperature(beta):
-        es = _check_levels(levels)
         return _shares(_ground_set(es, max(map(abs, es))))
-    weights = _shifted_weights(levels, beta)
-    total = sum(weights)
-    return Populations(*(w / total for w in weights))
+    return _normalised(_shifted_weights([0.5 * e for e in es], beta))
 
 
 def populations_for_params(params: DerivedParams, coupling: float, beta: float) -> Populations:
@@ -117,25 +116,27 @@ def populations_for_params(params: DerivedParams, coupling: float, beta: float) 
     _check_same_coupling(params, coupling)
     if _is_zero_temperature(beta):
         return _shares(_ground(params))
-    return populations(_offsets(params, beta), beta)
+    return _normalised(_shifted_weights(_half_offsets(params), beta))
 
 
 def partition_for_params(params: DerivedParams, coupling: float, beta: float) -> float:
     """Z = sum_i exp(-beta E_i) at finite beta >= 0 as log Z: -beta min(E3, E4), the lowest level,
-    plus log sum_i exp(-beta (o_i - min o)) over the offsets o = (T31, D, 0, T43) of _offsets."""
+    plus log sum_i exp(-beta (o_i - min o)) over the offsets o = (T31, D, 0, T43)."""
     e3, e4 = energies(params, coupling)[2:]
     if _is_zero_temperature(beta):
         raise ValueError("Z needs a finite beta")
-    log_z = -beta * min(e3, e4) + math.log(sum(_shifted_weights(_offsets(params, beta), beta)))
+    log_z = -beta * min(e3, e4) + math.log(sum(_shifted_weights(_half_offsets(params), beta)))
     if log_z > _LOG_FLOAT_MAX:
         raise ArithmeticError(f"partition function exceeds float range: log Z = {log_z!r}")
     return math.exp(log_z)
 
 
-def _offsets(params: DerivedParams, beta: float) -> EnergyLevels:
-    """The offsets (T31, D, 0, T43) of _gaps; at beta = 0, where T31 may overflow, (0, D, 0, 0)."""
-    t43, _, _, t31 = _gaps(params) if beta else (0.0,) * 4
-    return EnergyLevels(t31, params.d_coupling, 0.0, t43)
+def _half_offsets(params: DerivedParams) -> tuple[float, float, float, float]:
+    """The halves (T31, D, 0, T43) / 2 of the offsets, T43 formed as _gaps forms it. T31 / 2 is a
+    sum of quarters, so it stays finite where _gaps' T31 passes float max."""
+    ws, d, j = params.omega_sigma, params.d_coupling, params.coupling
+    t43 = _gap_terms(params)[0] - 0.5 * (ws - params.omega_delta)
+    return 0.25 * ws + 0.25 * d + 0.25 * j, 0.5 * d, 0.0, 0.5 * t43
 
 
 def _gap_terms(params: DerivedParams) -> tuple[float, float, float]:

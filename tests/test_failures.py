@@ -55,6 +55,7 @@ _T31 = "the T31 gap (omega_sigma + D + J) / 2 exceeds float range"
 _NEGATIVE_OMEGA2 = "negative Larmor frequencies are only supported"
 _NEGATIVE_EIGENVALUE = "density matrix has a negative eigenvalue"
 _S_RANGE = "s = sin 2theta must lie in (0, 1]"
+_DERIVED = "d_coupling and theta must be those of (omega_sigma, omega_delta, J)"
 
 # Bounds as literals. 1 / x is finite from _SMALLEST_INVERTIBLE up (1 / s for the threshold,
 # 1 / (tau J) at J = 1); at _SMALLEST_J_HZ, hbar 2 pi j_hz is exactly the smallest normal
@@ -161,8 +162,17 @@ LIBRARY_FAILURES = [
     _row(partial(_SYSTEM._replace, omega2=-0.5), ValueError, _NEGATIVE_OMEGA2, "replace-omega2"),
     *(_row(partial(_OBS._replace, **{f: v}), ValueError, f"{f} must lie in [-1, 1]",
            f"replace-{f}-{v}") for f in _OBS._fields for v in (1.5, math.nan)),
+    # A DerivedParams built by hand is derived again: its D and theta must be the derived ones.
+    _row(partial(model.DerivedParams, math.nan, 1.0, 1.0, 0.3, 1.0), ValueError, _FREQUENCIES,
+         "derived-params-nan", accepts=partial(model.DerivedParams, *_PARAMS)),
+    _row(partial(model.DerivedParams, *_PARAMS[:3], _past(_PARAMS.theta, 1.0), 1.0), ValueError,
+         _DERIVED, "derived-params-past-theta"),
+    _row(partial(_PARAMS._replace, omega_delta=0.25), ValueError, _DERIVED, "replace-stale-D",
+         accepts=partial(_PARAMS._replace, omega_sigma=2.0)),
     *([_row(partial(copy.replace, _SYSTEM, coupling=-1.0), ValueError, _COUPLING, "copy-replace-J"),
-       _row(partial(copy.replace, _OBS, p1z=1.5), ValueError, "p1z must lie", "copy-replace-p1z")]
+       _row(partial(copy.replace, _OBS, p1z=1.5), ValueError, "p1z must lie", "copy-replace-p1z"),
+       _row(partial(copy.replace, _PARAMS, omega_delta=0.25), ValueError, _DERIVED,
+            "copy-replace-stale-D")]
       if hasattr(copy, "replace") else []),  # Python 3.13+
     _row(partial(model.preset, "deuterium", 1.0), ValueError, "unknown preset 'deuterium'",
          "preset-unknown"),
@@ -252,14 +262,20 @@ LIBRARY_FAILURES = [
     *(_row(partial(thermo.density_matrix, p, 0.3), ValueError, _POPULATIONS, f"density-{p}")
       for p in ((math.nan, 1.0, 0.0, 0.0), (-1.0, 1.0, 0.0, 1.0),
                 thermo.Populations(0.0, math.inf, 0.0, 0.0))),
-    # Only T31 = (omega_sigma + D + J) / 2 can pass float max, and every route from
-    # parameters at finite beta > 0 meets it; at beta = 0 every weight is 1 without it.
-    *(_row(partial(thermo._gaps, p), ArithmeticError, _T31, f"gaps-{p.omega_sigma}-{p.omega_delta}")
+    # Only T31 = (omega_sigma + D + J) / 2 can pass float max. The line frequencies print it and
+    # raise; the populations weigh halved offsets and accept the same params at every beta.
+    *(_row(partial(thermo._gaps, p), ArithmeticError, _T31, f"gaps-{p.omega_sigma}-{p.omega_delta}",
+           accepts=partial(thermo.populations_for_params, p, p.coupling, 1.0))
       for p in _T31_PAST_MAX),
-    *(_row(partial(f, p, p.coupling, *b), ArithmeticError, _T31,
-           f"{f.__name__}-T31-{p.omega_sigma}-{p.omega_delta}",
-           accepts=partial(f, p, p.coupling, 0.0) if b else None)
-      for f, b in _PARAMS_ROUTES for p in _T31_PAST_MAX),
+    *(_row(partial(spectrum.transition_frequencies_for_params, p, p.coupling), ArithmeticError,
+           _T31, f"transition_frequencies_for_params-T31-{p.omega_sigma}-{p.omega_delta}")
+      for p in _T31_PAST_MAX),
+    # There Z is about exp(0.9e308) at beta = 1, and exactly 4 at beta = 0.
+    *(_row(partial(thermo.partition_for_params, p, p.coupling, 1.0), ArithmeticError,
+           "partition function exceeds float range",
+           f"partition_for_params-T31-{p.omega_sigma}-{p.omega_delta}",
+           accepts=partial(thermo.partition_for_params, p, p.coupling, 0.0))
+      for p in _T31_PAST_MAX),
     # entangle: concurrence forms, thresholds and sweeps. A beta outside [0, inf], everywhere:
     *(_row(partial(f, *args, b), ValueError, _BETA, f"{f.__name__}-beta-{b}")
       for f, args in ((entangle.concurrence_for_params, (_PARAMS, 1.0)),
@@ -454,12 +470,13 @@ def test_library_failures(call, error, fragment, accepts):
     assert type(exc.value) is error
 
 
-# Every public function, the threshold solve behind threshold_tau, and the two value
+# Every public function, the threshold solve behind threshold_tau, and the three value
 # types that validate, each by the code that a row's call enters first.
 _ENTRY_POINTS = {
     **{name: f.__code__ for name in sp.__all__ if inspect.isfunction(f := getattr(sp, name))},
     "threshold_beta": entangle.threshold_beta.__code__,
     "SpinSystem": sp.SpinSystem.__new__.__code__,
+    "DerivedParams": sp.DerivedParams.__new__.__code__,
     "Observables": sp.Observables.__new__.__code__,
 }
 

@@ -28,6 +28,9 @@ must raise ArithmeticError above it.
 The gap-route bounds also hold at high field, omega_delta up to 1e8 with
 omega_sigma a few J from either crossing, where a difference of two rounded
 levels keeps 8 digits: the public routes from parameters must not take one.
+The same bounds hold at omega_sigma = float max, omega_delta = 710, J = 1e308 and
+beta = 1e-310, 1e-309, where E1 - E3 = T31 passes float max and every population is
+about 1/4, for the populations and Z from parameters and for the level route.
 The line amplitudes at phi = pi/2 are within 12 eps gap_cond of the sum of
 the magnitudes of their three terms (2.8 seen on 7.5e4 random points, with
 omega_delta << J and small beta gap drawn on purpose). The gap_cond comes in
@@ -73,9 +76,9 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-def _mp_state(omega_sigma, omega_delta, beta):
-    """D, the levels, log Z and the populations as mpf at the working precision, J = 1."""
-    ws, wd, b, j = (mp.mpf(v) for v in (omega_sigma, omega_delta, beta, 1.0))
+def _mp_state(omega_sigma, omega_delta, beta, coupling=1.0):
+    """D, the levels, log Z and the populations as mpf at the working precision."""
+    ws, wd, b, j = (mp.mpf(v) for v in (omega_sigma, omega_delta, beta, coupling))
     d = mp.sqrt(wd * wd + j * j)
     levels = [(ws + j / 2) / 2, (d - j / 2) / 2, -(d + j / 2) / 2, (-ws + j / 2) / 2]
     emin = min(levels)
@@ -153,10 +156,7 @@ def test_closed_forms_match_mpmath(pair, beta):
     tol = EPS * (1.0 + beta * (omega_sigma + params.d_coupling + 1.0))
     gap_tol = EPS * (1.0 + beta * (t43 + 1.0))
     # The level route, kept for the benchmark until it goes.
-    for p, ref in zip(thermo.populations(thermo.energies(params, 1.0), beta), ps_ref):
-        err = abs(p - ref)
-        assert err <= P_ABS * tol, (p, ref)
-        assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
+    _check_level_populations(thermo.populations(thermo.energies(params, 1.0), beta), ps_ref, tol)
     # The public route, whose populations concurrence and spectrum print, takes the gaps.
     pops = thermo.populations_for_params(params, 1.0, beta)
     _check_gap_populations(pops, ps_ref, gap_tol, tol)
@@ -171,6 +171,13 @@ def test_closed_forms_match_mpmath(pair, beta):
     assert abs(c_pop - c_ref) <= C_POP_ABS * tol, (c_pop, c_ref)
 
     _check_partition(params, beta, log_z_ref, LOG_Z_ABS * tol)
+
+
+def _check_level_populations(pops, ps_ref, tol):
+    for p, ref in zip(pops, ps_ref):
+        err = abs(p - ref)
+        assert err <= P_ABS * tol, (p, ref)
+        assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
 
 
 def _check_gap_populations(pops, ps_ref, gap_tol, tol):
@@ -256,6 +263,36 @@ def test_high_field_state_matches_mpmath():
     assert math.isclose(freqs["T21"], 1.2499999975, rel_tol=1e-15)
     p3 = thermo.populations_for_params(params, 1.0, _HIGH_FIELD[2]).p3
     assert math.isclose(p3, 0.0758581817738365, rel_tol=1e-14)
+
+
+# omega_sigma = float max, omega_delta = 710, J = 1e308: E1 - E3 = T31 passes float max, while at
+# beta = 1e-310 every population is about 1/4. The 60-digit state there.
+_PAST_MAX = (sys.float_info.max, 710.0, 1e308)
+_PAST_MAX_STATE = (0.247137018633898, 0.249368414632590, 0.251874608865161, 0.251619957868350)
+_PAST_MAX_Z = 4.00011815396567
+
+
+def test_state_past_float_max_matches_mpmath():
+    # A difference of two levels, or T31 itself, leaves float range here; a difference of
+    # halves does not. Each route must meet its bounds.
+    omega_sigma, _, coupling = _PAST_MAX
+    params = model.derive_from_sigma_delta(*_PAST_MAX)
+    for beta in (1e-310, 1e-309):
+        with mp.workdps(60):
+            _, levels, log_z_ref, ps = _mp_state(*_PAST_MAX[:2], beta, coupling)
+            ps_ref, log_z_ref = [float(p) for p in ps], float(log_z_ref)
+            t43 = float(abs(levels[3] - levels[2]))
+        tol = EPS * (1.0 + beta * (omega_sigma + params.d_coupling + coupling))
+        gap_tol = EPS * (1.0 + beta * (t43 + coupling))
+        pops = thermo.populations_for_params(params, coupling, beta)
+        _check_gap_populations(pops, ps_ref, gap_tol, tol)
+        _check_level_populations(thermo.populations(thermo.energies(params, coupling), beta),
+                                 ps_ref, tol)
+        z = thermo.partition_for_params(params, coupling, beta)
+        assert abs(math.log(z) - log_z_ref) <= LOG_Z_ABS * tol, (z, log_z_ref)
+        if beta == 1e-310:
+            assert all(math.isclose(p, w, rel_tol=1e-14) for p, w in zip(pops, _PAST_MAX_STATE))
+            assert math.isclose(z, _PAST_MAX_Z, rel_tol=1e-14), z
 
 
 def _amplitude_reference(omega_sigma, omega_delta, beta):

@@ -233,8 +233,9 @@ def test_populations_at_beta_zero_are_uniform_past_float_range():
     params = _params(big, 710.0, 1e308)
     levels = thermo.energies(params, 1e308)
     assert thermo.populations(levels, 0.0).probs == (0.25, 0.25, 0.25, 0.25)
-    # The routes from parameters at beta = 0, at the T31 overflows of test_failures and at
-    # ordinary, zero and float-max parameters.
+    # The routes from parameters at the T31 overflows of test_failures and at ordinary, zero
+    # and float-max parameters: uniform at beta = 0, and at beta > 0 finite weights, each at
+    # most 1 and the least offset's exactly 1, whose populations sum to 1.
     extremes = [model.derive(model.SpinSystem(2.5879320237511028, 1e300, big)),
                 model.derive(model.SpinSystem(1e308, 0.7e308, 1e308)),
                 *(_params(big, wd, 1e308) for wd in (0.0, 710.0, 1e308, 1.3e308)),
@@ -242,6 +243,32 @@ def test_populations_at_beta_zero_are_uniform_past_float_range():
     for p in extremes:
         assert thermo.partition_for_params(p, p.coupling, 0.0) == 4.0, p
         assert thermo.populations_for_params(p, p.coupling, 0.0).probs == (0.25,) * 4, p
+        for beta in (5e-324, 1e-310, 1e-300, 1.0, 1e300):
+            weights = thermo._shifted_weights(thermo._half_offsets(p), beta)
+            assert all(0.0 <= w <= 1.0 for w in weights) and max(weights) == 1.0, (p, beta)
+            for pops in (thermo.populations_for_params(p, p.coupling, beta),
+                         thermo.populations(thermo.energies(p, p.coupling), beta)):
+                assert math.isclose(sum(pops), 1.0, rel_tol=4e-16), (p, beta, pops)
+
+
+def test_halved_weights_are_the_offset_weights_bit_for_bit():
+    # Away from subnormals, halving and doubling are exact: exp(-beta (h - min h) 2) over the
+    # halves h = o / 2 is exp(-beta (o - min o)) itself, wherever o - min o is finite.
+    rng = np.random.default_rng(33)
+    tiny = 2.0**-1000
+    for _ in range(5000):
+        scale = 10.0 ** rng.uniform(-300.0, 308.0)
+        offsets = [float(x) for x in rng.choice((-1.0, 1.0), 4) * scale * rng.uniform(0.0, 1.0, 4)]
+        if rng.uniform() < 0.2:
+            offsets[rng.integers(4)] = 0.0
+        low = min(offsets)
+        if any(not (o - low == 0.0 or tiny <= o - low < math.inf) or 0.0 < abs(o) < tiny
+               for o in offsets):
+            continue
+        # beta = 0, beta anywhere, and beta where the weights lie between 0 and 1.
+        for beta in (0.0, 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-3, 3) / scale):
+            want = [math.exp(-beta * (o - low)) for o in offsets]
+            assert thermo._shifted_weights([0.5 * o for o in offsets], beta) == want, offsets
 
 
 def test_gaps_are_the_level_differences():

@@ -89,7 +89,8 @@ def main(argv=None) -> int:
     package = ROOT / "src" / "spinpair"
     survivors = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("src", "tests", "tools"):  # tests/test_pairs.py reads tools/pairs.py
+        # tests/test_pairs.py reads tools/pairs.py; tests/test_replay.py, bench/workloads.py.
+        for name in ("src", "tests", "tools", "bench"):
             shutil.copytree(ROOT / name, Path(tmp) / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
