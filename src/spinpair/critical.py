@@ -65,5 +65,6 @@ def critical_omega_sigma(omega_delta: float, coupling: float) -> float:
 
 def ground_state(system: SpinSystem) -> GroundState:
     """Which level is lowest, and the pair tied with it within 1e-12 max |E_i|, in any unit."""
-    members = [i + 1 for i in thermo._ground(derive(system))]
+    params = derive(system)
+    members = [i + 1 for i in thermo._ground(params, params.omega_sigma)]
     return GroundState(members[0], tuple(members[:2]) if len(members) >= 2 else None)

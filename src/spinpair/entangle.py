@@ -8,8 +8,8 @@ Ratio form, obtained by inserting the Boltzmann weights and Z:
 
     C = max{0, [sinh(beta D/2) sin(2 theta) - exp(-beta J/2)]
               / [exp(-beta J/2) cosh(beta omega_sigma/2) + cosh(beta D/2)]}
-which _ratio_form sums over the weights relative to E3, exp(-beta (T31, D, 0, T43)), with
-T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2 and T31 = T43 + omega_sigma.
+which _ratio_form sums over the weights relative to E3, exp(-beta (T31, D, 0, T43)), with T43
+formed as thermo._half_offsets forms it and T31 = T43 + omega_sigma.
 
 Entanglement survives while sinh(beta D/2) sin(2 theta) > exp(-beta J/2).
 With s = sin 2theta = J / D that condition depends on beta only through
@@ -65,10 +65,10 @@ def concurrence_for_params(params: DerivedParams, coupling: float, beta: float) 
 def _ratio_form(points, params: DerivedParams):
     """C at each (omega_sigma >= 0, beta in [0, inf]) point of params; the caller validates them.
 
-    The beta-only terms are recomputed only when beta changes, so once per field
-    sweep. beta = inf is the exact limit, not a large-beta ratio form, which would
-    cancel at the level crossing: C is sin 2theta when thermo._ground finds E3 alone, half
-    of it for E3 and E4, and 0 for any other ground set (E4 <= E1, E3 <= E2).
+    The beta-only terms are recomputed only when beta changes, so once per field sweep; -beta T43
+    matches thermo._half_offsets, the one form of the offsets. beta = inf is the exact limit, not a
+    large-beta ratio form, which would cancel at the crossing: C is sin 2theta when thermo._ground
+    finds E3 alone, half of it for E3 and E4, and 0 for any other (E4 <= E1, E3 <= E2).
     """
     # Local names save two lookups per point.
     exp, ground_of = math.exp, thermo._ground
@@ -83,10 +83,10 @@ def _ratio_form(points, params: DerivedParams):
             if not zero:
                 neg_beta, e_d = -beta, exp(-beta * d)
                 # Weights relative to E3, over 2 exp(-beta D / 2): none grows below the crossing;
-                # past it exp(a), a = -beta T43 with T43 formed as in thermo._gaps, drives C -> 0.
+                # past it exp(a), a = -beta T43 with T43 as in thermo._half_offsets, drives C -> 0.
                 num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_beta * half_dj)
         if zero:
-            ground = ground_of(params, omega_sigma, t43_offset - 0.5 * (omega_sigma - omega_delta))
+            ground = ground_of(params, omega_sigma)
             yield sin_2theta if ground == [2] else 0.5 * sin_2theta if ground == [2, 3] else 0.0
             continue
         if num <= 0.0:

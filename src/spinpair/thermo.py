@@ -9,16 +9,16 @@ is halved before the sum, so the levels are finite for every valid input):
     E4 = (-omega_sigma + J/2) / 2         |bb>
 
 Boltzmann weights p_i = exp(-beta E_i) / Z, as exp(-beta (h_i - min h) 2) from halves h_i = E_i / 2
-of the levels, or of the offsets (T31, D, 0, T43) from params: no difference overflows, and away
-from subnormals the weights are bit for bit exp(-beta (E_i - E_min)). Z forms log Z first and
-raises ArithmeticError past log Z = 709.78. populations(levels, beta) is kept for the benchmark.
-The tests check Z against the closed form
+of the levels, or of the offsets (T31, D, 0, T43) from params, whose one form is _half_offsets: no
+difference overflows, and away from subnormals the weights are bit for bit exp(-beta (E_i - E_min)).
+Z forms log Z first and raises ArithmeticError past log Z = 709.78. populations(levels, beta) is
+kept for the benchmark. The tests check Z against the closed form
 
     Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
                          + cosh(beta D/2)].
 
-_gaps forms the line gaps E_outer - E_inner with no cancelling subtraction, from
-D - omega_delta = J^2 / (D + omega_delta) and D - J = omega_delta^2 / (D + J):
+_gaps forms the line gaps E_outer - E_inner, T43 and T31 from _half_offsets, with no cancelling
+subtraction, from D - omega_delta = J^2 / (D + omega_delta) and D - J = omega_delta^2 / (D + J):
 
     T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2
     T21 = (omega_sigma - (D - J)) / 2, or where omega_delta/2 <= omega_sigma <= 2 omega_delta
@@ -28,7 +28,7 @@ D - omega_delta = J^2 / (D + omega_delta) and D - J = omega_delta^2 / (D + J):
 The equilibrium state in the product basis is X-shaped: four real diagonals
 plus one real coherence between |ab> and |ba>. beta = inf spreads probability evenly over
 the levels within 1e-12 max |E_i| of the lowest, a scale floored at the least normal float and
-so the same in any unit. _ground_set is that one rule, for the levels and for _ground's offsets.
+so the same in any unit. _ground_set is that one rule, on halves of the levels or of the offsets.
 """
 
 from __future__ import annotations
@@ -106,17 +106,18 @@ def populations(levels: EnergyLevels, beta: float) -> Populations:
         raise ValueError(f"expected four energy levels, got {len(es)}")
     if not all(map(math.isfinite, es)):
         raise ValueError("energy levels must be finite")
+    halves = [0.5 * e for e in es]
     if _is_zero_temperature(beta):
-        return _shares(_ground_set(es, max(map(abs, es))))
-    return _normalised(_shifted_weights([0.5 * e for e in es], beta))
+        return _shares(_ground_set(halves, max(map(abs, halves))))
+    return _normalised(_shifted_weights(halves, beta))
 
 
 def populations_for_params(params: DerivedParams, coupling: float, beta: float) -> Populations:
     """populations at params, from the offsets E_i - E3 = (T31, D, 0, T43) at every beta."""
     _check_same_coupling(params, coupling)
     if _is_zero_temperature(beta):
-        return _shares(_ground(params))
-    return _normalised(_shifted_weights(_half_offsets(params), beta))
+        return _shares(_ground(params, params.omega_sigma))
+    return _normalised(_shifted_weights(_half_offsets(params, params.omega_sigma), beta))
 
 
 def partition_for_params(params: DerivedParams, coupling: float, beta: float) -> float:
@@ -125,18 +126,19 @@ def partition_for_params(params: DerivedParams, coupling: float, beta: float) ->
     e3, e4 = energies(params, coupling)[2:]
     if _is_zero_temperature(beta):
         raise ValueError("Z needs a finite beta")
-    log_z = -beta * min(e3, e4) + math.log(sum(_shifted_weights(_half_offsets(params), beta)))
+    weights = _shifted_weights(_half_offsets(params, params.omega_sigma), beta)
+    log_z = -beta * min(e3, e4) + math.log(sum(weights))
     if log_z > _LOG_FLOAT_MAX:
         raise ArithmeticError(f"partition function exceeds float range: log Z = {log_z!r}")
     return math.exp(log_z)
 
 
-def _half_offsets(params: DerivedParams) -> tuple[float, float, float, float]:
-    """The halves (T31, D, 0, T43) / 2 of the offsets, T43 formed as _gaps forms it. T31 / 2 is a
-    sum of quarters, so it stays finite where _gaps' T31 passes float max."""
-    ws, d, j = params.omega_sigma, params.d_coupling, params.coupling
-    t43 = _gap_terms(params)[0] - 0.5 * (ws - params.omega_delta)
-    return 0.25 * ws + 0.25 * d + 0.25 * j, 0.5 * d, 0.0, 0.5 * t43
+def _half_offsets(params: DerivedParams, omega_sigma: float) -> tuple[float, float, float, float]:
+    """The halves (T31, D, 0, T43) / 2 of the offsets E_i - E3 at omega_sigma: the one form of T43
+    and T31 from params. T31 / 2 is a sum of quarters, so it never overflows."""
+    d, j = params.d_coupling, params.coupling
+    t43 = _gap_terms(params)[0] - 0.5 * (omega_sigma - params.omega_delta)
+    return 0.25 * omega_sigma + 0.25 * d + 0.25 * j, 0.5 * d, 0.0, 0.5 * t43
 
 
 def _gap_terms(params: DerivedParams) -> tuple[float, float, float]:
@@ -149,31 +151,28 @@ def _gap_terms(params: DerivedParams) -> tuple[float, float, float]:
 
 
 def _gaps(params: DerivedParams) -> tuple[float, float, float, float]:
-    """Signed E_outer - E_inner of T43, T21, T42, T31 from halved terms; T31 may overflow."""
-    ws, wd, d, j = params.omega_sigma, params.omega_delta, params.d_coupling, params.coupling
-    (t43_offset, d_minus_j, window_term), half_diff = _gap_terms(params), 0.5 * (ws - wd)
-    t21 = half_diff + window_term if 0.5 * wd <= ws <= 2.0 * wd else 0.5 * ws - d_minus_j
-    t31 = 0.5 * ws + 0.5 * d + 0.5 * j
+    """Signed E_outer - E_inner of T43, T21, T42, T31; T43 and T31 double _half_offsets' halves."""
+    ws, wd = params.omega_sigma, params.omega_delta
+    (h31, _, _, h43), (_, d_minus_j, window_term) = _half_offsets(params, ws), _gap_terms(params)
+    t21 = 0.5 * (ws - wd) + window_term if 0.5 * wd <= ws <= 2.0 * wd else 0.5 * ws - d_minus_j
+    t31 = 2.0 * h31
     if t31 == math.inf:
         raise ArithmeticError("the T31 gap (omega_sigma + D + J) / 2 exceeds float range")
-    return (t43_offset - half_diff, t21, -(0.5 * ws + d_minus_j), t31)
+    return (2.0 * h43, t21, -(0.5 * ws + d_minus_j), t31)
 
 
-def _ground(params: DerivedParams, omega_sigma=None, t43=None) -> list[int]:
-    """populations' ground set at omega_sigma (params' own by default): the _ground_set of the
-    offsets (T31 = T43 + omega_sigma, D, 0, T43), where T31 = +inf is never ground, at the scale
-    max(E1, -E3) = max |E_i| (|E4| <= E1, |E2| <= -E3), halved as energies halves."""
-    if t43 is None:
-        omega_sigma = params.omega_sigma
-        t43 = _gap_terms(params)[0] - 0.5 * (omega_sigma - params.omega_delta)
-    d, j = params.d_coupling, 0.25 * params.coupling
-    return _ground_set((t43 + omega_sigma, d, 0.0, t43), max(0.5 * omega_sigma + j, 0.5 * d + j))
+def _ground(params: DerivedParams, omega_sigma: float) -> list[int]:
+    """populations' ground set at omega_sigma: the _ground_set of _half_offsets at half the scale
+    max(E1, -E3) = max |E_i| (|E4| <= E1, |E2| <= -E3), quartered as energies halves."""
+    d, j = 0.25 * params.d_coupling, 0.125 * params.coupling
+    return _ground_set(_half_offsets(params, omega_sigma), max(0.25 * omega_sigma + j, d + j))
 
 
-def _ground_set(offsets, scale: float) -> list[int]:
-    """0-based indices of the four offsets at most 1e-12 max(scale, float min) above the least."""
-    low, tol = min(offsets), DEGENERACY_RTOL * max(scale, sys.float_info.min)
-    return [i for i, o in enumerate(offsets) if o - low <= tol]
+def _ground_set(halves, scale: float) -> list[int]:
+    """0-based indices of four halved levels or offsets at most 1e-12 max(scale, float min / 2)
+    above the least, at half the scale max |E_i|: the unhalved rule, floored at float min."""
+    low, tol = min(halves), DEGENERACY_RTOL * max(scale, 0.5 * sys.float_info.min)
+    return [i for i, h in enumerate(halves) if h - low <= tol]
 
 
 def _shares(ground: list[int]) -> Populations:

@@ -137,18 +137,42 @@ def test_degeneracy_scale_is_the_largest_level_magnitude():
     levels = thermo.EnergyLevels(-1e6, -1e6 + 2e-6, 5.0, 3.0)
     assert thermo.populations(levels, math.inf).probs == (1.0, 0.0, 0.0, 0.0)
     # Scales 1, D/2 + J/4 = 3 and omega_sigma/2 + J/4 = 5, in units 1 and 2^40 times finer:
-    # RTOL x scale joins, the next float not.
+    # RTOL x scale joins, the next float not. _ground judges _half_offsets at half the scale,
+    # D/4 + J/8 = 1.5 and omega_sigma/4 + J/8 = 2.5, so there a half T43 of RTOL x 1.5 or 2.5 joins.
+    # Through _ground itself: at omega_sigma = omega_delta = D = 1 (both terms of the scale equal)
+    # E4 joins E3 up to J = RTOL, and at omega_sigma one float below omega_delta = D = 1 (the D
+    # term alone) up to J = 9.998889776975377e-13. At the E3/E4 crossing of omega_delta = 1.94,
+    # J = 1.61, the last omega_sigma before the edge leaves E4 out by less than 2^-20 RTOL J/8.
+    below_one, up = math.nextafter(1.0, 0.0), lambda x: math.nextafter(x, math.inf)
+    edges = [((1.0, 1.0, 1e-12), (1.0, 1.0, up(1e-12))),  # (joins, next float out)
+             ((below_one, 1.0, 9.998889776975377e-13), (below_one, 1.0, up(9.998889776975377e-13))),
+             ((up(4.131051367976288), 1.94, 1.61), (4.131051367976288, 1.94, 1.61))]
     for f in (1.0, 2.0**-40):
         levels = (f, f, 0.0, 1e-12 * f)
         assert thermo.populations(levels, math.inf).probs == (0.0, 0.0, 0.5, 0.5)
         levels = (f, f, 0.0, math.nextafter(1e-12 * f, 1.0))
         assert thermo.populations(levels, math.inf).probs[2] == 1.0
         params = _params(2.0 * f, 0.0, 4.0 * f)  # J = 4, omega_delta = 0: D = 4
-        for omega_sigma, t43 in ((2.0 * f, 3e-12 * f), (8.0 * f, 5e-12 * f)):
-            assert thermo._ground(params, omega_sigma, t43=t43) == [2, 3]
-            assert thermo._ground(params, omega_sigma, t43=math.nextafter(t43, 1.0)) == [2]
-    # The scale's floor, the least normal float, makes a subnormal offset a tie.
+        for omega_sigma, half_scale, half_t43 in ((2.0 * f, 1.5 * f, 1.5e-12 * f),
+                                                  (8.0 * f, 2.5 * f, 2.5e-12 * f)):
+            halves = thermo._half_offsets(params, omega_sigma)[:3]
+            assert thermo._ground_set(halves + (half_t43,), half_scale) == [2, 3]
+            assert thermo._ground_set(halves + (math.nextafter(half_t43, 1.0),), half_scale) == [2]
+        for joins, out in edges:
+            for case, ground in ((joins, [2, 3]), (out, [2])):
+                params = _params(*(x * f for x in case))
+                assert thermo._ground(params, params.omega_sigma) == ground, (case, f)
+    # The scale's floor, the least normal float, makes a subnormal offset a tie, up to
+    # 1e-12 float min = 2.2e-320. Halves are judged at half that floor, so an offset above it
+    # stays out on both routes: at J = 3e-320 the homonuclear pair at zero field is a singlet.
     assert thermo.populations((0.0, 0.0, 0.0, 5e-324), math.inf).probs == (0.25,) * 4
+    assert thermo.populations((0.0, 0.0, 0.0, 2e-320), math.inf).probs == (0.25,) * 4
+    assert thermo.populations((0.0, 0.0, 0.0, 2.4e-320), math.inf).probs == (1 / 3,) * 3 + (0.0,)
+    params = _params(0.0, 0.0, 3e-320)
+    levels = thermo.energies(params, 3e-320)
+    assert thermo.populations(levels, math.inf).probs == (0.0, 0.0, 1.0, 0.0)
+    assert thermo._ground(params, 0.0) == [2]
+    assert entangle.concurrence_for_params(params, 3e-320, math.inf) == 1.0
 
 
 def test_populations_sum_and_range():
@@ -244,7 +268,7 @@ def test_populations_at_beta_zero_are_uniform_past_float_range():
         assert thermo.partition_for_params(p, p.coupling, 0.0) == 4.0, p
         assert thermo.populations_for_params(p, p.coupling, 0.0).probs == (0.25,) * 4, p
         for beta in (5e-324, 1e-310, 1e-300, 1.0, 1e300):
-            weights = thermo._shifted_weights(thermo._half_offsets(p), beta)
+            weights = thermo._shifted_weights(thermo._half_offsets(p, p.omega_sigma), beta)
             assert all(0.0 <= w <= 1.0 for w in weights) and max(weights) == 1.0, (p, beta)
             for pops in (thermo.populations_for_params(p, p.coupling, beta),
                          thermo.populations(thermo.energies(p, p.coupling), beta)):
@@ -335,10 +359,41 @@ def test_offset_ground_set_is_the_level_ground_set_at_the_tolerance_edge():
             params = _params(omega_sigma, omega_delta, coupling)
             pops = thermo.populations(thermo.energies(params, coupling), math.inf)
             ground = [i for i, p in enumerate(pops) if p > 0.0]
-            assert thermo._ground(params) == ground, (omega_sigma, omega_delta, coupling)
+            assert thermo._ground(params, omega_sigma) == ground, (omega_sigma, omega_delta, coupling)
             assert thermo.populations_for_params(params, coupling, math.inf) == pops
             s2 = params.sin_2theta
             assert c == (s2 if ground == [2] else 0.5 * s2 if ground == [2, 3] else 0.0)
+    # One offsets form serves all three, bit for bit: _gaps' T43 and T31 are _half_offsets' halves
+    # doubled (ArithmeticError where T31 passes float max), and a beta = inf field sweep gives the
+    # C of _ground's set at every point, from the subnormal corner omega_sigma, D, J <= 1e-320 to
+    # float max.
+    big, corner = 1.7976931348623157e308, (0.0, 5e-324, 1.5e-323, 1e-321, 4e-321)
+    pairs = [(wd, j) for wd in corner for j in corner] + [(1e308, 1e308), (710.0, 1e308)]
+    pairs += [tuple(10.0 ** rng.uniform(-300.0, 307.0, 2)) for _ in range(60)]
+    for omega_delta, coupling in pairs:
+        crossing = _params(0.0, omega_delta, coupling).d_coupling + coupling
+        grid = {0.0, 5e-324, 0.5 * omega_delta, omega_delta, 2.0 * omega_delta, crossing,
+                math.nextafter(crossing, 0.0), math.nextafter(crossing, math.inf), big}
+        grid.update(crossing * (1.0 + r) for r in 10.0 ** rng.uniform(-16.0, 0.0, 8))
+        grid.update(crossing * (1.0 - r) for r in 10.0 ** rng.uniform(-16.0, 0.0, 8))
+        grid.update(rng.uniform(0.0, 1e-320, 4))
+        grid = sorted(ws for ws in grid if ws < math.inf)
+        if coupling:
+            rows = entangle.sweep("field", grid, omega_delta=omega_delta, tau=0.0, coupling=coupling)
+        else:
+            rows = [(ws, entangle.concurrence_for_params(_params(ws, omega_delta, 0.0), 0.0, math.inf))
+                    for ws in grid]
+        for omega_sigma, (_, c) in zip(grid, rows):
+            params = _params(omega_sigma, omega_delta, coupling)
+            half_t31, _, _, half_t43 = thermo._half_offsets(params, omega_sigma)
+            if 2.0 * half_t31 == math.inf:
+                with pytest.raises(ArithmeticError, match="T31 gap"):
+                    thermo._gaps(params)
+            else:
+                t43, _, _, t31 = thermo._gaps(params)
+                assert (t43, t31) == (2.0 * half_t43, 2.0 * half_t31), params
+            ground, s2 = thermo._ground(params, omega_sigma), params.sin_2theta
+            assert c == (s2 if ground == [2] else 0.5 * s2 if ground == [2, 3] else 0.0), params
 
 
 def test_zero_temperature_past_float_range_is_the_level_route():
@@ -365,7 +420,7 @@ def _scaled_results(omega_sigma, omega_delta, coupling, beta, f):
         entangle.concurrence_for_params(params, j, b),
         thermo.populations_for_params(params, j, b),
         thermo.populations(thermo.energies(params, j), b),
-        thermo._ground(params),
+        thermo._ground(params, params.omega_sigma),
         [(line.amplitude, line.frequency / f) for line in lines],
         [g / f for g in thermo._gaps(params)],
         entangle.threshold_tau(omega_delta * f, j),
