@@ -17,10 +17,10 @@ kept for the benchmark. The tests check Z against the closed form
     Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
                          + cosh(beta D/2)].
 
-_gaps forms the line gaps E_outer - E_inner, T43 and T31 from _half_offsets, with no cancelling
-subtraction, from D - omega_delta = J^2 / (D + omega_delta) and D - J = omega_delta^2 / (D + J):
+_gaps forms the line gaps E_outer - E_inner with no cancelling subtraction, from D - omega_delta =
+J^2 / (D + omega_delta) in _t43_term, read by _half_offsets, and D - J = omega_delta^2 / (D + J):
 
-    T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2
+    T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2, halved first past 2^1023
     T21 = (omega_sigma - (D - J)) / 2, or where omega_delta/2 <= omega_sigma <= 2 omega_delta
           ((omega_sigma - omega_delta) + 2 omega_delta J / (omega_delta + J + D)) / 2
     T42 = -(omega_sigma + (D - J)) / 2,   T31 = (omega_sigma + D + J) / 2
@@ -135,30 +135,36 @@ def partition_for_params(params: DerivedParams, coupling: float, beta: float) ->
 
 def _half_offsets(params: DerivedParams, omega_sigma: float) -> tuple[float, float, float, float]:
     """The halves (T31, D, 0, T43) / 2 of the offsets E_i - E3 at omega_sigma: the one form of T43
-    and T31 from params. T31 / 2 is a sum of quarters, so it never overflows."""
-    d, j = params.d_coupling, params.coupling
-    t43 = _gap_terms(params)[0] - 0.5 * (omega_sigma - params.omega_delta)
-    return 0.25 * omega_sigma + 0.25 * d + 0.25 * j, 0.5 * d, 0.0, 0.5 * t43
+    and T31 from params. T31 / 2 is a sum of quarters and T43 / 2 = (m / 2) (c_m - r / 2m), with
+    (c_m, m) = _t43_term and r = omega_sigma - omega_delta, so neither overflows."""
+    d, r, (c_m, m) = params.d_coupling, omega_sigma - params.omega_delta, _t43_term(params)
+    h43 = 0.5 * m * (c_m - 0.5 / m * r)
+    return 0.25 * omega_sigma + 0.25 * d + 0.25 * params.coupling, 0.5 * d, 0.0, h43
 
 
-def _gap_terms(params: DerivedParams) -> tuple[float, float, float]:
-    """(J + (D - omega_delta)) / 2, (D - J) / 2 and (omega_delta + J - D) / 2 as products of
-    halves, by D - x = y^2 / (D + x) for {x, y} = {omega_delta, J}: no sum overflows."""
-    wd, d, j = params.omega_delta, params.d_coupling, params.coupling
-    w2, d2, j2 = 0.5 * wd, max(0.5 * d, 5e-324), 0.5 * j  # no 0 / 0 at D <= 5e-324
-    lo, hi = sorted((wd, j))  # hi / (omega_delta + J + D) lies in [0.29, 0.5]: no underflow
-    return j2 + j2 * (j2 / (d2 + w2)), w2 * (w2 / (d2 + j2)), lo * (0.5 * hi / (w2 + j2 + d2))
+def _t43_term(params: DerivedParams) -> tuple[float, float]:
+    """(c / m, m) for T43 = m (c / m - (omega_sigma - omega_delta) / 2m), with c = (J + (D -
+    omega_delta)) / 2, at most J, as a product of halves. T43 <= c + omega_delta / 2 is finite below
+    c = 2^1023, where m = 1; from there on m = 2, and c / m and the halved r are exact."""
+    j2 = 0.5 * params.coupling  # max: no 0 / 0 at D <= 5e-324
+    c = j2 + j2 * (j2 / (max(0.5 * params.d_coupling, 5e-324) + 0.5 * params.omega_delta))
+    return (c, 1.0) if c < 2.0**1023 else (0.5 * c, 2.0)
 
 
 def _gaps(params: DerivedParams) -> tuple[float, float, float, float]:
     """Signed E_outer - E_inner of T43, T21, T42, T31; T43 and T31 double _half_offsets' halves."""
-    ws, wd = params.omega_sigma, params.omega_delta
-    (h31, _, _, h43), (_, d_minus_j, window_term) = _half_offsets(params, ws), _gap_terms(params)
-    t21 = 0.5 * (ws - wd) + window_term if 0.5 * wd <= ws <= 2.0 * wd else 0.5 * ws - d_minus_j
-    t31 = 2.0 * h31
+    ws, wd, j = params.omega_sigma, params.omega_delta, params.coupling
+    w2, d2, j2 = 0.5 * wd, max(0.5 * params.d_coupling, 5e-324), 0.5 * j
+    (h31, _, _, h43), d_minus_j = _half_offsets(params, ws), w2 * (w2 / (d2 + j2))
+    # In its window only: hi / (wd + J + D) in [0.29, 0.5]; min, max order zeros as sorted does.
+    t21 = (0.5 * (ws - wd) + min(wd, j) * (0.5 * max(j, wd) / (w2 + j2 + d2))
+           if 0.5 * wd <= ws <= 2.0 * wd else 0.5 * ws - d_minus_j)
+    t43, t31 = 2.0 * h43, 2.0 * h31
     if t31 == math.inf:
         raise ArithmeticError("the T31 gap (omega_sigma + D + J) / 2 exceeds float range")
-    return (2.0 * h43, t21, -(0.5 * ws + d_minus_j), t31)
+    if t43 == math.inf:
+        raise ArithmeticError("the T43 gap (J + D - omega_sigma) / 2 exceeds float range")
+    return (t43, t21, -(0.5 * ws + d_minus_j), t31)
 
 
 def _ground(params: DerivedParams, omega_sigma: float) -> list[int]:

@@ -52,6 +52,7 @@ _NEEDS_J = "tau = k_B T / J needs J > 0"
 _SUM_OVERFLOWS = "omega1 +- omega2 overflows"
 _D_OVERFLOWS = "D = hypot(omega_delta, J) is out of float range"
 _T31 = "the T31 gap (omega_sigma + D + J) / 2 exceeds float range"
+_T43 = "the T43 gap (J + D - omega_sigma) / 2 exceeds float range"
 _NEGATIVE_OMEGA2 = "negative Larmor frequencies are only supported"
 _NEGATIVE_EIGENVALUE = "density matrix has a negative eigenvalue"
 _S_RANGE = "s = sin 2theta must lie in (0, 1]"
@@ -102,6 +103,9 @@ _PARAMS_ROUTES = [(thermo.populations_for_params, (1.0,)), (thermo.partition_for
 _T31_PAST_MAX = [model.derive(model.SpinSystem(2.5879320237511028, 1e300, _BIG)),
                  model.derive(model.SpinSystem(1e308, 0.7e308, 1e308)),
                  *(_params(_BIG, wd, 1e308) for wd in (0.0, 1e308, 1.3e308))]
+# At J = float max and this omega_delta, T43 = (J + D - omega_sigma) / 2 rounds to float max for
+# omega_sigma up to about 1e292, but its half rounds past float max / 2 below _T43_EDGE.
+_T43_WD, _T43_EDGE = 6.915936136574687e298, 1.9198271437083983e291
 
 
 def _rho(edits):
@@ -262,8 +266,9 @@ LIBRARY_FAILURES = [
     *(_row(partial(thermo.density_matrix, p, 0.3), ValueError, _POPULATIONS, f"density-{p}")
       for p in ((math.nan, 1.0, 0.0, 0.0), (-1.0, 1.0, 0.0, 1.0),
                 thermo.Populations(0.0, math.inf, 0.0, 0.0))),
-    # Only T31 = (omega_sigma + D + J) / 2 can pass float max. The line frequencies print it and
-    # raise; the populations weigh halved offsets and accept the same params at every beta.
+    # T31 = (omega_sigma + D + J) / 2 can pass float max, and T43 where J is near it (below). The
+    # line frequencies print both and raise; the populations weigh halved offsets and accept the
+    # same params at every beta.
     *(_row(partial(thermo._gaps, p), ArithmeticError, _T31, f"gaps-{p.omega_sigma}-{p.omega_delta}",
            accepts=partial(thermo.populations_for_params, p, p.coupling, 1.0))
       for p in _T31_PAST_MAX),
@@ -276,6 +281,15 @@ LIBRARY_FAILURES = [
            f"partition_for_params-T31-{p.omega_sigma}-{p.omega_delta}",
            accepts=partial(thermo.partition_for_params, p, p.coupling, 0.0))
       for p in _T31_PAST_MAX),
+    # T43 raises where its doubled half passes float max (_T43_EDGE above); T31 is float max there,
+    # and the populations weigh the halves.
+    _row(partial(thermo._gaps, _params(_past(_T43_EDGE), _T43_WD, _BIG)), ArithmeticError, _T43,
+         "gaps-T43-past-max", accepts=partial(thermo._gaps, _params(_T43_EDGE, _T43_WD, _BIG))),
+    _row(partial(spectrum.transition_frequencies_for_params,
+                 _params(1.716325371635124e150, _T43_WD, _BIG), _BIG), ArithmeticError, _T43,
+         "transition_frequencies_for_params-T43-past-max",
+         accepts=partial(thermo.populations_for_params,
+                         _params(1.716325371635124e150, _T43_WD, _BIG), _BIG, 0.0)),
     # entangle: concurrence forms, thresholds and sweeps. A beta outside [0, inf], everywhere:
     *(_row(partial(f, *args, b), ValueError, _BETA, f"{f.__name__}-beta-{b}")
       for f, args in ((entangle.concurrence_for_params, (_PARAMS, 1.0)),

@@ -30,7 +30,9 @@ omega_sigma a few J from either crossing, where a difference of two rounded
 levels keeps 8 digits: the public routes from parameters must not take one.
 The same bounds hold at omega_sigma = float max, omega_delta = 710, J = 1e308 and
 beta = 1e-310, 1e-309, where E1 - E3 = T31 passes float max and every population is
-about 1/4, for the populations and Z from parameters and for the level route.
+about 1/4, for the populations and Z from parameters and for the level route; and at
+J = float max, omega_delta = 6.9e298, where T43 rounds to float max and the sum of its halves
+past it, for the populations, Z and C at beta = 0, 5e-309 and 1e-308.
 The line amplitudes at phi = pi/2 are within 12 eps gap_cond of the sum of
 the magnitudes of their three terms (2.8 seen on 7.5e4 random points, with
 omega_delta << J and small beta gap drawn on purpose). The gap_cond comes in
@@ -293,6 +295,42 @@ def test_state_past_float_max_matches_mpmath():
         if beta == 1e-310:
             assert all(math.isclose(p, w, rel_tol=1e-14) for p, w in zip(pops, _PAST_MAX_STATE))
             assert math.isclose(z, _PAST_MAX_Z, rel_tol=1e-14), z
+
+
+# J = float max, omega_delta = 6.9e298: E4 - E3 = T43 = (J + D - omega_sigma) / 2 rounds to float max,
+# and the sum J / 2 + (D - omega_sigma) / 2 of its halves would round past it. At beta = 1e-308 the
+# 60-digit C is 0.335967904885.
+_T43_AT_MAX = (1.716325371635124e150, 6.915936136574687e298, sys.float_info.max)
+
+
+def test_state_where_t43_rounds_to_float_max_matches_mpmath():
+    # T43 is formed from halves: the populations, Z and C meet their bounds at each beta, and
+    # the line frequencies give T43 or raise ArithmeticError for it, never an infinity.
+    omega_sigma, omega_delta, coupling = _T43_AT_MAX
+    params = model.derive_from_sigma_delta(*_T43_AT_MAX)
+    for beta in (0.0, 5e-309, 1e-308):
+        with mp.workdps(60):
+            d, levels, log_z_ref, ps = _mp_state(*_T43_AT_MAX[:2], beta, coupling)
+            c_ref = float(max(abs(ps[1] - ps[2]) * (coupling / d) - 2 * mp.sqrt(ps[0] * ps[3]), 0))
+            ps_ref, log_z_ref = [float(p) for p in ps], float(log_z_ref)
+            # T43 + J and omega_sigma + D + J pass float max: the bounds are formed here.
+            b, j = mp.mpf(beta), mp.mpf(coupling)
+            tol = float(EPS * (1 + b * (mp.mpf(omega_sigma) + d + j)))
+            gap_tol = float(EPS * (1 + b * (abs(levels[3] - levels[2]) + j)))
+        _check_gap_populations(thermo.populations_for_params(params, coupling, beta), ps_ref,
+                               gap_tol, tol)
+        z = thermo.partition_for_params(params, coupling, beta)
+        assert abs(math.log(z) - log_z_ref) <= LOG_Z_ABS * tol, (z, log_z_ref)
+        c = entangle.concurrence_for_params(params, coupling, beta)
+        assert abs(c - c_ref) <= GAP_C_ABS * gap_tol, (beta, c, c_ref)
+    assert thermo.partition_for_params(params, coupling, 0.0) == 4.0
+    assert math.isclose(c, 0.335967904885, rel_tol=1e-11), c
+    try:
+        freqs = spectrum.transition_frequencies_for_params(params, coupling)
+    except ArithmeticError as exc:
+        assert "T43" in str(exc), exc
+    else:
+        assert freqs["T43"] == sys.float_info.max, freqs
 
 
 def _amplitude_reference(omega_sigma, omega_delta, beta):

@@ -1,6 +1,8 @@
 """The comparison of tools/replay.py on a few ops run in process; no git and no subprocess here."""
 
 import importlib.util
+import math
+import sys
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -41,3 +43,28 @@ def test_a_changed_exit_code_or_stdout_differs():
     # The same stdout under another exit code.
     assert replay.differing(base, [base[0], [3, *base[1][1:]], *base[2:]]) == [1]
     assert "stdout is the same" in replay.describe(ARGVS[1], base[1], [3, *base[1][1:]])
+
+
+def test_library_draws_are_seeded_and_replay_the_same():
+    draws = replay.library_draws(200)
+    assert draws == replay.library_draws(200) != replay.library_draws(200, seed=2)
+    corner = [d for d in draws if max(d[0], d[1]) <= replay.CORNER_UNITS * 5e-324]
+    assert 40 <= len(corner) <= 80
+    for wd, j, beta, sigmas in draws:
+        assert 0.0 < beta <= sys.float_info.max and sigmas[:2] == [0.0, 5e-324]
+        assert len(set(sigmas)) == len(sigmas) and max(sigmas) < math.inf
+    outcomes = replay.run_draws(draws[:20])
+    assert replay.differing_draws(outcomes, replay.run_draws(draws[:20])) == []
+    # Each point's _gaps, _ground, and populations, Z and C at beta and at beta = inf.
+    assert all(len(o) == 8 * len(d[3]) for o, d in zip(outcomes, draws) if "Error" not in str(o))
+    changed = [*outcomes[:3], outcomes[3][:5] + ["ArithmeticError: x"] + outcomes[3][6:]]
+    assert replay.differing_draws(outcomes[:4], changed) == [3]
+    shown = replay.describe_draw(draws[3], outcomes[3], changed[3])
+    assert shown.startswith(f"library draw omega_delta={draws[3][0]!r}") and ": call 5" in shown
+
+
+def test_a_library_draw_where_t43_rounds_to_float_max_is_finite():
+    (outcomes,) = replay.run_draws([[6.915936136574687e298, sys.float_info.max, 1e-308,
+                                     [1.716325371635124e150]]])
+    assert outcomes[0].startswith("ArithmeticError: the T43 gap")
+    assert not any(word in o for o in outcomes[1:] for word in ("nan", "inf"))
