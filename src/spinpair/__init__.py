@@ -3,6 +3,25 @@
 Concurrence of the equilibrium state, threshold temperatures, the
 zero-temperature level-crossing critical point, pulse spectra and
 reconstruction of entanglement from longitudinal NMR observables.
+
+Conventions that every module keeps:
+
+- The value types (SpinSystem, DerivedParams, EnergyLevels, Populations,
+  DensityMatrixX, GroundState, Observables, SpectrumLine) are immutable
+  namedtuples: setting a field raises AttributeError, and they unpack, pickle,
+  copy and compare equal to the plain tuple of their fields. SpinSystem,
+  DerivedParams and Observables validate in __new__ and in _replace, which
+  swaps the labels of a SpinSystem as its constructor does.
+- Invalid input raises ValueError, and a valid input whose answer leaves float
+  range raises ArithmeticError. Every function that takes a beta raises
+  ValueError outside [0, inf], NaN and -inf included; beta = inf is the exact
+  zero-temperature limit, never a large beta.
+- Every function that takes populations and a mixing angle (density_matrix,
+  concurrence_from_populations, transition_amplitudes, polarizations) takes a
+  Populations or any 4-sequence, and raises ValueError unless each population
+  is finite and in [0, 1] and theta is in [0, pi/4].
+- Every thermal route needs a finite J >= 0, and J = 0 alone never entangles:
+  the threshold functions return None for it and for no other input.
 """
 
 from .model import (

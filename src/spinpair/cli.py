@@ -5,7 +5,9 @@ dimensionless flags are quoted in units of J (tau = k_B T / J,
 omega_sigma / J, omega_delta / J). Exit codes: 0 success, 2 bad
 usage or validation, 3 internal numerical failure. The environment
 variable SPINPAIR_PRECISION overrides the number of significant
-digits in the output (default 12).
+digits in the output (default 12). Each subcommand returns its result,
+a JSON object or a list of CSV sections, and main alone prints it, so
+one place rounds every printed number.
 """
 
 from __future__ import annotations

@@ -32,7 +32,11 @@ class GroundState(namedtuple("GroundState", "index degenerate_pair", defaults=(N
 
 
 def crossing_coupling(omega1: float, omega2: float) -> float | None:
-    """Coupling at which E3 and E4 cross, or None when no crossing exists."""
+    """Coupling at which E3 and E4 cross, or None when no crossing exists.
+
+    Any finite pair is accepted. It is formed as small / (1/2 + small / 2 big), which never
+    overflows, and where small / big underflows its share is below the rounding of 1/2.
+    """
     if not (math.isfinite(omega1) and math.isfinite(omega2)):
         raise ValueError("frequencies must be finite")
     if not (omega1 > 0.0 and omega2 > 0.0):
@@ -53,7 +57,8 @@ def critical_field_ratio(name: str) -> float:
 
 
 def critical_omega_sigma(omega_delta: float, coupling: float) -> float:
-    """Positive root of omega_sigma^2 - 2 J omega_sigma - omega_delta^2 = 0, for J > 0."""
+    """Positive root J + sqrt(J^2 + omega_delta^2) of omega_sigma^2 - 2 J omega_sigma
+    - omega_delta^2 = 0, for J > 0; ArithmeticError where it overflows."""
     params = derive_from_sigma_delta(0.0, omega_delta, coupling)  # validates omega_delta and J
     if coupling == 0.0:
         raise ValueError("coupling must be > 0")

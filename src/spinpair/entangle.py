@@ -68,7 +68,8 @@ def _ratio_form(points, params: DerivedParams):
     The beta-only terms are recomputed only when beta changes, so once per field sweep, and T43's
     term once per call, as in thermo._half_offsets. beta = inf is the exact limit, not a large-beta
     ratio form, which would cancel at the crossing: C is sin 2theta when thermo._ground finds E3
-    alone, half of it for E3 and E4, and 0 for any other (E4 <= E1, E3 <= E2).
+    alone, half of it for E3 and E4, and 0 for any other (E4 <= E1, E3 <= E2). A numerator <= 0
+    gives C = 0 without the denominator.
     """
     # Local names save two lookups per point.
     exp, ground_of, log_max = math.exp, thermo._ground, _LOG_FLOAT_MAX
@@ -105,11 +106,15 @@ def _ratio_form(points, params: DerivedParams):
 
 
 def concurrence_thermal(system: SpinSystem, beta: float) -> float:
+    """Thermal concurrence at beta in [0, inf]: concurrence_for_params of derive(system)."""
     return concurrence_for_params(derive(system), system.coupling, beta)
 
 
 def concurrence_homonuclear(omega: float, coupling: float, beta: float) -> float:
-    """Homonuclear C = max{0, (e^{bJ} - 3)/(2 cosh(b w) + e^{bJ} + 1)}, as the ratio form."""
+    """Homonuclear C = max{0, (e^{bJ} - 3)/(2 cosh(b w) + e^{bJ} + 1)}, as the ratio form.
+
+    It is the ratio form at omega_delta = 0, so it rejects what every thermal route rejects.
+    """
     omega_sigma = 2.0 * omega
     if omega_sigma == math.inf and math.isfinite(omega):
         raise ArithmeticError("omega_sigma = 2 omega overflows")
@@ -135,8 +140,10 @@ def threshold_beta(s: float) -> float:
     the start 2 asinh(1 / s), where s sinh(x) = 1 and the gap is 1 - exp(-x s) > 0,
     steps down onto the root without crossing it, and sinh and cosh stay finite.
     It stops at the first beta whose gap rounds to <= 0, or where the next step is
-    not below beta (NaN included); below about s = 1e-17 the start is the root to
-    rounding, and one of the two stops fires on the first gap.
+    not below beta (NaN included): about 5 gap evaluations, and 1 below about
+    s = 1e-17, where the start is the root to rounding. Every s whose 1 / s is finite
+    solves, down to about 5.6e-309; below it ArithmeticError, and ValueError for an
+    s outside (0, 1], NaN included.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s = sin 2theta must lie in (0, 1], got {s!r}")

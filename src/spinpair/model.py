@@ -80,7 +80,10 @@ class SpinSystem(namedtuple("SpinSystem", "omega1 omega2 coupling")):
 
 
 class DerivedParams(namedtuple("DerivedParams", "omega_sigma omega_delta d_coupling theta coupling")):
-    """Sum/difference frequencies, splitting D, mixing angle, and the J of D and theta."""
+    """Sum/difference frequencies, splitting D, mixing angle, and the J of D and theta.
+
+    sin_2theta is sin(2 theta), or J / D where theta is subnormal.
+    """
 
     __slots__ = ()
 
@@ -127,7 +130,9 @@ def derive_from_sigma_delta(
     """Build DerivedParams directly from (omega_sigma, omega_delta, J).
 
     Accepts any omega_sigma >= 0, including values below omega_delta
-    (field sweeps start at zero field, where omega2 runs negative).
+    (field sweeps start at zero field, where omega2 runs negative). A signed
+    zero omega_delta or J counts as +0.0, so theta lies in [0, pi/4].
+    ArithmeticError where D overflows.
     """
     if not (math.isfinite(omega_sigma) and math.isfinite(omega_delta)):
         raise ValueError("frequencies must be finite")
@@ -222,7 +227,8 @@ def from_si(nu1_hz: float, nu2_hz: float, j_hz: float) -> tuple[SpinSystem, floa
 
     Returns the system (coupling 1, omega_i = nu_i / j_hz) together with
     the energy scale hbar * J in Joule, which converts dimensionless
-    beta*J products to absolute temperature.
+    beta*J products to absolute temperature. ArithmeticError where nu / j_hz
+    overflows or hbar J underflows below the least normal float.
     """
     energy_scale = _energy_scale(j_hz)
     if any(math.isfinite(nu) and math.isinf(nu / j_hz) for nu in (nu1_hz, nu2_hz)):

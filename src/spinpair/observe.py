@@ -50,6 +50,7 @@ class Observables(namedtuple("Observables", "p1z p2z p1z2z")):
 
 
 def polarizations(pops, theta: float) -> Observables:
+    """P1z, P2z and P1z,2z of populations at theta, as the module docstring writes them."""
     p1, p2, p3, p4 = _probs(pops, theta)
     c = math.cos(2.0 * theta)
     return Observables(

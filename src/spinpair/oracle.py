@@ -71,7 +71,10 @@ def _x_lowest(e: list[complex]) -> float:
 
 
 def spin_flip(rho) -> np.ndarray:
-    """rho_tilde[i, j] = s_i s_j conj(rho[3-i, 3-j]) with s = (+1, -1, -1, +1)."""
+    """rho_tilde[i, j] = s_i s_j conj(rho[3-i, 3-j]) with s = (+1, -1, -1, +1).
+
+    ValueError unless rho is a finite Hermitian 4x4 matrix.
+    """
     return _flip(_as_hermitian4(rho, "spin flip requires a Hermitian input")[0])
 
 
@@ -80,7 +83,10 @@ def _flip(m: np.ndarray) -> np.ndarray:
 
 
 def wootters_concurrence(rho) -> float:
-    """Concurrence from the spin-flip spectrum of an arbitrary 4x4 state."""
+    """Concurrence from the spin-flip spectrum of an arbitrary 4x4 state.
+
+    ValueError unless rho is finite, Hermitian, of unit trace and, checked last, positive.
+    """
     e, eig = _as_state(rho)
     if eig is None:
         lams = sorted(_x_state_lambdas(e), reverse=True)

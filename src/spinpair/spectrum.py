@@ -18,7 +18,9 @@ the cross term is subtracted on T43 and T21 and added on T42 and T31. sin phi is
 at phi = math.pi, which the flip-angle domain (0, pi] reads as pi. From
 parameters, cos 2theta = omega_delta / D (1 at D = 0), and each difference is
 p_inner expm1(-beta gap) where |beta gap| < 1, else the plain difference of
-populations a factor e or more apart; p3 - p2 likewise, with gap -D.
+populations a factor e or more apart, which loses at most a factor (e + 1)/(e - 1);
+p3 - p2 likewise, with gap -D. So each difference keeps its digits however small its
+gap, and an inversion pulse, phi = pi, leaves every amplitude 0 or -0.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ DEFAULT_LINEWIDTH = 0.05  # units of J
 
 
 class SpectrumLine(namedtuple("SpectrumLine", "transition frequency amplitude")):
+    """One line: its name in TRANSITIONS, |E_outer - E_inner| and its signed amplitude."""
+
     __slots__ = ()
 
 
@@ -50,7 +54,11 @@ def transition_frequencies_for_params(params: DerivedParams, coupling: float) ->
 
 
 def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:
-    """Signed amplitudes of the four lines after a pulse of flip angle phi."""
+    """Signed amplitudes of the four lines after a pulse of flip angle phi in (0, pi].
+
+    The amplitude formula takes the differences of the populations given, and cos 2theta and
+    sin 2theta of theta.
+    """
     p1, p2, p3, p4 = thermo._probs(pops, theta)
     diffs = (p4 - p3, p1 - p2, p4 - p2, p1 - p3)
     return _amplitudes(diffs, p3 - p2, math.cos(2.0 * theta), math.sin(2.0 * theta), phi)
@@ -103,7 +111,11 @@ def _difference(p_outer: float, p_inner: float, x: float) -> float:
 
 @np.errstate(over="ignore")
 def render_lorentzian(lines, linewidth: float, frequency_grid) -> np.ndarray:
-    """Sampled sum of Lorentzians, peak value the amplitude; an offset past float range adds 0."""
+    """Sampled sum of Lorentzians, peak value the amplitude; an offset past float range adds 0.
+
+    Widths and offsets are rescaled by the power of two of linewidth, an exact step, so the
+    squared half-width stays normal and every finite linewidth > 0 peaks at the amplitude.
+    """
     if not 0.0 < linewidth < math.inf:
         raise ValueError("linewidth must be finite and > 0")
     grid = np.asarray(_check_grid(frequency_grid))

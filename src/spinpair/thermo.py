@@ -12,7 +12,9 @@ Boltzmann weights p_i = exp(-beta E_i) / Z, as exp(-beta (h_i - min h) 2) from h
 of the levels, or of the offsets (T31, D, 0, T43) from params, whose one form is _half_offsets: no
 difference overflows, and away from subnormals the weights are bit for bit exp(-beta (E_i - E_min)).
 Z forms log Z first and raises ArithmeticError past log Z = 709.78. populations(levels, beta) is
-kept for the benchmark. The tests check Z against the closed form
+kept for the benchmark; every route from params weighs the offsets, not level differences, which
+keep only 8 digits of a gap of order J at omega_delta = 1e8. The tests check Z against the closed
+form
 
     Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
                          + cosh(beta D/2)].
@@ -49,11 +51,13 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class EnergyLevels(namedtuple("EnergyLevels", "e1 e2 e3 e4")):
+    """The four levels E1..E4 of the module docstring, in the units of the frequencies."""
+
     __slots__ = ()
 
 
 class Populations(namedtuple("Populations", "p1 p2 p3 p4")):
-    """Occupations p1..p4 of the four eigenstates, thermal or reconstructed."""
+    """Occupations p1..p4 of the four eigenstates, thermal or reconstructed; probs as a tuple."""
 
     __slots__ = ()
 
@@ -75,6 +79,7 @@ class DensityMatrixX(namedtuple("DensityMatrixX", "rho11 rho22 rho33 rho44 rho23
 
 
 def energies(params: DerivedParams, coupling: float) -> EnergyLevels:
+    """E1..E4 at params, finite for every valid input; ValueError unless coupling is params'."""
     _check_same_coupling(params, coupling)
     ws, d, j = 0.5 * params.omega_sigma, 0.5 * params.d_coupling, 0.25 * coupling
     return EnergyLevels(ws + j, d - j, -d - j, -ws + j)
@@ -100,7 +105,10 @@ def _normalised(weights: list[float]) -> Populations:
 
 
 def populations(levels: EnergyLevels, beta: float) -> Populations:
-    """Boltzmann occupations; at beta = inf, equal shares of _ground_set at scale max |E_i|."""
+    """Boltzmann occupations; at beta = inf, equal shares of _ground_set at scale max |E_i|.
+
+    ValueError unless levels holds exactly four finite levels.
+    """
     es = tuple(levels)
     if len(es) != 4:
         raise ValueError(f"expected four energy levels, got {len(es)}")
@@ -122,7 +130,8 @@ def populations_for_params(params: DerivedParams, coupling: float, beta: float) 
 
 def partition_for_params(params: DerivedParams, coupling: float, beta: float) -> float:
     """Z = sum_i exp(-beta E_i) at finite beta >= 0 as log Z: -beta min(E3, E4), the lowest level,
-    plus log sum_i exp(-beta (o_i - min o)) over the offsets o = (T31, D, 0, T43)."""
+    plus log sum_i exp(-beta (o_i - min o)) over the offsets o = (T31, D, 0, T43). beta = 0 gives
+    exactly 4; ValueError at beta = inf, ArithmeticError where Z passes float max."""
     e3, e4 = energies(params, coupling)[2:]
     if _is_zero_temperature(beta):
         raise ValueError("Z needs a finite beta")
@@ -152,7 +161,13 @@ def _t43_term(params: DerivedParams) -> tuple[float, float]:
 
 
 def _gaps(params: DerivedParams) -> tuple[float, float, float, float]:
-    """Signed E_outer - E_inner of T43, T21, T42, T31; T43 and T31 double _half_offsets' halves."""
+    """Signed E_outer - E_inner of T43, T21, T42, T31; T43 and T31 double _half_offsets' halves.
+
+    Every term is halved before the sum, so only a doubled T31 or T43 can pass float max, and then
+    ArithmeticError names it. Away from subnormals halving and doubling are exact, so the gaps are
+    bit for bit the unhalved forms; where omega_sigma, omega_delta and J all lie below four times
+    the least normal float, the doubled T43 and T31 may lose one more unit of 2^-1074.
+    """
     ws, wd, j = params.omega_sigma, params.omega_delta, params.coupling
     w2, d2, j2 = 0.5 * wd, max(0.5 * params.d_coupling, 5e-324), 0.5 * j
     (h31, _, _, h43), d_minus_j = _half_offsets(params, ws), w2 * (w2 / (d2 + j2))

@@ -1,13 +1,20 @@
 """The CLI contract, checked on generated command lines for all six subcommands.
 
-Every run exits 0, 2 or 3, prints to stdout only when it exits 0, and never
-prints a non-finite number. "never" needs J = 0, and a numeric crossing
-coupling needs two positive Larmor frequencies. A one-point scan on either
-axis prints the concurrence that `concurrence` prints.
+The command lines are derandomised hypothesis draws, extreme, non-finite and
+negative exponent-form values included. Every run exits 0, 2 or 3, prints to
+stdout only when it exits 0, and never prints a non-finite number. "never"
+needs J = 0, and a numeric crossing coupling needs two positive Larmor
+frequencies. A one-point scan on either axis prints the concurrence that
+`concurrence` prints.
 
 The library contract: every public function that takes floats, called with
 the same extreme values, returns a finite result (or a documented None) or
 raises ValueError or ArithmeticError on purpose.
+
+Any warning fails the suite (filterwarnings = ["error"] in pyproject.toml),
+except the mypy_extensions.TypedDict deprecation that hypothesis sets off while
+it reports a failing example: made an error, it turns the report into a pytest
+INTERNALERROR.
 """
 
 import contextlib

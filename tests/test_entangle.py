@@ -1,3 +1,11 @@
+"""Concurrence forms, sweeps and the threshold temperature.
+
+Sweep rows equal, bit for bit, the one-point route and a scalar copy of the ratio form at finite
+beta, and the limit populations at beta = inf, on grids that reach each branch of the kernel, the
+E3/E4 crossing included. The threshold solves down to the smallest s whose 1 / s is finite, in a
+few gap evaluations.
+"""
+
 import math
 import sys
 

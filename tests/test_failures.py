@@ -8,6 +8,16 @@ bound moved in the library fails the row. FAILURES holds one row per failing
 command line. Where the CLI reaches a library guard, both tables name the
 guard's one fragment below. Checks that need a monkeypatch, or that expect
 TypeError or AttributeError, stay in the other test modules.
+
+The exception class is checked exactly (type(exc) is), so an escaping
+ZeroDivisionError or OverflowError fails. A second test requires a row for
+every function in spinpair.__all__, for entangle.threshold_beta, SpinSystem and
+Observables, judged by the function the row's call enters first. Every FAILURES
+row gets the same four checks: its exit code, empty stdout, stderr starting
+with "numerical failure: " for exit 3 or a last stderr line holding "error: "
+for exit 2, and the row's stderr piece. CI rejects a bare
+pytest.raises(ValueError) or pytest.raises(ArithmeticError) without match=
+anywhere in tests/.
 """
 
 import copy

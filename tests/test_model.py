@@ -1,3 +1,8 @@
+"""Parameters, derived quantities, presets and the Hz bridge.
+
+Every value type is immutable, survives pickle, copy and deepcopy, and validates in _replace.
+"""
+
 import copy
 import math
 import operator

@@ -1,3 +1,13 @@
+"""The spin-flip oracle on both of its paths.
+
+The X path matches, for the Bell states Phi+- and seeded mixed X states with rho14 != 0,
+2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)), and the dense path on the
+same states turned by a local unitary U (x) V. On the mixed states the X path also lies within
+the bound its own roundings set, 2^-53 (6 (o + i) + 10 (|rho14| + |rho23|)) with
+o = sqrt(rho11 rho44) and i = sqrt(rho22 rho33), of the 60-digit value of that formula. A thermal
+X state never calls eigh, and a state with one off-X pair does.
+"""
+
 import math
 
 import numpy as np

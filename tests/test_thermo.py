@@ -1,3 +1,18 @@
+"""Levels, partition function, populations and the X-shaped state.
+
+The zero-temperature ground set decided on the gap offsets is the one the levels give, around
+the crossing and 3 ulps or more from the tolerance edge (within 2 ulps the two roundings can
+part). _gaps' T43 and T31 are _half_offsets' halves doubled, and a beta = inf field sweep gives
+the C of _ground's set, bit for bit, from the subnormal corner to float max; _ground's scale sits
+on its tolerance edges to the bit. No result depends on the unit: (omega_sigma, omega_delta, J)
+scaled by 2^k and beta by 2^-k, for k from -40 to 60, give bit-identical C, populations, ground
+sets, line amplitudes and tau_t, and gaps scaled exactly, at beta = inf too.
+partition_for_params gives exactly 4, and populations_for_params exactly 1/4 each, at beta = 0
+on ordinary, zero and float-max parameters and on every set whose T31 passes float max; at
+beta > 0 there the weights stay finite and the populations sum to 1. On random offsets away from
+subnormals the weights of the halves are exp(-beta (o - min o)) bit for bit.
+"""
+
 import math
 
 import numpy as np

@@ -14,7 +14,9 @@ partition_for_params and concurrence_for_params at its beta and at beta = inf, i
 subprocess. The first line printed is "N of 3,645 replayed ops differ from <base>", the second
 "M of 10,000 library draws differ from <base>"; the argv, exit codes and first differing output
 line of the first few differing ops, and the first differing call of the first few differing
-draws, follow. The exit status is 1 if any op or draw differs.
+draws, follow. The exit status is 1 if any op or draw differs. On a pull request, CI fails on
+any difference unless the pull request adds to CHANGES.md the line
+"REPLAY: N of 3,645 ops, M of 10,000 draws" with the two printed counts.
 """
 
 from __future__ import annotations
