@@ -8,8 +8,8 @@ Ratio form, obtained by inserting the Boltzmann weights and Z:
 
     C = max{0, [sinh(beta D/2) sin(2 theta) - exp(-beta J/2)]
               / [exp(-beta J/2) cosh(beta omega_sigma/2) + cosh(beta D/2)]}
-which _ratio_form sums over the weights relative to E3, exp(-beta (T31, D, 0, T43)), with T43
-from thermo._t43_term as thermo._half_offsets forms it and T31 = T43 + omega_sigma.
+which _ratio_form sums over the weights relative to E3, exp(-beta (T31, D, 0, T43)), with T43 from
+thermo._pairs by the thermo module docstring's gap rule and T31 = T43 + omega_sigma.
 
 Entanglement survives while sinh(beta D/2) sin(2 theta) > exp(-beta J/2).
 With s = sin 2theta = J / D that condition depends on beta only through
@@ -66,28 +66,24 @@ def _ratio_form(points, params: DerivedParams):
     """C at each (omega_sigma >= 0, beta in [0, inf]) point of params; the caller validates them.
 
     The beta-only terms are recomputed only when beta changes, so once per field sweep, and T43's
-    term once per call, as in thermo._half_offsets. beta = inf is the exact limit, not a large-beta
+    pair once per call, as in thermo._half_offsets. beta = inf is the exact limit, not a large-beta
     ratio form, which would cancel at the crossing: C is sin 2theta when thermo._ground finds E3
     alone, half of it for E3 and E4, and 0 for any other (E4 <= E1, E3 <= E2). A numerator <= 0
     gives C = 0 without the denominator.
     """
     # Local names save two lookups per point.
     exp, ground_of, log_max = math.exp, thermo._ground, _LOG_FLOAT_MAX
-    omega_delta, d, coupling = params.omega_delta, params.d_coupling, params.coupling
-    sin_2theta, half_dj = params.sin_2theta, 0.5 * d + 0.5 * coupling  # (D + J) / 2 stays finite
-    # T43 = m (c_m - (omega_sigma - omega_delta) / 2m), as in thermo._half_offsets.
-    c_m, m = thermo._t43_term(params)
-    r_m = 0.5 / m
+    d, sin_2theta, (c, c_lo, _, _) = params.d_coupling, params.sin_2theta, thermo._pairs(params)
     last_beta = None
     for omega_sigma, beta in points:
         if beta != last_beta:
             last_beta = beta
             zero = beta == math.inf
             if not zero:
-                neg_beta, neg_beta_m, e_d = -beta, -beta * m, exp(-beta * d)
+                neg_beta, e_d = -beta, exp(-beta * d)
                 # Weights relative to E3, over 2 exp(-beta D / 2): none grows below the crossing;
-                # past it exp(a), a = -beta T43, drives C -> 0 (-inf at -beta m = -inf: T43 > 0).
-                num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_beta * half_dj)
+                # past it exp(a), a = -beta T43, drives C -> 0.
+                num = sin_2theta * (1.0 - e_d) - 2.0 * exp(neg_beta * c)
         if zero:
             ground = ground_of(params, omega_sigma)
             yield sin_2theta if ground == [2] else 0.5 * sin_2theta if ground == [2, 3] else 0.0
@@ -96,7 +92,7 @@ def _ratio_form(points, params: DerivedParams):
             # The denominator is at least 1: C = 0 whatever it is.
             yield 0.0
             continue
-        a = neg_beta_m * (c_m - r_m * (omega_sigma - omega_delta))
+        a = neg_beta * ((c - 0.5 * omega_sigma) + c_lo)
         if a > log_max:
             # exp(a) overflows and the other three terms of den (at most 3) are
             # below its rounding, so C = num exp(-a), down to the subnormal range.

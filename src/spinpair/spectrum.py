@@ -4,9 +4,8 @@ Each of the four observable lines joins an outer level (E1 or E4) to an
 inner one (E2 or E3), as _LINES lists. Frequencies are |E_outer - E_inner|,
 labelled by identity, never by rank, since only two statements about them
 are convention-free: freq(T42) - freq(T21) = D - J and freq(T42) - freq(T31)
-differs by J. transition_frequencies_for_params and spectra use thermo._gaps, which forms
-T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2, T21 = (omega_sigma - (D - J)) / 2,
-T42 = -(omega_sigma + (D - J)) / 2 and T31 = (omega_sigma + D + J) / 2 without cancellation.
+differs by J. transition_frequencies_for_params and spectra take the gaps from thermo._gaps, by
+the one rule of the thermo module docstring.
 
 A pulse of flip angle phi turns populations into signed line amplitudes,
 -sin(phi)/2 (-w r (p1 - p_i) -+ sin^2(phi/2) cos^2(2theta) (p3 - p2) + w' r (p4 - p_i)),

@@ -19,13 +19,11 @@ form
     Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
                          + cosh(beta D/2)].
 
-_gaps forms the line gaps E_outer - E_inner with no cancelling subtraction, from D - omega_delta =
-J^2 / (D + omega_delta) in _t43_term, read by _half_offsets, and D - J = omega_delta^2 / (D + J):
-
-    T43 = (J + (D - omega_delta) - (omega_sigma - omega_delta)) / 2, halved first past 2^1023
-    T21 = (omega_sigma - (D - J)) / 2, or where omega_delta/2 <= omega_sigma <= 2 omega_delta
-          ((omega_sigma - omega_delta) + 2 omega_delta J / (omega_delta + J + D)) / 2
-    T42 = -(omega_sigma + (D - J)) / 2,   T31 = (omega_sigma + D + J) / 2
+_pairs forms (D + J) / 2 = c + c_lo and (D - J) / 2 = m + m_lo once per parameter set, each a hi +
+lo pair good to about 2^-106 D, and every line gap E_outer - E_inner is +-omega_sigma / 2 plus one
+of them: T43 = (c - omega_sigma / 2) + c_lo, T21 = (omega_sigma / 2 - m) - m_lo,
+T42 = -((omega_sigma / 2 + m) + m_lo), T31 = (omega_sigma / 2 + c) + c_lo. Where a gap cancels,
+at a crossing, its subtraction is exact (Sterbenz), so it keeps its digits down to about 2^-50 D.
 
 The equilibrium state in the product basis is X-shaped: four real diagonals
 plus one real coherence between |ab> and |ba>. beta = inf spreads probability evenly over
@@ -35,6 +33,7 @@ so the same in any unit. _ground_set is that one rule, on halves of the levels o
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -143,43 +142,49 @@ def partition_for_params(params: DerivedParams, coupling: float, beta: float) ->
 
 
 def _half_offsets(params: DerivedParams, omega_sigma: float) -> tuple[float, float, float, float]:
-    """The halves (T31, D, 0, T43) / 2 of the offsets E_i - E3 at omega_sigma: the one form of T43
-    and T31 from params. T31 / 2 is a sum of quarters and T43 / 2 = (m / 2) (c_m - r / 2m), with
-    (c_m, m) = _t43_term and r = omega_sigma - omega_delta, so neither overflows."""
-    d, r, (c_m, m) = params.d_coupling, omega_sigma - params.omega_delta, _t43_term(params)
-    h43 = 0.5 * m * (c_m - 0.5 / m * r)
-    return 0.25 * omega_sigma + 0.25 * d + 0.25 * params.coupling, 0.5 * d, 0.0, h43
+    """The halves (T31, D, 0, T43) / 2 of the offsets E_i - E3 at omega_sigma, the one form of T43
+    and T31 from params: quarters of omega_sigma and halves of _pairs' c, so neither overflows."""
+    c, c_lo, _, _ = _pairs(params)
+    q, h, h_lo = 0.25 * omega_sigma, 0.5 * c, 0.5 * c_lo
+    return (q + h) + h_lo, 0.5 * params.d_coupling, 0.0, (h - q) + h_lo
 
 
-def _t43_term(params: DerivedParams) -> tuple[float, float]:
-    """(c / m, m) for T43 = m (c / m - (omega_sigma - omega_delta) / 2m), with c = (J + (D -
-    omega_delta)) / 2, at most J, as a product of halves. T43 <= c + omega_delta / 2 is finite below
-    c = 2^1023, where m = 1; from there on m = 2, and c / m and the halved r are exact."""
-    j2 = 0.5 * params.coupling  # max: no 0 / 0 at D <= 5e-324
-    c = j2 + j2 * (j2 / (max(0.5 * params.d_coupling, 5e-324) + 0.5 * params.omega_delta))
-    return (c, 1.0) if c < 2.0**1023 else (0.5 * c, 2.0)
+@functools.lru_cache(maxsize=1)  # the kernel's beta = inf branch reads it once per point
+def _pairs(params: DerivedParams) -> tuple[float, float, float, float]:
+    """(c, c_lo, m, m_lo): (D + J) / 2 = c + c_lo and (D - J) / 2 = m + m_lo to about 2^-106 D.
+
+    D_lo = (omega_delta^2 + J^2 - D^2) / 2D is one Newton step on the residual, made exact by
+    Dekker's squares (Veltkamp's split by 2^27 + 1) and fsum, at omega_delta, J and D times
+    2^(511 - e), D = mant 2^e: no square overflows, none a normal (D - J) / 2 needs is subnormal,
+    and the residual over mant, scaled back by one ldexp, cannot underflow first. c and m are
+    D / 2 +- J / 2 with their exact two-sum errors (J <= D).
+    """
+    d, j, ldexp = params.d_coupling, params.coupling, math.ldexp
+    mant, e = math.frexp(d)
+    x, y, z = ldexp(params.omega_delta, 511 - e), ldexp(j, 511 - e), ldexp(d, 511 - e)
+    hx, hy, hz = 134217729.0 * x, 134217729.0 * y, 134217729.0 * z
+    hx, hy, hz = hx - (hx - x), hy - (hy - y), hz - (hz - z)
+    lx, ly, lz, xx, yy, zz = x - hx, y - hy, z - hz, x * x, y * y, z * z
+    residual = math.fsum((xx, hx * hx - xx + 2.0 * hx * lx + lx * lx, yy,
+                          hy * hy - yy + 2.0 * hy * ly + ly * ly,
+                          -zz, zz - hz * hz - 2.0 * hz * lz - lz * lz))
+    half_lo = ldexp(residual / max(mant, 0.5), e - 1024)  # D_lo / 2; mant 0 at D = 0
+    a, b = 0.5 * d, 0.5 * j
+    c, m = a + b, a - b
+    return c, (b - (c - a)) + half_lo, m, ((a - m) - b) + half_lo
 
 
 def _gaps(params: DerivedParams) -> tuple[float, float, float, float]:
-    """Signed E_outer - E_inner of T43, T21, T42, T31; T43 and T31 double _half_offsets' halves.
-
-    Every term is halved before the sum, so only a doubled T31 or T43 can pass float max, and then
-    ArithmeticError names it. Away from subnormals halving and doubling are exact, so the gaps are
-    bit for bit the unhalved forms; where omega_sigma, omega_delta and J all lie below four times
-    the least normal float, the doubled T43 and T31 may lose one more unit of 2^-1074.
-    """
-    ws, wd, j = params.omega_sigma, params.omega_delta, params.coupling
-    w2, d2, j2 = 0.5 * wd, max(0.5 * params.d_coupling, 5e-324), 0.5 * j
-    (h31, _, _, h43), d_minus_j = _half_offsets(params, ws), w2 * (w2 / (d2 + j2))
-    # In its window only: hi / (wd + J + D) in [0.29, 0.5]; min, max order zeros as sorted does.
-    t21 = (0.5 * (ws - wd) + min(wd, j) * (0.5 * max(j, wd) / (w2 + j2 + d2))
-           if 0.5 * wd <= ws <= 2.0 * wd else 0.5 * ws - d_minus_j)
-    t43, t31 = 2.0 * h43, 2.0 * h31
+    """Signed E_outer - E_inner of T43, T21, T42, T31; T43 and T31 double _half_offsets' halves,
+    so they are the forms of the module docstring away from subnormals, and may lose one more unit
+    of 2^-1074 below four times the least normal float. Only T31 can pass float max; then
+    ArithmeticError names it."""
+    ws, (_, _, m, m_lo) = params.omega_sigma, _pairs(params)
+    h31, _, _, h43 = _half_offsets(params, ws)
+    t31, w2 = 2.0 * h31, 0.5 * ws
     if t31 == math.inf:
         raise ArithmeticError("the T31 gap (omega_sigma + D + J) / 2 exceeds float range")
-    if t43 == math.inf:
-        raise ArithmeticError("the T43 gap (J + D - omega_sigma) / 2 exceeds float range")
-    return (t43, t21, -(0.5 * ws + d_minus_j), t31)
+    return (2.0 * h43, (w2 - m) - m_lo, -((w2 + m) + m_lo), t31)
 
 
 def _ground(params: DerivedParams, omega_sigma: float) -> list[int]:

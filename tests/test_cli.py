@@ -423,6 +423,19 @@ OUTPUTS = [
     _output(f"spectrum {_FLOAT_MAX} --zero-temp", _spectrum_csv(
         "T43,0.5,-0 T21,0.5,-0 T42,1.79769313486e+308,-0.0217889356869 "
         "T31,1.79769313486e+308,-0.0217889356869"), "spectrum-float-max"),
+    # Both crossing gaps to their 60-digit values: T43 at the paper's critical point
+    # omega_sigma = D + J, with its low-temperature C, and T21 at the E1/E2 crossing D - J.
+    _output("spectrum --omega-sigma 2.414213562373095 --omega-delta 1 --tau 1", _spectrum_csv(
+        "T43,6.26858358953e-17,3.97207956497e-06 T21,1,-0.0049244329808 "
+        "T42,1.41421356237,-0.0241161019621 T31,2.41421356237,-0.00498654015862"),
+        "critical-point-spectrum"),
+    _output("concurrence --omega-sigma 2.414213562373095 --omega-delta 1 --tau 1e-14",
+            '{"concurrence": 0.354661526456, "populations": '
+            '[0.0, 0.0, 0.501567140766, 0.498432859234]}\n', "critical-point-concurrence"),
+    _output("spectrum --omega-sigma 0.6666666666666666 --omega-delta 1.3333333333333333 --tau 1",
+            _spectrum_csv("T43,1,0.00630933216667 T21,1.11022302463e-17,1.1053359755e-05 "
+                          "T42,0.666666666667,-0.00716088772494 T31,1.66666666667,-0.00809679075796"),
+            "t21-crossing-spectrum"),
     # Low field: the amplitudes keep their digits where beta times a gap is small.
     _output("spectrum --omega-sigma 0 --omega-delta 1e-6 --tau 1", _spectrum_csv(
         "T43,1,6.54733945885e-15 T21,2.5e-13,3.82081394155e-15 "

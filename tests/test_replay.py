@@ -53,6 +53,9 @@ def test_library_draws_are_seeded_and_replay_the_same():
     for wd, j, beta, sigmas in draws:
         assert 0.0 < beta <= sys.float_info.max and sigmas[:2] == [0.0, 5e-324]
         assert len(set(sigmas)) == len(sigmas) and max(sigmas) < math.inf
+        # Both crossings with their float neighbours: the E1/E2 one, |D - J|, is always finite.
+        t21_crossing = abs(math.hypot(wd, j) - j)
+        assert {math.nextafter(t21_crossing, 0.0), t21_crossing} <= set(sigmas)
     outcomes = replay.run_draws(draws[:20])
     assert replay.differing_draws(outcomes, replay.run_draws(draws[:20])) == []
     # Each point's _gaps, _ground, and populations, Z and C at beta and at beta = inf.
@@ -66,5 +69,5 @@ def test_library_draws_are_seeded_and_replay_the_same():
 def test_a_library_draw_where_t43_rounds_to_float_max_is_finite():
     (outcomes,) = replay.run_draws([[6.915936136574687e298, sys.float_info.max, 1e-308,
                                      [1.716325371635124e150]]])
-    assert outcomes[0].startswith("ArithmeticError: the T43 gap")
+    assert outcomes[0].startswith(f"({sys.float_info.max!r}, ")  # T43 rounds to float max
     assert not any(word in o for o in outcomes[1:] for word in ("nan", "inf"))

@@ -157,11 +157,12 @@ def test_degeneracy_scale_is_the_largest_level_magnitude():
     # Through _ground itself: at omega_sigma = omega_delta = D = 1 (both terms of the scale equal)
     # E4 joins E3 up to J = RTOL, and at omega_sigma one float below omega_delta = D = 1 (the D
     # term alone) up to J = 9.998889776975377e-13. At the E3/E4 crossing of omega_delta = 1.94,
-    # J = 1.61, the last omega_sigma before the edge leaves E4 out by less than 2^-20 RTOL J/8.
+    # J = 1.61, omega_sigma = 4.131051367976288 joins: to 60 digits its half T43, 1.23400660576e-12,
+    # lies below its tolerance, 1.23401284199e-12. The float below it stays out.
     below_one, up = math.nextafter(1.0, 0.0), lambda x: math.nextafter(x, math.inf)
     edges = [((1.0, 1.0, 1e-12), (1.0, 1.0, up(1e-12))),  # (joins, next float out)
              ((below_one, 1.0, 9.998889776975377e-13), (below_one, 1.0, up(9.998889776975377e-13))),
-             ((up(4.131051367976288), 1.94, 1.61), (4.131051367976288, 1.94, 1.61))]
+             ((4.131051367976288, 1.94, 1.61), (4.131051367976287, 1.94, 1.61))]
     for f in (1.0, 2.0**-40):
         levels = (f, f, 0.0, 1e-12 * f)
         assert thermo.populations(levels, math.inf).probs == (0.0, 0.0, 0.5, 0.5)
@@ -319,6 +320,9 @@ def test_gaps_are_the_level_differences():
         want = (e4 - e3, e1 - e2, e4 - e2, e1 - e3)
         for got, diff in zip(thermo._gaps(params), want):
             assert math.isclose(got, diff, rel_tol=1e-13, abs_tol=1e-13 * (ws + wd + j))
+        # At omega_sigma = 0, E1 = E4: T43 = T31 and T21 = T42 to the bit, low parts included.
+        t43, t21, t42, t31 = thermo._gaps(_params(0.0, wd, j))
+        assert (t43, t21) == (t31, t42), (wd, j)
 
 
 def test_gaps_do_not_cancel_at_float_max():

@@ -8,8 +8,8 @@ Each mutant makes one change to one module of src/spinpair:
 
 The change is made on the module's ast, which is written back with
 ast.unparse. Mutants whose written source is the same are run once.
-Each mutant runs `python -m pytest -x -q` in a temporary copy of src, tests,
-tools and pyproject.toml, with a TIMEOUT; a mutant that times out counts as killed.
+Each mutant runs `python -m pytest -x -q` in a temporary copy of src, tests, tools,
+bench, pyproject.toml and README.md, with a TIMEOUT; a mutant that times out counts as killed.
 A mutant that every test passes has survived, and is printed as
 module:line:col old -> new, with #i after the column for the i-th link of a
 chained comparison. The whole pass takes tens of minutes, so it
@@ -89,11 +89,13 @@ def main(argv=None) -> int:
     package = ROOT / "src" / "spinpair"
     survivors = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        # tests/test_pairs.py reads tools/pairs.py; tests/test_replay.py, bench/workloads.py.
+        # tests/test_pairs.py reads tools/pairs.py; tests/test_replay.py, bench/workloads.py;
+        # tests/test_readme.py, README.md.
         for name in ("src", "tests", "tools", "bench"):
             shutil.copytree(ROOT / name, Path(tmp) / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", tmp)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tmp)
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         if not args.list and subprocess.run(command, cwd=tmp, env=env,

@@ -82,7 +82,7 @@ def library_draws(count: int = DRAWS, seed: int = DRAW_SEED) -> list[list]:
     log-uniform in [1e-300, float max], or, for a CORNER share of draws, whole multiples of 5e-324
     up to about 1e-320; beta is log-uniform in [1e-3, 1e3] over max(omega_delta, J), capped at
     float max. The omega_sigmas are 0, 5e-324, omega_delta / 2, omega_delta, 2 omega_delta and
-    the E3/E4 crossing D + J with its two float neighbours, where finite, each once."""
+    the crossings D + J and |D - J| with their float neighbours, where finite, each once."""
     rng = random.Random(seed)
     lo, hi = math.log(1e-300), math.log(sys.float_info.max)
     draws = []
@@ -92,9 +92,10 @@ def library_draws(count: int = DRAWS, seed: int = DRAW_SEED) -> list[list]:
         else:
             wd, j = (math.exp(rng.uniform(lo, hi)) for _ in range(2))
         beta = math.exp(rng.uniform(math.log(1e-3), math.log(1e3))) / max(wd, j, 5e-324)
-        cross = math.hypot(wd, j) + j
-        sigmas = [0.0, 5e-324, 0.5 * wd, wd, 2.0 * wd,
-                  math.nextafter(cross, 0.0), cross, math.nextafter(cross, math.inf)]
+        d = math.hypot(wd, j)
+        sigmas = [0.0, 5e-324, 0.5 * wd, wd, 2.0 * wd]
+        for cross in (d + j, abs(d - j)):
+            sigmas += [math.nextafter(cross, 0.0), cross, math.nextafter(cross, math.inf)]
         sigmas = list(dict.fromkeys(x for x in sigmas if x < math.inf))
         draws.append([wd, j, min(beta, sys.float_info.max), sigmas])
     return draws
