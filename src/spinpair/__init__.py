@@ -59,7 +59,6 @@ from .oracle import spin_flip, wootters_concurrence
 from .critical import (
     FIELD_RATIOS,
     GroundState,
-    critical_field_ratio,
     critical_omega_sigma,
     crossing_coupling,
     ground_state,
@@ -104,7 +103,6 @@ __all__ = [
     "concurrence_from_populations",
     "concurrence_homonuclear",
     "concurrence_thermal",
-    "critical_field_ratio",
     "critical_omega_sigma",
     "crossing_coupling",
     "density_matrix",

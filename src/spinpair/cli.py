@@ -108,7 +108,7 @@ def _cmd_concurrence(args) -> dict:
     params, beta = _point(args)
     return {
         "concurrence": entangle.concurrence_for_params(params, 1.0, beta),
-        "populations": thermo.populations_for_params(params, 1.0, beta).probs,
+        "populations": thermo.populations_for_params(params, 1.0, beta),
     }
 
 
@@ -136,8 +136,8 @@ def _cmd_scan(args) -> list:
     if args.axis == "field" and args.omega_sigma is not None:
         raise ValueError("--axis field excludes --omega-sigma")
     grid = _grid(args.start, args.stop, args.points)
-    # _sweep_rows raises before it returns, so an error leaves stdout empty.
-    rows = entangle._sweep_rows(
+    # sweep raises before it returns, so an error leaves stdout empty.
+    rows = entangle.sweep(
         "temperature" if args.axis == "tau" else "field",
         grid,
         omega_sigma=0.0 if args.omega_sigma is None else args.omega_sigma,
@@ -158,7 +158,7 @@ def _cmd_threshold(args) -> dict:
 
 
 def _cmd_spectrum(args) -> list:
-    lines = spectrum._spectrum_lines(*_point(args), math.radians(args.phi))
+    lines = spectrum.simulate_spectrum(*_point(args), math.radians(args.phi))
     sections = [("transition,frequency,amplitude", lines)]
     if args.render is not None:
         start, stop, points = args.render
@@ -190,7 +190,7 @@ def _cmd_reconstruct(args) -> dict:
     theta = math.radians(args.theta_deg)
     obs = observe.Observables(args.p1z, args.p2z, args.p1z2z)
     return {
-        "populations": observe.reconstruct_populations(obs, theta).probs,
+        "populations": observe.reconstruct_populations(obs, theta),
         "concurrence": observe.concurrence_from_observables(obs, theta),
     }
 

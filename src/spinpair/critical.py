@@ -8,7 +8,9 @@ E3 = E4 requires omega_sigma = D + J, equivalently
 The crossing needs omega_sigma = D + J > 0 and J > 0, so this squared form
 is a true root only when both Larmor frequencies are positive. With one
 spin free of Zeeman terms (omega2 = 0) or opposite moments (positronium)
-there is no zero-temperature critical point for any J >= 0.
+there is no zero-temperature critical point for any J >= 0. FIELD_RATIOS[name] is the critical
+field B_crit gamma_1 / J = (1 + r) / (2 r) of each preset that crosses, r = omega2 / omega1 > 0;
+a preset that does not cross has no key.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from collections import namedtuple
 from .model import PRESET_RATIOS, SpinSystem, derive, derive_from_sigma_delta
 from . import thermo
 
-# Critical field in units of J / gamma_1 for the presets that do cross
-# (r = omega2 / omega1 > 0): B_crit * gamma_1 / J = (1 + r) / (2 r),
-# written as 0.5 / r + 0.5 so that hp gives exactly 1.75.
+# (1 + r) / (2 r) written as 0.5 / r + 0.5, so that hp gives exactly 1.75.
 FIELD_RATIOS = {name: 0.5 / r + 0.5 for name, r in PRESET_RATIOS.items() if r > 0.0}
 
 
@@ -45,15 +45,6 @@ def crossing_coupling(omega1: float, omega2: float) -> float | None:
     # it never overflows.
     small, big = sorted((omega1, omega2))
     return small / (0.5 + 0.5 * (small / big))
-
-
-def critical_field_ratio(name: str) -> float:
-    """B_crit * gamma_1 / J for a named preset."""
-    if name in FIELD_RATIOS:
-        return FIELD_RATIOS[name]
-    if name in PRESET_RATIOS:
-        raise ValueError(f"preset {name!r} has no level crossing")
-    raise ValueError(f"unknown preset {name!r}")
 
 
 def critical_omega_sigma(omega_delta: float, coupling: float) -> float:

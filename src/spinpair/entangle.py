@@ -8,8 +8,9 @@ Ratio form, obtained by inserting the Boltzmann weights and Z:
 
     C = max{0, [sinh(beta D/2) sin(2 theta) - exp(-beta J/2)]
               / [exp(-beta J/2) cosh(beta omega_sigma/2) + cosh(beta D/2)]}
-which _ratio_form sums over the weights relative to E3, exp(-beta (T31, D, 0, T43)), with T43 from
-thermo._pairs by the thermo module docstring's gap rule and T31 = T43 + omega_sigma.
+which _ratio_form, the one kernel of concurrence_for_params and sweep, sums over the weights
+relative to E3, exp(-beta (T31, D, 0, T43)), with T43 from thermo._pairs by the thermo module
+docstring's gap rule and T31 = T43 + omega_sigma.
 
 Entanglement survives while sinh(beta D/2) sin(2 theta) > exp(-beta J/2).
 With s = sin 2theta = J / D that condition depends on beta only through
@@ -24,6 +25,7 @@ C = max{0, (e^{beta J} - 3) / (2 cosh(beta omega) + e^{beta J} + 1)}, so tau_t =
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import chain, islice, repeat
 from operator import mul, truediv
 
@@ -195,36 +197,25 @@ def sweep(
     omega_delta: float | None = None,
     tau: float | None = None,
     coupling: float = 1.0,
-) -> list[tuple[float, float]]:
-    """Concurrence along a temperature or field grid, one (x, C) row per point.
+) -> Iterator[tuple[float, float]]:
+    """Concurrence along a temperature or field grid, an iterator of one (x, C) row per point.
 
     axis="temperature": grid holds tau = k_B T / J values (tau = 0 selects
     the zero-temperature limit) at fixed omega_sigma, omega_delta.
     axis="field": grid holds omega_sigma values at fixed omega_delta, tau.
-    The grid must be non-empty, finite and strictly increasing.
-    """
-    return list(
-        _sweep_rows(
-            axis, grid, omega_sigma=omega_sigma, omega_delta=omega_delta, tau=tau,
-            coupling=coupling,
-        )
-    )
-
-
-def _sweep_rows(axis, grid, *, omega_sigma=None, omega_delta=None, tau=None, coupling=1.0):
-    """sweep's rows as an iterator; every input is validated before it is returned.
-
-    Once the inputs pass, no row raises, so a caller may write rows as they come.
+    The grid must be non-empty, finite and strictly increasing. Every input is validated
+    before sweep returns, so no row raises and a caller may write rows as they come.
     """
     points = _check_grid(grid)
     if axis == "temperature":
         if omega_sigma is None or omega_delta is None:
             raise ValueError("temperature sweeps need omega_sigma and omega_delta")
         params = derive_from_sigma_delta(omega_sigma, omega_delta, coupling)
-        # In an increasing grid only points[0] can be 0 (beta = inf), and 1/(tau J)
-        # overflows first at the smallest positive tau: the first two points
-        # validate the grid.
+        # In an increasing grid only points[0] can be 0 (beta = inf), 1/(tau J) overflows
+        # first at the smallest positive tau and underflows first at the largest: the first
+        # two points and the last validate the grid.
         head = [_beta_from_tau(tau, coupling) for tau in points[:2]]
+        _beta_from_tau(points[-1], coupling)
         tail = map(truediv, repeat(1.0), map(mul, islice(points, 2, None), repeat(coupling)))
         omega_sigmas, betas = repeat(params.omega_sigma), chain(head, tail)
     elif axis == "field":

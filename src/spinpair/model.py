@@ -47,7 +47,17 @@ PRESET_RATIOS = {
 }
 
 
-class SpinSystem(namedtuple("SpinSystem", "omega1 omega2 coupling")):
+class _Validated:
+    """Base of the validating namedtuples: _make, so _replace and copy.replace, calls __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class SpinSystem(_Validated, namedtuple("SpinSystem", "omega1 omega2 coupling")):
     """A scalar-coupled pair of spin-1/2 nuclei.
 
     Stored in canonical orientation omega1 >= omega2 >= 0; the
@@ -73,13 +83,9 @@ class SpinSystem(namedtuple("SpinSystem", "omega1 omega2 coupling")):
             )
         return super().__new__(cls, omega1, omega2, coupling)
 
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds its result through _make: validate there too.
-        return cls(*iterable)
 
-
-class DerivedParams(namedtuple("DerivedParams", "omega_sigma omega_delta d_coupling theta coupling")):
+class DerivedParams(_Validated, namedtuple(
+        "DerivedParams", "omega_sigma omega_delta d_coupling theta coupling")):
     """Sum/difference frequencies, splitting D, mixing angle, and the J of D and theta.
 
     sin_2theta is sin(2 theta), or J / D where theta is subnormal.
@@ -93,11 +99,6 @@ class DerivedParams(namedtuple("DerivedParams", "omega_sigma omega_delta d_coupl
         if (d_coupling, theta) != params[2:4]:
             raise ValueError("d_coupling and theta must be those of (omega_sigma, omega_delta, J)")
         return params
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds its result through _make: validate there too.
-        return cls(*iterable)
 
     @property
     def sin_2theta(self) -> float:

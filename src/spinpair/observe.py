@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .model import _check_theta
+from .model import _Validated, _check_theta
 from .thermo import Populations, _probs
 
 SINGULAR_COS2THETA = 1e-8
@@ -32,7 +32,7 @@ RADICAND_FLOOR = -1e-12
 _RANGE_TOL = 1e-9
 
 
-class Observables(namedtuple("Observables", "p1z p2z p1z2z")):
+class Observables(_Validated, namedtuple("Observables", "p1z p2z p1z2z")):
     """Expectation values of s1z, s2z and the two-spin order s1z s2z."""
 
     __slots__ = ()
@@ -42,11 +42,6 @@ class Observables(namedtuple("Observables", "p1z p2z p1z2z")):
             if not math.isfinite(value) or abs(value) > 1.0 + _RANGE_TOL:
                 raise ValueError(f"{name} must lie in [-1, 1]")
         return super().__new__(cls, p1z, p2z, p1z2z)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds its result through _make: validate there too.
-        return cls(*iterable)
 
 
 def polarizations(pops, theta: float) -> Observables:

@@ -4,8 +4,9 @@ Each of the four observable lines joins an outer level (E1 or E4) to an
 inner one (E2 or E3), as _LINES lists. Frequencies are |E_outer - E_inner|,
 labelled by identity, never by rank, since only two statements about them
 are convention-free: freq(T42) - freq(T21) = D - J and freq(T42) - freq(T31)
-differs by J. transition_frequencies_for_params and spectra take the gaps from thermo._gaps, by
-the one rule of the thermo module docstring.
+differs by J. transition_frequencies_for_params and simulate_spectrum take a DerivedParams, which
+may have omega_sigma < omega_delta (a SpinSystem's is derive(system)), and the gaps from
+thermo._gaps by the thermo docstring's rule.
 
 A pulse of flip angle phi turns populations into signed line amplitudes,
 -sin(phi)/2 (-w r (p1 - p_i) -+ sin^2(phi/2) cos^2(2theta) (p3 - p2) + w' r (p4 - p_i)),
@@ -29,7 +30,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .model import DerivedParams, SpinSystem, _check_grid, _check_same_coupling, derive
+from .model import DerivedParams, _check_grid, _check_same_coupling
 from . import thermo
 
 # Line name -> 0-based (outer, inner) level pair; the order is the output order.
@@ -88,13 +89,9 @@ def _roofs(c: float, s: float) -> tuple[float, float]:
 
 
 def simulate_spectrum(
-    system: SpinSystem, beta: float, phi: float = DEFAULT_FLIP_ANGLE
+    params: DerivedParams, beta: float, phi: float = DEFAULT_FLIP_ANGLE
 ) -> list[SpectrumLine]:
-    """Join thermal (or beta = inf limit) populations with the line table."""
-    return _spectrum_lines(derive(system), beta, phi)
-
-
-def _spectrum_lines(params: DerivedParams, beta: float, phi: float) -> list[SpectrumLine]:
+    """The lines in TRANSITIONS order at the thermal (or beta = inf limit) populations of params."""
     p = thermo.populations_for_params(params, params.coupling, beta)
     gaps, d = thermo._gaps(params), params.d_coupling
     diffs = [_difference(p[o], p[i], beta * g) for (o, i), g in zip(_LINES.values(), gaps)]

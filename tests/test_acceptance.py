@@ -126,7 +126,7 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_nmr_silence():
     system = model.SpinSystem(0.5, 0.5, 1.0)  # singlet ground state
-    lines = spectrum.simulate_spectrum(system, math.inf, math.radians(5.0))
+    lines = spectrum.simulate_spectrum(model.derive(system), math.inf, math.radians(5.0))
     worst = max(abs(line.amplitude) for line in lines)
     ok = worst <= 1e-12
     _report(6, ok, f"largest amplitude of the singlet ground state = {worst:.2e}")
@@ -219,7 +219,7 @@ def test_criterion_09_reconstruction():
 
 
 def test_criterion_10_crossing_presets():
-    ratios = tuple(critical.critical_field_ratio(name) for name in ("hh", "hc", "hp"))
+    ratios = tuple(critical.FIELD_RATIOS[name] for name in ("hh", "hc", "hp"))
     hf = critical.crossing_coupling(1.0, 0.0)
     ps = critical.crossing_coupling(1.0, -1.0)
     ok = ratios == (1.0, 2.5, 1.75) and hf is None and ps is None

@@ -206,9 +206,33 @@ def test_spectrum_render_section(capsys, monkeypatch):
     assert lines == run_cli(capsys, *argv)[1]
     grid = cli._grid(0.0, 3.0, 61)
     beta, phi = 1.0 / 0.2, math.radians(5.0)
-    want = spectrum.render_lorentzian(
-        spinpair.simulate_spectrum(model.SpinSystem(1.0, 0.5, 1.0), beta, phi), 0.05, grid)
+    lines = spinpair.simulate_spectrum(model.derive_from_sigma_delta(1.5, 0.5, 1.0), beta, phi)
+    want = spectrum.render_lorentzian(lines, 0.05, grid)
     assert curve == "".join(f"{f:.12g},{y:.12g}\n" for f, y in zip(grid, want))
+
+
+def test_scan_and_spectrum_call_the_public_routes(capsys, monkeypatch):
+    # The CLI prints what the library returns: scan streams entangle.sweep's rows and spectrum
+    # prints spectrum.simulate_spectrum's lines, one call each.
+    calls = []
+
+    def counting(module, name):
+        public = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return public(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(entangle, "sweep")
+    counting(spectrum, "simulate_spectrum")
+    scan = "scan --axis tau --from 0.1 --to 1 --points 5 --omega-delta 1"
+    code, out, _ = run_cli(capsys, *scan.split())
+    assert code == 0 and len(out.splitlines()) == 6
+    code, out, _ = run_cli(capsys, *"spectrum --omega-sigma 2 --omega-delta 1 --tau 1".split())
+    assert code == 0 and len(out.splitlines()) == 5
+    assert calls == ["sweep", "simulate_spectrum"]
 
 
 # One valid command per float flag; each flag is given -1e0 in turn.
@@ -309,10 +333,10 @@ def test_subnormal_csv_values_print_the_digits_they_carry(capsys, monkeypatch):
     assert code == 0
     lines = out.splitlines()
     assert lines[1] == "0.000989517744039,1.44055e-317"
-    rows = entangle.sweep(
+    rows = list(entangle.sweep(
         "temperature", cli._grid(0.0009895177440392843, 0.5, 3),
         omega_sigma=3.507696550576163, omega_delta=0.363465299581727,
-    )
+    ))
     assert lines[2:] == [f"{x:.12g},{c:.12g}" for x, c in rows[1:]]
     assert rows[2][1] > 0.0
     # Digits carried: floor((log2|x| + 1074) log10 2), at least 1, at most the precision.

@@ -158,7 +158,7 @@ def test_one_point_scan_prints_the_concurrence(omega_sigma, omega_delta, tau):
 FLOATS = st.one_of(st.sampled_from([float(v) for v in SPECIAL]), st.floats())
 
 # A fixed set of lines for render_lorentzian, whose drawn floats are the linewidth and the grid.
-_LINES = sp.simulate_spectrum(sp.SpinSystem(2.0, 1.0, 1.0), 1.0)
+_LINES = sp.simulate_spectrum(sp.derive(sp.SpinSystem(2.0, 1.0, 1.0)), 1.0)
 
 
 def _params(a, b, c):
@@ -202,11 +202,11 @@ _LIBRARY_CALLS = [
      lambda a, b, c, d, *_: sp.reconstruct_populations(sp.Observables(a, b, c), d)),
     (sp.render_lorentzian, lambda a, b, c, *_: sp.render_lorentzian(_LINES, a, sorted((b, c)))),
     (sp.simulate_spectrum,
-     lambda a, b, c, d, e, *_: sp.simulate_spectrum(sp.SpinSystem(a, b, c), d, e)),
-    (sp.sweep, lambda a, b, c, d, e, *_: sp.sweep(
-        "temperature", sorted((a, b)), omega_sigma=c, omega_delta=d, coupling=e)),
-    (sp.sweep, lambda a, b, c, d, e, *_: sp.sweep(
-        "field", sorted((a, b)), omega_delta=c, tau=d, coupling=e)),
+     lambda a, b, c, d, e, *_: sp.simulate_spectrum(_params(a, b, c), d, e)),
+    (sp.sweep, lambda a, b, c, d, e, *_: list(sp.sweep(
+        "temperature", sorted((a, b)), omega_sigma=c, omega_delta=d, coupling=e))),
+    (sp.sweep, lambda a, b, c, d, e, *_: list(sp.sweep(
+        "field", sorted((a, b)), omega_delta=c, tau=d, coupling=e))),
     (sp.threshold_kelvin, lambda a, *_: sp.threshold_kelvin(a)),
     (sp.threshold_tau, lambda a, b, *_: sp.threshold_tau(a, b)),
     (sp.transition_amplitudes,

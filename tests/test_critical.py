@@ -41,9 +41,7 @@ def test_crossing_coupling_at_float_max_is_finite():
 
 
 def test_field_ratios_exact():
-    assert critical.critical_field_ratio("hh") == 1.0
-    assert critical.critical_field_ratio("hc") == 2.5
-    assert critical.critical_field_ratio("hp") == 1.75
+    assert critical.FIELD_RATIOS == {"hh": 1.0, "hc": 2.5, "hp": 1.75}
 
 
 def test_critical_omega_sigma_roots():

@@ -241,7 +241,7 @@ def test_threshold_kelvin_values():
 
 def test_temperature_sweep_homonuclear():
     grid = np.linspace(0.01, 1.2, 120)
-    rows = entangle.sweep("temperature", grid, omega_sigma=0.0, omega_delta=0.0)
+    rows = list(entangle.sweep("temperature", grid, omega_sigma=0.0, omega_delta=0.0))
     assert len(rows) == 120
     values = [c for _, c in rows]
     assert all(b <= a for a, b in zip(values, values[1:]))
@@ -257,7 +257,7 @@ def test_field_sweep_drop_location():
     # at tau = 0.01 the concurrence falls logistic-like, steepest at the
     # zero-temperature critical field
     grid = np.linspace(1.0, 3.0, 81)
-    rows = entangle.sweep("field", grid, omega_delta=0.0, tau=0.01)
+    rows = list(entangle.sweep("field", grid, omega_delta=0.0, tau=0.01))
     values = [c for _, c in rows]
     drops = [a - b for a, b in zip(values, values[1:])]
     left = rows[int(np.argmax(drops))][0]
@@ -266,7 +266,7 @@ def test_field_sweep_drop_location():
 
 
 def test_sweep_single_point_and_zero_temperature():
-    rows = entangle.sweep("temperature", [0.5], omega_sigma=2.0, omega_delta=0.0)
+    rows = list(entangle.sweep("temperature", [0.5], omega_sigma=2.0, omega_delta=0.0))
     assert len(rows) == 1
     assert rows[0][0] == 0.5
     rows = entangle.sweep("field", [1.0, 2.0, 3.0], omega_delta=0.0, tau=0.0)
@@ -346,7 +346,7 @@ KERNEL_SWEEPS = [
 def test_sweep_kernel_branches_equal_pointwise_route():
     seen = set()
     for axis, grid, kwargs in KERNEL_SWEEPS:
-        rows = entangle.sweep(axis, grid, **kwargs)
+        rows = list(entangle.sweep(axis, grid, **kwargs))
         assert [x for x, _ in rows] == list(map(float, grid))
         for x, c in rows:
             ws = x if axis == "field" else kwargs["omega_sigma"]
@@ -377,9 +377,9 @@ def test_sweep_kernel_branches_equal_pointwise_route():
 def test_huge_coupling_at_tiny_beta_is_not_nan_or_wrong():
     # beta = 1/(tau J) is subnormal but not 0, so the sweep row is a number:
     # beta D = 0.22 keeps C's numerator negative, and C = 0.
-    assert entangle.sweep(
+    assert list(entangle.sweep(
         "temperature", [4.56], omega_sigma=1.0, omega_delta=0.5, coupling=1e308
-    ) == [(4.56, 0.0)]
+    )) == [(4.56, 0.0)]
     # D + J overflows: -beta (D + J) / 2 is formed as -beta (D/2 + J/2), so the
     # numerator s (1 - e^-1) - 2 e^-1 stays negative.
     params = model.derive_from_sigma_delta(1.0, 0.5, 1e308)

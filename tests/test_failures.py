@@ -99,6 +99,7 @@ _FROM_OBSERVABLES = (observe.reconstruct_populations, observe.concurrence_from_o
 _UNIFORM = (0.25, 0.25, 0.25, 0.25)
 _PURE3 = (0.0, 0.0, 1.0, 0.0)
 _TAU_SWEEP = partial(entangle.sweep, "temperature", omega_sigma=0.0, omega_delta=0.0)
+_J_MAX_SWEEP = partial(_TAU_SWEEP, omega_delta=1.0, coupling=1e308)
 _LINE = [spectrum.SpectrumLine("T21", 0.5, 0.2)]
 _BIG = sys.float_info.max
 # The level route at each beta, and levels with a NaN or an infinity.
@@ -293,7 +294,7 @@ LIBRARY_FAILURES = [
                       (thermo.populations_for_params, (_PARAMS, 1.0)),
                       (entangle.concurrence_homonuclear, (0.5, 1.0)),
                       (entangle.concurrence_thermal, (_SYSTEM,)),
-                      (spectrum.simulate_spectrum, (_SYSTEM,)))
+                      (spectrum.simulate_spectrum, (_PARAMS,)))
       for b in (-math.inf, -1.0, math.nan)),
     *(_row(partial(entangle.concurrence_for_params, _PARAMS, j, b), ValueError, _SECOND_J,
            f"concurrence-for-params-J-{j}-{b}")
@@ -365,6 +366,10 @@ LIBRARY_FAILURES = [
          "sweep-beta-overflows"),
     _row(partial(entangle.sweep, "field", [0.0, 1.0], omega_delta=0.0, tau=1e-320),
          ArithmeticError, _BETA_OVERFLOWS, "sweep-field-beta-overflows"),
+    # 1/(tau J) underflows first at the largest tau: at J = 1e308, beta is 0 at tau = 1e300
+    # and 1e-309 at tau = 10, wherever the grid's last point sits.
+    _row(partial(_J_MAX_SWEEP, [1.0, 2.0, 1e300]), ArithmeticError, _BETA_OVERFLOWS,
+         "sweep-beta-underflows-last", accepts=partial(_J_MAX_SWEEP, [1.0, 2.0, 10.0])),
     # critical: the crossing, critical values and the ground state.
     *(_row(partial(critical.crossing_coupling, *w), ValueError, _FREQUENCIES, f"crossing-{w}")
       for w in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf))),
@@ -377,11 +382,6 @@ LIBRARY_FAILURES = [
          "critical-J-0", accepts=partial(critical.critical_omega_sigma, 1.0, 5e-324)),
     *(_row(partial(critical.critical_omega_sigma, 1.0, j), ValueError, _COUPLING, f"critical-J-{j}")
       for j in (math.nan, -1.0, math.inf)),
-    *(_row(partial(critical.critical_field_ratio, n), ValueError,
-           f"preset {n!r} has no level crossing", f"field-ratio-{n}")
-      for n in ("hyperfine", "positronium")),
-    _row(partial(critical.critical_field_ratio, "xy"), ValueError, "unknown preset 'xy'",
-         "field-ratio-xy"),
     _row(partial(critical.ground_state, _OVERFLOWING_SYSTEMS[0]), ArithmeticError, _SUM_OVERFLOWS,
          "ground-state-overflows"),
     # oracle: both entry points reject a malformed or non-Hermitian matrix alike.
@@ -417,8 +417,8 @@ LIBRARY_FAILURES = [
       for p, t, fragment in (((0.1, 0.2, 0.3, 0.4), math.nan, _THETA),
                              ((0.1, 0.2, 0.3, 0.4), 2.0, _THETA),
                              ((math.nan, 1.0, 0.0, 0.0), 0.3, _POPULATIONS))),
-    _row(partial(spectrum.simulate_spectrum, model.SpinSystem(2.5879320237511028, 1e300, _BIG),
-                 0.494, 0.423), ArithmeticError, _T31, "simulate-spectrum-T31"),
+    _row(partial(spectrum.simulate_spectrum, _T31_PAST_MAX[0], 0.494, 0.423), ArithmeticError,
+         _T31, "simulate-spectrum-T31"),
     _row(partial(spectrum.render_lorentzian, _LINE, 0.0, [0.0, 1.0]), ValueError, _LINEWIDTH,
          "render-width-0", accepts=partial(spectrum.render_lorentzian, _LINE, 5e-324, [0.0, 1.0])),
     *(_row(partial(spectrum.render_lorentzian, _LINE, w, [0.0, 1.0]), ValueError, _LINEWIDTH,

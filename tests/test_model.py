@@ -180,7 +180,7 @@ def _value_types():
         critical.ground_state(system),
         critical.ground_state(model.SpinSystem(2.25, 0.75, 1.125)),  # E3 = E4
         observe.polarizations(pops, params.theta),
-        spectrum.simulate_spectrum(system, 1.0)[0],
+        spectrum.simulate_spectrum(params, 1.0)[0],
     ]
 
 

@@ -208,7 +208,7 @@ def _check_partition(params, beta, log_z_ref, bound):
 def test_line_frequencies_match_mpmath(pair):
     params = model.derive_from_sigma_delta(*pair, 1.0)
     freqs = spectrum.transition_frequencies_for_params(params, 1.0)
-    lines = spectrum._spectrum_lines(params, 1.0, spectrum.DEFAULT_FLIP_ANGLE)
+    lines = spectrum.simulate_spectrum(params, 1.0)
     assert [line.frequency for line in lines] == list(freqs.values())
     _check_frequencies(freqs, *pair)
 
@@ -401,7 +401,7 @@ def test_line_amplitudes_match_mpmath(pair, beta):
     omega_sigma, omega_delta = pair
     params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
     gap_tol = EPS * (1.0 + beta * (abs(thermo._gaps(params)[0]) + 1.0))
-    lines = spectrum._spectrum_lines(params, beta, AMP_PHI)
+    lines = spectrum.simulate_spectrum(params, beta, AMP_PHI)
     for line, (want, scale) in zip(lines, _amplitude_reference(*pair, beta).values()):
         assert abs(line.amplitude - want) <= AMP * gap_tol * scale, (line, want, scale)
 

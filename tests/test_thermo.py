@@ -427,14 +427,14 @@ def test_zero_temperature_past_float_range_is_the_level_route():
         assert entangle.concurrence_for_params(params, 1e308, math.inf) == params.sin_2theta
         rows = entangle.sweep("field", [1e308, params.omega_sigma], omega_delta=params.omega_delta,
                               tau=0.0, coupling=1e308)
-        assert rows[-1] == (params.omega_sigma, params.sin_2theta)
+        assert list(rows)[-1] == (params.omega_sigma, params.sin_2theta)
 
 
 def _scaled_results(omega_sigma, omega_delta, coupling, beta, f):
     # Everything that must not depend on the unit at (omega_sigma, omega_delta, J) f and beta / f,
     # with each gap and line frequency divided back by f (exact for a power of two f).
     params, j, b = _params(omega_sigma * f, omega_delta * f, coupling * f), coupling * f, beta / f
-    lines = spectrum._spectrum_lines(params, b, math.pi / 2)
+    lines = spectrum.simulate_spectrum(params, b, math.pi / 2)
     return (
         entangle.concurrence_for_params(params, j, b),
         thermo.populations_for_params(params, j, b),

@@ -10,9 +10,15 @@ The change is made on the module's ast, which is written back with
 ast.unparse. Mutants whose written source is the same are run once.
 Each mutant runs `python -m pytest -x -q` in a temporary copy of src, tests, tools,
 bench, pyproject.toml and README.md, with a TIMEOUT; a mutant that times out counts as killed.
-A mutant that every test passes has survived, and is printed as
-module:line:col old -> new, with #i after the column for the i-th link of a
-chained comparison. The whole pass takes tens of minutes, so it
+A mutant that every test passes has survived, and is printed by its label,
+module:function, the source of the mutated node and old -> new, e.g.
+
+    thermo:_pairs c + c_lo: + -> -
+
+where function is the enclosing def or class (Class.method, <module> outside any),
+and a label that the module already holds, earlier in source order, gets " #n" for
+its n-th occurrence. No line number enters a label, so a mutant keeps its label
+when the lines above it move. The whole pass takes tens of minutes, so it
 runs outside the test suite:
 
     python3 tools/mutate.py [--list] [--match TEXT]
@@ -29,6 +35,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,21 +50,45 @@ NUDGE = 1.0 + 2.0**-20
 TIMEOUT = 120.0  # seconds per mutant
 
 
+def _walk(node: ast.AST, scope: str = "<module>"):
+    """(enclosing def or class, node) for node and each node below it."""
+    yield scope, node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+    for child in ast.iter_child_nodes(node):
+        yield from _walk(child, scope)
+
+
 def _sites(tree: ast.AST):
     """(node, field, index, new value, label) for every single change the mutant set holds."""
-    for node in ast.walk(tree):
-        where = f"{getattr(node, 'lineno', '?')}:{getattr(node, 'col_offset', '?')}"
+    sites = []
+    for scope, node in _walk(tree):
         if isinstance(node, ast.Compare):
-            for i, op in enumerate(node.ops):
-                if type(op) in SWAPS:
-                    new, at = SWAPS[type(op)], f"{where}#{i}" if len(node.ops) > 1 else where
-                    yield node, "ops", i, new(), f"{at} {SYMBOLS[type(op)]} -> {SYMBOLS[new]}"
+            changes = [("ops", i, SWAPS[type(op)]())
+                       for i, op in enumerate(node.ops) if type(op) in SWAPS]
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
-            new = SWAPS[type(node.op)]
-            yield node, "op", None, new(), f"{where} {SYMBOLS[type(node.op)]} -> {SYMBOLS[new]}"
+            changes = [("op", None, SWAPS[type(node.op)]())]
         elif isinstance(node, ast.Constant) and type(node.value) is float and node.value:
-            value = node.value * NUDGE
-            yield node, "value", None, value, f"{where} {node.value!r} -> {value!r}"
+            changes = [("value", None, node.value * NUDGE)]
+        else:
+            continue
+        for field, index, new in changes:
+            old = _get(node, field, index)
+            sites.append((node, field, index, new,
+                          f"{scope} {ast.unparse(node)}: {_show(old)} -> {_show(new)}"))
+    seen = Counter()
+    for node, field, index, new, label in sorted(
+            sites, key=lambda site: (site[0].lineno, site[0].col_offset, site[2] or 0)):
+        seen[label] += 1
+        yield node, field, index, new, label if seen[label] == 1 else f"{label} #{seen[label]}"
+
+
+def _show(value) -> str:
+    return SYMBOLS[type(value)] if isinstance(value, ast.AST) else repr(value)
+
+
+def _get(node, field, index):
+    return getattr(node, field) if index is None else getattr(node, field)[index]
 
 
 def mutants(path: Path):
@@ -65,7 +96,7 @@ def mutants(path: Path):
     tree = ast.parse(path.read_text())
     seen = {ast.unparse(tree)}  # 5e-324 * (1 + 2**-20) is 5e-324
     for node, field, index, new, label in list(_sites(tree)):
-        old = getattr(node, field) if index is None else getattr(node, field)[index]
+        old = _get(node, field, index)
         _put(node, field, index, new)
         source = ast.unparse(tree)
         _put(node, field, index, old)
