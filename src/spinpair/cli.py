@@ -8,6 +8,11 @@ variable SPINPAIR_PRECISION overrides the number of significant
 digits in the output (default 12). Each subcommand returns its result,
 a JSON object or a list of CSV sections, and main alone prints it, so
 one place rounds every printed number.
+
+A process enters through run(): after main returns it flushes stdout and
+stderr, then ends by os._exit, which skips interpreter finalization and
+every atexit callback (spinpair registers none; any present came from
+site's start-up).
 """
 
 from __future__ import annotations
@@ -294,5 +299,13 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def run() -> None:
+    """Run main and end the process with its status; an error from main or a flush propagates."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

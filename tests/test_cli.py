@@ -7,7 +7,8 @@ checks, exit 0, empty stderr and the row's stdout byte for byte, with thermo.ene
 raise, so no CLI route forms the levels, which cancel at high field: every printed number comes
 from the gaps. A new printed output is one row; a README example with a '# ->' line is checked
 by test_readme instead. In a subprocess, importing spinpair.cli loads no dataclasses, and
-python -m spinpair.cli exits 0, 2 and 3 as main returns them.
+python -m spinpair.cli exits 0, 2 and 3 as main returns them, with all of stdout written, and
+nonzero when stdout cannot be written.
 """
 
 import hashlib
@@ -350,11 +351,13 @@ def test_subnormal_csv_values_print_the_digits_they_carry(capsys, monkeypatch):
 
 
 def _child_env():
-    """The environment for a child python that imports this spinpair, at the default precision."""
+    """The environment for a child python that imports this spinpair, at the default precision,
+    its stdout buffered as under a shell: PYTHONUNBUFFERED would hide a missing flush."""
     src = os.path.dirname(os.path.dirname(spinpair.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("SPINPAIR_PRECISION", None)
+    env.pop("PYTHONUNBUFFERED", None)
     return env
 
 
@@ -367,11 +370,18 @@ def test_cli_import_does_not_load_dataclasses():
     subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True)
 
 
-def test_cli_runs_as_a_process():
-    # python -m spinpair.cli ends in sys.exit(main()): main's return is the exit status.
+def test_cli_runs_as_a_process(capsys):
+    # python -m spinpair.cli ends in cli.run(): main's return is the exit status, and stdout is
+    # flushed before os._exit. A whole chunk of rows is larger than the stdout buffer and passes
+    # straight through it, so only a last chunk of one row, or a JSON line, waits for that flush.
     point = ("concurrence", "--omega-sigma", "2", "--omega-delta", "0")
+    scan = ("scan", "--axis", "tau", "--from", "0.5", "--to", "1",
+            "--points", str(2 * cli._CHUNK_ROWS + 1))
+    code, scan_csv, _ = run_cli(capsys, *scan)
+    assert code == 0 and scan_csv.count("\n") == 2 * cli._CHUNK_ROWS + 2
     for argv, status, stdout in (
         (("threshold", "--omega-delta", "0"), 0, '{"tau_t": 0.910239226627}\n'),
+        (scan, 0, scan_csv),
         (point, 2, ""),
         ((*point, "--tau", "1e-320"), 3, ""),
     ):
@@ -381,6 +391,16 @@ def test_cli_runs_as_a_process():
         )
         assert (run.returncode, run.stdout) == (status, stdout), argv
         assert bool(run.stderr) == (status != 0), argv
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full to write stdout to")
+    # A write that fails, in main or in run's flush, exits nonzero and says so on stderr.
+    for argv in (("threshold", "--omega-delta", "0"), scan):
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(
+                [sys.executable, "-m", "spinpair.cli", *argv],
+                env=_child_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert run.returncode != 0 and run.stderr, argv
 
 
 def _output(command, stdout, id, **env):

@@ -1,6 +1,8 @@
-"""The verdict of tools/pairs.py on synthetic paired runs; no benchmark runs here."""
+"""The verdict of tools/pairs.py on synthetic paired runs, and its --seed and --workload with
+the benchmark stubbed out; no benchmark runs here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,49 @@ def test_a_zero_median_is_compared_without_dividing_by_it():
 def test_malformed_runs_are_rejected(base, change, better, message):
     with pytest.raises(ValueError, match=message):
         pairs.verdict(base, change, better, 0.25)
+
+
+def _stub_runs(monkeypatch):
+    """Stub the benchmark out of pairs.main; return the (tree side, workload, seed) of each run."""
+    spec = json.loads((pairs.ROOT / pairs.SPEC).read_text())
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append(("base" if tree != pairs.ROOT else "change", workload, seed))
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "export", lambda rev, into: into.mkdir() or "0" * 40)
+    monkeypatch.setattr(pairs, "same_benchmark", lambda a, b: [])
+    return [w["name"] for w in spec["workloads"]], calls
+
+
+def test_seed_and_workloads_default_to_one_and_every_workload(monkeypatch, tmp_path):
+    names, calls = _stub_runs(monkeypatch)
+    assert pairs.main(["--out", str(tmp_path / "out.json")]) == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["seed"] == 1 and list(report["workloads"]) == names
+    assert [c[1] for c in calls] == [n for n in names for _ in range(2 * pairs.PAIRS)]
+    assert {c[2] for c in calls} == {1}
+
+
+def test_seed_and_repeated_workloads_select_the_runs(monkeypatch, tmp_path):
+    names, calls = _stub_runs(monkeypatch)
+    chosen = [names[-1], names[0]]
+    argv = ["--seed", "90217", "--out", str(tmp_path / "out.json")]
+    assert pairs.main([*argv, "--workload", chosen[0], "--workload", chosen[1]]) == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["seed"] == 90217 and list(report["workloads"]) == chosen
+    assert [c[1] for c in calls] == [n for n in chosen for _ in range(2 * pairs.PAIRS)]
+    assert {c[2] for c in calls} == {90217}
+    # Alternating sides: the parent first in even pairs, the change first in odd ones.
+    assert [c[0] for c in calls[:4]] == ["base", "change", "change", "base"]
+
+
+def test_an_unknown_workload_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    _, calls = _stub_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["--workload", "nonesuch", "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2 and "invalid choice: 'nonesuch'" in capsys.readouterr().err
+    assert calls == []

@@ -6,9 +6,14 @@ The change is the source tree this script sits in, as it stands; the parent is
 the commit --base names (HEAD while the change is uncommitted, HEAD~1 once it is
 committed), exported with `git archive` into a temporary directory. The two
 trees must hold the same bench/ and BENCHMARK.json, or nothing runs. For each
-workload, `bench/run.py --seed 1 --trace 0` runs on both trees in ten alternating
-pairs (a gain needs nine of the ten won), the parent first in even pairs and the
-change first in odd ones. The output file
+workload (every one of BENCHMARK.json, or those --workload names), `bench/run.py
+--seed N --trace 0` runs on both trees in ten alternating pairs (a gain needs nine
+of the ten won), the parent first in even pairs and the change first in odd ones.
+--seed defaults to 1; another seed checks a claim on inputs it was not tuned on:
+
+    python3 tools/pairs.py --base HEAD --seed 90217 --workload scalar --out BENCH_n_90217.json
+
+The output file
 holds every run's metrics and, for each end-to-end metric of BENCHMARK.json,
 both sides' median and quartiles, the pair wins and a verdict:
 
@@ -45,7 +50,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = "BENCHMARK.json"
 SIDES = ("base", "change")
 PAIRS = 10
-SEED = 1
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -126,12 +130,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", default="HEAD", help="the parent commit (default HEAD)")
-    parser.add_argument("--out", type=Path, required=True)
-    args = parser.parse_args(argv)
     spec = json.loads((ROOT / SPEC).read_text())
     seconds = spec["run_seconds"]
+    names = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="the parent commit (default HEAD)")
+    parser.add_argument("--seed", type=int, default=1, help="the workload seed (default 1)")
+    parser.add_argument("--workload", action="append", choices=names,
+                        help="a workload to run; repeat for more (default: every one)")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp) / "base"
@@ -147,16 +155,16 @@ def main(argv=None) -> int:
             "change": {"tree": "the working tree at " + subprocess.run(
                 ["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True,
                 text=True).stdout.strip()},
-            "seed": SEED, "seconds": seconds, "pairs": PAIRS,
+            "seed": args.seed, "seconds": seconds, "pairs": PAIRS,
             "host": {"python": platform.python_version(), "machine": platform.machine(),
                      "nproc": os.cpu_count()},
             "workloads": {},
         }
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in args.workload or names:
             runs = []
             for i in range(PAIRS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    res = run_once(trees[side], workload, SEED, seconds)
+                    res = run_once(trees[side], workload, args.seed, seconds)
                     runs.append({"pair": i, "side": side, "correct": res["correct"],
                                  "attempted": res["attempted"], "failed": res["failed"],
                                  "metrics": {k: v["value"] for k, v in res["metrics"].items()}})
