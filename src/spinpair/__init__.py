@@ -55,7 +55,7 @@ from .entangle import (
     threshold_tau,
     threshold_temperature,
 )
-from .oracle import spin_flip, wootters_concurrence
+from .oracle import wootters_concurrence
 from .critical import (
     FIELD_RATIOS,
     GroundState,
@@ -119,7 +119,6 @@ __all__ = [
     "reconstruct_populations",
     "render_lorentzian",
     "simulate_spectrum",
-    "spin_flip",
     "sweep",
     "threshold_kelvin",
     "threshold_tau",

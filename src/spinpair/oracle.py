@@ -1,11 +1,10 @@
 """Spin-flip concurrence for arbitrary two-qubit density matrices.
 
-Independent numeric cross-check for every closed-form concurrence in
-this package: C = max{0, l1 - l2 - l3 - l4} where the l_i are the
-decreasingly sorted square roots of the eigenvalues of the Hermitian
-product sqrt(rho) rho_tilde sqrt(rho),
-
-    rho_tilde = (sy (x) sy) rho* (sy (x) sy).
+wootters_concurrence, the one entry, is the independent numeric cross-check for every
+closed-form concurrence in this package: C = max{0, l1 - l2 - l3 - l4} where the l_i are the
+decreasingly sorted square roots of the eigenvalues of the Hermitian product
+sqrt(rho) rho_tilde sqrt(rho), with rho_tilde = (sy (x) sy) rho* (sy (x) sy) the spin flip
+that _flip forms on the dense path.
 
 Inputs are checked entry by entry as Python numbers, Hermiticity on the
 entries times 1/4 so that no modulus overflows. An X-structured state (every
@@ -36,9 +35,9 @@ _UPPER = [(4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4)]
 _OFF_X = itemgetter(*(4 * i + j for i in range(4) for j in range(4) if j not in (i, 3 - i)))
 
 
-def _as_hermitian4(matrix, error: str) -> tuple[np.ndarray, list[complex]]:
-    """A finite complex 4x4 array and its row-major entries; ValueError(error) unless Hermitian."""
-    m = np.asarray(matrix, dtype=complex)
+def _as_state(rho):
+    """(row-major entries, eigh) of a valid density matrix; eigh is None for an X state."""
+    m = np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     e = m.ravel().tolist()
@@ -48,13 +47,7 @@ def _as_hermitian4(matrix, error: str) -> tuple[np.ndarray, list[complex]]:
     q = [0.25 * z for z in e]
     skew = max(abs(q[ij] - q[ji].conjugate()) for ij, ji in _UPPER)
     if skew > HERMITICITY_ATOL * max(0.25, *map(abs, q)):
-        raise ValueError(error)
-    return m, e
-
-
-def _as_state(rho):
-    """(row-major entries, eigh) of a valid density matrix; eigh is None for an X state."""
-    m, e = _as_hermitian4(rho, "density matrix is not Hermitian")
+        raise ValueError("density matrix is not Hermitian")
     trace = (e[0] + e[5]) + (e[10] + e[15])
     if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
         raise ValueError("density matrix must have unit trace")
@@ -68,14 +61,6 @@ def _x_lowest(e: list[complex]) -> float:
     # Lowest eigenvalue of an X state's blocks [[a, b*], [b, d]], read as eigvalsh reads them.
     return min((a + d) / 2 - math.hypot((a - d) / 2, b.real, b.imag)
                for a, b, d in ((e[0].real, e[12], e[15].real), (e[5].real, e[9], e[10].real)))
-
-
-def spin_flip(rho) -> np.ndarray:
-    """rho_tilde[i, j] = s_i s_j conj(rho[3-i, 3-j]) with s = (+1, -1, -1, +1).
-
-    ValueError unless rho is a finite Hermitian 4x4 matrix.
-    """
-    return _flip(_as_hermitian4(rho, "spin flip requires a Hermitian input")[0])
 
 
 def _flip(m: np.ndarray) -> np.ndarray:

@@ -123,8 +123,8 @@ def _rho(edits):
     return rho
 
 
-# Matrices that both oracle entry points reject; None stands for each one's own
-# Hermiticity message. The anti-Hermitian pair has moduli past float max.
+# Matrices that the oracle rejects before its trace check; None stands for its Hermiticity
+# message. The anti-Hermitian pair has moduli past float max.
 _Z = complex(1.7e308, 1.7e308)
 _NOT_STATES = {
     "shape-3x3": (np.eye(3) / 3.0, "expected a 4x4 matrix, got shape (3, 3)"),
@@ -135,10 +135,9 @@ _NOT_STATES = {
     "non-Hermitian": (_rho({(0, 1): 1.000001e-12}), None),
     "anti-Hermitian-past-max": (_rho({(0, 1): _Z, (1, 0): -_Z.conjugate()}), None),
 }
-_HERMITIAN = {oracle.spin_flip: "spin flip requires a Hermitian input",
-              oracle.wootters_concurrence: "density matrix is not Hermitian"}
-# Hermitian, so spin_flip takes them, but no state: the trace, a negative X block (from an
-# excess coherence, also with moduli past float max) or a negative dense eigenvalue.
+_NOT_HERMITIAN = "density matrix is not Hermitian"
+# Hermitian, so the trace or positivity check rejects them: the trace, a negative X block (from
+# an excess coherence, also with moduli past float max) or a negative dense eigenvalue.
 _NOT_POSITIVE = {
     "trace": np.eye(4),
     "negative-x": np.diag([1.5, -0.5, 0.0, 0.0]),
@@ -148,6 +147,18 @@ _NOT_POSITIVE = {
     "coherence-03": _rho({(0, 3): 0.3, (3, 0): 0.3}),
     "coherence-03-past-max": _rho({(0, 3): _Z, (3, 0): _Z.conjugate()}),
     "coherence-01-past-max": _rho({(0, 1): _Z, (1, 0): _Z.conjugate()}),
+}
+
+# Each fails two of the checks in turn, and the earlier one's message wins: shape before
+# finiteness, finiteness before Hermiticity, Hermiticity before the trace and positivity, the
+# trace before positivity.
+_TWO_FAULTS = {
+    "shape-then-finite": (np.full((3, 3), math.nan), "expected a 4x4 matrix, got shape (3, 3)"),
+    "finite-then-hermitian": (_rho({(0, 1): math.inf}), "matrix entries must be finite"),
+    "hermitian-then-trace": (np.eye(4) + np.triu(np.ones((4, 4)), 1), _NOT_HERMITIAN),
+    "hermitian-then-negative": (np.diag([1.5, -0.5, 0.0, 0.0]) + np.diag([0.1j] * 3, 1),
+                                _NOT_HERMITIAN),
+    "trace-then-negative": (np.diag([2.0, -0.5, 0.0, 0.0]), "density matrix must have unit trace"),
 }
 
 _IMAGINARY = {(k, k): 0.25 + 2.5e-13j for k in range(4)}
@@ -384,18 +395,19 @@ LIBRARY_FAILURES = [
       for j in (math.nan, -1.0, math.inf)),
     _row(partial(critical.ground_state, _OVERFLOWING_SYSTEMS[0]), ArithmeticError, _SUM_OVERFLOWS,
          "ground-state-overflows"),
-    # oracle: both entry points reject a malformed or non-Hermitian matrix alike.
-    *(_row(partial(f, m), ValueError, message or _HERMITIAN[f], f"{f.__name__}-{case}")
-      for f in _HERMITIAN for case, (m, message) in _NOT_STATES.items()),
+    # oracle: a malformed or non-Hermitian matrix, then a Hermitian one that is no state.
+    *(_row(partial(oracle.wootters_concurrence, m), ValueError, message or _NOT_HERMITIAN,
+           f"wootters_concurrence-{case}") for case, (m, message) in _NOT_STATES.items()),
     *(_row(partial(oracle.wootters_concurrence, m), ValueError,
            "density matrix must have unit trace" if case == "trace" else _NEGATIVE_EIGENVALUE,
-           f"wootters-{case}", accepts=partial(oracle.spin_flip, m))
-      for case, m in _NOT_POSITIVE.items()),
+           f"wootters-{case}") for case, m in _NOT_POSITIVE.items()),
+    *(_row(partial(oracle.wootters_concurrence, m), ValueError, message, f"wootters-order-{case}")
+      for case, (m, message) in _TWO_FAULTS.items()),
     # Each tolerance at its bound on the mixed state, where q = e / 4 and max(1/4, |q|) = 1/4:
     # a skew of 1e-12 / 4; an imaginary trace of 1e-12; an X block [[0, b], [b, 0]] at -1e-10.
-    *(_row(partial(f, _rho({(0, 1): _past(1e-12, 1.0)})), ValueError, _HERMITIAN[f],
-           f"{f.__name__}-past-skew", accepts=partial(f, _rho({(0, 1): 1e-12})))
-      for f in _HERMITIAN),
+    _row(partial(oracle.wootters_concurrence, _rho({(0, 1): _past(1e-12, 1.0)})), ValueError,
+         _NOT_HERMITIAN, "wootters_concurrence-past-skew",
+         accepts=partial(oracle.wootters_concurrence, _rho({(0, 1): 1e-12}))),
     _row(partial(oracle.wootters_concurrence, _rho({**_IMAGINARY, (3, 3): 0.25 + _PAST_IM * 1j})),
          ValueError, "density matrix must have unit trace", "wootters-past-imaginary-trace",
          accepts=partial(oracle.wootters_concurrence, _rho(_IMAGINARY))),

@@ -1,4 +1,5 @@
-"""The spin-flip oracle on both of its paths.
+"""The spin-flip oracle on both of its paths, and the dense path's rho_tilde, oracle._flip,
+against the sandwich (sy (x) sy) rho* (sy (x) sy).
 
 The X path matches, for the Bell states Phi+- and seeded mixed X states with rho14 != 0,
 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)), and the dense path on the
@@ -33,6 +34,9 @@ def _random_state(rng):
     return rho / np.trace(rho).real
 
 
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SY_SY = np.kron(_SY, _SY)
+
 BELL_SINGLET = np.array(
     [
         [0.0, 0.0, 0.0, 0.0],
@@ -45,34 +49,32 @@ BELL_SINGLET = np.array(
 
 def test_spin_flip_identity_and_pure_states():
     eye4 = np.eye(4) / 4.0
-    assert np.array_equal(oracle.spin_flip(eye4), eye4)
+    assert np.array_equal(oracle._flip(eye4), eye4)
     up_up = np.diag([1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(oracle.spin_flip(up_up), np.diag([0.0, 0.0, 0.0, 1.0]))
+    assert np.array_equal(oracle._flip(up_up), np.diag([0.0, 0.0, 0.0, 1.0]))
 
 
 def test_spin_flip_reverses_x_state():
     rho, _ = _thermal_rho(2.0, 1.0, 1.5)
-    flipped = oracle.spin_flip(rho)
+    flipped = oracle._flip(rho)
     assert np.allclose(np.diag(flipped), np.diag(rho)[::-1], atol=1e-15)
     assert flipped[1, 2] == rho[1, 2]
 
 
 def test_spin_flip_matches_sigma_y_sandwich():
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    syy = np.kron(sy, sy)
     rng = np.random.default_rng(31)
     for _ in range(50):
         rho = _random_hermitian(rng)
-        expected = syy @ rho.conj() @ syy
-        assert np.max(np.abs(oracle.spin_flip(rho) - expected)) <= 1e-12
+        expected = SY_SY @ rho.conj() @ SY_SY
+        assert np.max(np.abs(oracle._flip(rho) - expected)) <= 1e-12
 
 
 def test_spin_flip_involution_and_trace():
     rng = np.random.default_rng(32)
     for _ in range(100):
         rho = _random_hermitian(rng)
-        flipped = oracle.spin_flip(rho)
-        assert np.max(np.abs(oracle.spin_flip(flipped) - rho)) <= 1e-14
+        flipped = oracle._flip(rho)
+        assert np.max(np.abs(oracle._flip(flipped) - rho)) <= 1e-14
         assert abs(np.trace(flipped) - np.trace(rho)) <= 1e-12
 
 
@@ -81,6 +83,13 @@ def _bell_phi(sign):
     phi = np.diag([0.5, 0.0, 0.0, 0.5])
     phi[0, 3] = phi[3, 0] = 0.5 * sign
     return phi
+
+
+def test_wootters_concurrence_is_the_one_public_function():
+    public = [name for name, obj in vars(oracle).items()
+              if callable(obj) and getattr(obj, "__module__", None) == oracle.__name__
+              and not name.startswith("_")]
+    assert public == ["wootters_concurrence"]
 
 
 def test_wootters_pure_states():
@@ -169,7 +178,7 @@ def test_wootters_generic_path_matches_numpy_route():
     rng = np.random.default_rng(33)
     for _ in range(50):
         rho = _random_state(rng)
-        flipped = oracle.spin_flip(rho)
+        flipped = SY_SY @ rho.conj() @ SY_SY
         lam = np.sqrt(np.clip(np.sort(np.linalg.eigvals(rho @ flipped).real)[::-1], 0.0, None))
         expected = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
         assert abs(oracle.wootters_concurrence(rho) - expected) <= 1e-10
@@ -190,12 +199,11 @@ def test_oracle_matches_closed_form():
 
 @pytest.mark.parametrize("i, j, sign", [(0, 3, 1.0), (0, 1, -1.0)])
 def test_moduli_past_float_max_saturate(i, j, sign):
-    # |rho_ij| exceeds float max, but validation takes moduli of the entries
-    # times 1/4, which stay finite: the pair is Hermitian.
+    # |rho_ij| exceeds float max; the flip moves each entry and at most changes its sign.
     z = complex(1.7e308, 1.7e308)
     rho = np.diag([0.25] * 4).astype(complex)
     rho[i, j], rho[j, i] = z, z.conjugate()
-    assert oracle.spin_flip(rho)[3 - j, 3 - i] == sign * z
+    assert oracle._flip(rho)[3 - j, 3 - i] == sign * z
 
 
 def _x_matrix(rng, lowest):
@@ -296,13 +304,11 @@ def test_one_off_x_pair_takes_the_dense_path(eigh_calls, i, j):
 
 
 def test_dense_rank_one_matches_pure_state_formula():
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    syy = np.kron(sy, sy)
     rng = np.random.default_rng(38)
     worst = 0.0
     for _ in range(1000):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        expected = abs(psi @ syy @ psi)  # |<psi| sy sy |psi*>|
+        expected = abs(psi @ SY_SY @ psi)  # |<psi| sy sy |psi*>|
         worst = max(worst, abs(oracle.wootters_concurrence(np.outer(psi, psi.conj())) - expected))
     assert worst <= 1e-12

@@ -1,5 +1,5 @@
-"""The verdict of tools/pairs.py on synthetic paired runs, and its --seed and --workload with
-the benchmark stubbed out; no benchmark runs here."""
+"""The verdict of tools/pairs.py on synthetic paired runs, and its warm-up, --seed and
+--workload with the benchmark stubbed out; no benchmark runs here."""
 
 import importlib.util
 import json
@@ -87,15 +87,17 @@ def test_malformed_runs_are_rejected(base, change, better, message):
         pairs.verdict(base, change, better, 0.25)
 
 
-def _stub_runs(monkeypatch):
-    """Stub the benchmark out of pairs.main; return the (tree side, workload, seed) of each run."""
+def _stub_runs(monkeypatch, value=lambda n, side: 1.0):
+    """Stub the benchmark out of pairs.main; return the (tree side, workload, seed) of each run.
+    Every metric of run n, counted from 0 over both sides, reads value(n, side)."""
     spec = json.loads((pairs.ROOT / pairs.SPEC).read_text())
     calls = []
 
     def run_once(tree, workload, seed, seconds):
         calls.append(("base" if tree != pairs.ROOT else "change", workload, seed))
         return {"correct": True, "attempted": 1, "failed": 0,
-                "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}
+                "metrics": {m["name"]: {"value": value(len(calls) - 1, calls[-1][0])}
+                            for m in spec["end_to_end"]}}
 
     monkeypatch.setattr(pairs, "run_once", run_once)
     monkeypatch.setattr(pairs, "export", lambda rev, into: into.mkdir() or "0" * 40)
@@ -108,7 +110,7 @@ def test_seed_and_workloads_default_to_one_and_every_workload(monkeypatch, tmp_p
     assert pairs.main(["--out", str(tmp_path / "out.json")]) == 0
     report = json.loads((tmp_path / "out.json").read_text())
     assert report["seed"] == 1 and list(report["workloads"]) == names
-    assert [c[1] for c in calls] == [n for n in names for _ in range(2 * pairs.PAIRS)]
+    assert [c[1] for c in calls] == [n for n in names for _ in range(2 * pairs.PAIRS + 2)]
     assert {c[2] for c in calls} == {1}
 
 
@@ -119,10 +121,26 @@ def test_seed_and_repeated_workloads_select_the_runs(monkeypatch, tmp_path):
     assert pairs.main([*argv, "--workload", chosen[0], "--workload", chosen[1]]) == 0
     report = json.loads((tmp_path / "out.json").read_text())
     assert report["seed"] == 90217 and list(report["workloads"]) == chosen
-    assert [c[1] for c in calls] == [n for n in chosen for _ in range(2 * pairs.PAIRS)]
+    assert [c[1] for c in calls] == [n for n in chosen for _ in range(2 * pairs.PAIRS + 2)]
     assert {c[2] for c in calls} == {90217}
-    # Alternating sides: the parent first in even pairs, the change first in odd ones.
-    assert [c[0] for c in calls[:4]] == ["base", "change", "change", "base"]
+
+
+def test_a_warm_up_run_of_each_side_precedes_the_pairs_and_enters_no_verdict(monkeypatch,
+                                                                              tmp_path):
+    # A warm-up run reads 1000 on the change and 0 on the parent; the pairs all read 1.
+    names, calls = _stub_runs(monkeypatch, lambda n, side: 1.0 if n >= 2 else
+                              {"base": 0.0, "change": 1000.0}[side])
+    assert pairs.main(["--workload", names[0], "--out", str(tmp_path / "out.json")]) == 0
+    # Each side once, then the parent first in even pairs and the change first in odd ones.
+    alternating = ["base", "change", "change", "base"] * (pairs.PAIRS // 2)
+    assert [c[0] for c in calls] == ["base", "change"] + alternating
+    report = json.loads((tmp_path / "out.json").read_text())["workloads"][names[0]]
+    assert [(r["pair"], r["side"], r["metrics"]["ops_per_s"]) for r in report["warmup"]] == [
+        (None, "base", 0.0), (None, "change", 1000.0)]
+    assert [r["pair"] for r in report["runs"]] == [i for i in range(pairs.PAIRS) for _ in "ab"]
+    for m in report["metrics"].values():
+        assert m["base"] == m["change"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
+        assert (m["ties"], m["verdict"]) == (pairs.PAIRS, "not_met")
 
 
 def test_an_unknown_workload_is_a_usage_error(monkeypatch, tmp_path, capsys):

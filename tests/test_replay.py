@@ -50,7 +50,7 @@ def test_library_draws_are_seeded_and_replay_the_same():
     assert draws == replay.library_draws(200) != replay.library_draws(200, seed=2)
     corner = [d for d in draws if max(d[0], d[1]) <= replay.CORNER_UNITS * 5e-324]
     assert 40 <= len(corner) <= 80
-    for wd, j, beta, sigmas in draws:
+    for wd, j, beta, sigmas, _ in draws:
         assert 0.0 < beta <= sys.float_info.max and sigmas[:2] == [0.0, 5e-324]
         assert len(set(sigmas)) == len(sigmas) and max(sigmas) < math.inf
         # Both crossings with their float neighbours: the E1/E2 one, |D - J|, is always finite.
@@ -58,8 +58,10 @@ def test_library_draws_are_seeded_and_replay_the_same():
         assert {math.nextafter(t21_crossing, 0.0), t21_crossing} <= set(sigmas)
     outcomes = replay.run_draws(draws[:20])
     assert replay.differing_draws(outcomes, replay.run_draws(draws[:20])) == []
-    # Each point's _gaps, _ground, and populations, Z and C at beta and at beta = inf.
-    assert all(len(o) == 8 * len(d[3]) for o, d in zip(outcomes, draws) if "Error" not in str(o))
+    # Each point's _gaps, _ground, and populations, Z, C and the oracle's C at beta and at
+    # beta = inf, then the oracle's C of the draw's dense state.
+    assert all(len(o) == 10 * len(d[3]) + 1 for o, d in zip(outcomes, draws)
+               if "Error" not in str(o))
     changed = [*outcomes[:3], outcomes[3][:5] + ["ArithmeticError: x"] + outcomes[3][6:]]
     assert replay.differing_draws(outcomes[:4], changed) == [3]
     shown = replay.describe_draw(draws[3], outcomes[3], changed[3])
@@ -68,6 +70,18 @@ def test_library_draws_are_seeded_and_replay_the_same():
 
 def test_a_library_draw_where_t43_rounds_to_float_max_is_finite():
     (outcomes,) = replay.run_draws([[6.915936136574687e298, sys.float_info.max, 1e-308,
-                                     [1.716325371635124e150]]])
+                                     [1.716325371635124e150], None]])
     assert outcomes[0].startswith(f"({sys.float_info.max!r}, ")  # T43 rounds to float max
     assert not any(word in o for o in outcomes[1:] for word in ("nan", "inf"))
+
+
+def test_library_draws_carry_the_oracle_on_both_paths():
+    draws = replay.library_draws(replay.DENSE + 2)
+    assert [d[4] is not None for d in draws] == [True] * replay.DENSE + [False] * 2
+    outcomes = replay.run_draws(draws[:20])
+    assert outcomes == replay.run_draws(draws[:20])
+    dense = [float(o[-1]) for o in outcomes]
+    assert all(0.0 <= c <= 1.0 for c in dense) and any(c > 0.0 for c in dense)
+    # At a thermal point the oracle's C at beta and at beta = inf follows the closed form's.
+    (o,) = replay.run_draws([[1.0, 1.0, 2.0, [0.5], None]])
+    assert len(o) == 10 and all(abs(float(o[k]) - float(o[k - 1])) <= 1e-12 for k in (5, 9))

@@ -9,8 +9,8 @@ Each mutant makes one change to one module of src/spinpair:
 The change is made on the module's ast, which is written back with
 ast.unparse. Mutants whose written source is the same are run once.
 Each mutant runs `python -m pytest -x -q` in a temporary copy of src, tests, tools,
-bench, pyproject.toml and README.md, with a TIMEOUT; a mutant that times out counts as killed.
-A mutant that every test passes has survived, and is printed by its label,
+bench, pyproject.toml, README.md and BENCHMARK.json, with a TIMEOUT; a mutant that times
+out counts as killed. A mutant that every test passes has survived, and is printed by its label,
 module:function, the source of the mutated node and old -> new, e.g.
 
     thermo:_pairs c + c_lo: + -> -
@@ -21,9 +21,11 @@ its n-th occurrence. No line number enters a label, so a mutant keeps its label
 when the lines above it move. The whole pass takes tens of minutes, so it
 runs outside the test suite:
 
-    python3 tools/mutate.py [--list] [--match TEXT]
+    python3 tools/mutate.py [--list] [--match TEXT] [--diff REV]
 
-where --match picks the mutants whose label holds TEXT, thermo: for one module.
+where --match picks the mutants whose label holds TEXT, thermo: for one module, and
+--diff keeps only the mutants whose mutated node spans a line that
+`git diff -U0 REV -- src/spinpair` adds or changes: --diff HEAD for an uncommitted change.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -91,11 +94,14 @@ def _get(node, field, index):
     return getattr(node, field) if index is None else getattr(node, field)[index]
 
 
-def mutants(path: Path):
-    """(label, mutated source) of each distinct mutant of one module; none that leaves it as is."""
+def mutants(path: Path, lines: set[int] | None = None):
+    """(label, mutated source) of each distinct mutant of one module; none that leaves it as is.
+    Given lines, only the mutants whose mutated node spans one of those line numbers."""
     tree = ast.parse(path.read_text())
     seen = {ast.unparse(tree)}  # 5e-324 * (1 + 2**-20) is 5e-324
     for node, field, index, new, label in list(_sites(tree)):
+        if lines is not None and lines.isdisjoint(range(node.lineno, node.end_lineno + 1)):
+            continue
         old = _get(node, field, index)
         _put(node, field, index, new)
         source = ast.unparse(tree)
@@ -103,6 +109,20 @@ def mutants(path: Path):
         if source not in seen:
             seen.add(source)
             yield label, source
+
+
+def changed_lines(diff: str) -> dict[str, set[int]]:
+    """{path: the line numbers it adds or changes} of a `git diff -U0` text; the path is the one
+    after +++ b/, and a file the diff deletes has none."""
+    lines, path = {}, None
+    for row in diff.splitlines():
+        if row.startswith("+++ "):
+            path = row[6:] if row.startswith("+++ b/") else None
+        elif row.startswith("@@") and path is not None:
+            start, count = re.match(r"@@ -\S+ \+(\d+)(?:,(\d+))? @@", row).groups()
+            count = 1 if count is None else int(count)
+            lines.setdefault(path, set()).update(range(int(start), int(start) + count))
+    return lines
 
 
 def _put(node, field, index, value):
@@ -116,16 +136,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true", help="print the mutants, run none")
     parser.add_argument("--match", default="", help="only mutants whose label contains this")
+    parser.add_argument("--diff", metavar="REV",
+                        help="only mutants on the lines that git diff -U0 REV adds or changes")
     args = parser.parse_args(argv)
     package = ROOT / "src" / "spinpair"
+    changed = None
+    if args.diff is not None:
+        changed = changed_lines(subprocess.run(
+            ["git", "diff", "--no-color", "--dst-prefix=b/", "-U0", args.diff, "--",
+             "src/spinpair"], cwd=ROOT, capture_output=True, text=True, check=True).stdout)
     survivors = total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        # tests/test_pairs.py reads tools/pairs.py; tests/test_replay.py, bench/workloads.py;
-        # tests/test_readme.py, README.md.
+        # tests/test_pairs.py reads tools/pairs.py and BENCHMARK.json; tests/test_replay.py,
+        # bench/workloads.py; tests/test_readme.py, README.md.
         for name in ("src", "tests", "tools", "bench"):
             shutil.copytree(ROOT / name, Path(tmp) / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        for name in ("pyproject.toml", "README.md"):
+        for name in ("pyproject.toml", "README.md", "BENCHMARK.json"):
             shutil.copy(ROOT / name, tmp)
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
@@ -135,7 +162,8 @@ def main(argv=None) -> int:
         for path in sorted(package.glob("*.py")):
             target = Path(tmp) / "src" / "spinpair" / path.name
             killed = count = 0
-            for label, source in mutants(path):
+            lines = None if changed is None else changed.get(f"src/spinpair/{path.name}", set())
+            for label, source in mutants(path, lines):
                 if args.match not in f"{path.stem}:{label}":
                     continue
                 count += 1

@@ -7,8 +7,10 @@ the commit --base names (HEAD while the change is uncommitted, HEAD~1 once it is
 committed), exported with `git archive` into a temporary directory. The two
 trees must hold the same bench/ and BENCHMARK.json, or nothing runs. For each
 workload (every one of BENCHMARK.json, or those --workload names), `bench/run.py
---seed N --trace 0` runs on both trees in ten alternating pairs (a gain needs nine
-of the ten won), the parent first in even pairs and the change first in odd ones.
+--seed N --trace 0` runs once on each tree as a warm-up, then on both trees in ten
+alternating pairs (a gain needs nine of the ten won), the parent first in even pairs and the
+change first in odd ones. The warm-up runs are printed and kept in the output file under
+"warmup", and enter no statistic: a first run of a session may read apart from the rest.
 --seed defaults to 1; another seed checks a claim on inputs it was not tuned on:
 
     python3 tools/pairs.py --base HEAD --seed 90217 --workload scalar --out BENCH_n_90217.json
@@ -160,16 +162,21 @@ def main(argv=None) -> int:
                      "nproc": os.cpu_count()},
             "workloads": {},
         }
+
+        def run(workload: str, pair: int | None, side: str) -> dict:
+            """One run of side, printed; pair is None for the warm-up."""
+            res = run_once(trees[side], workload, args.seed, seconds)
+            row = {"pair": pair, "side": side, "correct": res["correct"],
+                   "attempted": res["attempted"], "failed": res["failed"],
+                   "metrics": {k: v["value"] for k, v in res["metrics"].items()}}
+            label = "warmup" if pair is None else f"pair {pair}"
+            print(f"{workload} {label} {side}: " + json.dumps(row["metrics"]), flush=True)
+            return row
+
         for workload in args.workload or names:
-            runs = []
-            for i in range(PAIRS):
-                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    res = run_once(trees[side], workload, args.seed, seconds)
-                    runs.append({"pair": i, "side": side, "correct": res["correct"],
-                                 "attempted": res["attempted"], "failed": res["failed"],
-                                 "metrics": {k: v["value"] for k, v in res["metrics"].items()}})
-                    print(f"{workload} pair {i} {side}: " + json.dumps(runs[-1]["metrics"]),
-                          flush=True)
+            warmup = [run(workload, None, side) for side in SIDES]
+            runs = [run(workload, i, side)
+                    for i in range(PAIRS) for side in (SIDES if i % 2 == 0 else SIDES[::-1])]
             by_side = {s: [r for r in runs if r["side"] == s] for s in SIDES}  # in pair order
             metrics = {
                 m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
@@ -180,10 +187,11 @@ def main(argv=None) -> int:
             failed = {s: sum(r["failed"] for r in by_side[s])
                       / max(1, sum(r["attempted"] for r in by_side[s])) for s in SIDES}
             report["workloads"][workload] = {
-                "correct": all(r["correct"] for r in runs),
+                "correct": all(r["correct"] for r in warmup + runs),
                 "failed_share": {**failed, "larger": failed["change"] > failed["base"]},
                 "metrics": metrics,
                 "runs": runs,
+                "warmup": warmup,
             }
             for name, m in metrics.items():
                 print(f"{workload:10s} {name:14s} {m['base']['median']:12.6g} -> "

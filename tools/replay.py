@@ -10,13 +10,14 @@ argv lists. Each tree runs all of them through cli.main in process, in a subproc
 with its own src/ first on sys.path, at the default SPINPAIR_PRECISION. The library draws reach
 what the CLI cannot, since it fixes J = 1: library_draws lists them. Each draw's points run
 through thermo._gaps and thermo._ground, and through populations_for_params,
-partition_for_params and concurrence_for_params at its beta and at beta = inf, in the same
-subprocess. The first line printed is "N of 3,645 replayed ops differ from <base>", the second
-"M of 10,000 library draws differ from <base>"; the argv, exit codes and first differing output
-line of the first few differing ops, and the first differing call of the first few differing
-draws, follow. The exit status is 1 if any op or draw differs. On a pull request, CI fails on
-any difference unless the pull request adds to CHANGES.md the line
-"REPLAY: N of 3,645 ops, M of 10,000 draws" with the two printed counts.
+partition_for_params, concurrence_for_params and the oracle's wootters_concurrence of the
+thermal state at its beta and at beta = inf, in the same subprocess; the first DENSE draws also
+carry one dense state, for the oracle's other path. The first line printed is "N of 3,645
+replayed ops differ from <base>", the second "M of 10,000 library draws differ from <base>"; the
+argv, exit codes and first differing output line of the first few differing ops, and the first
+differing call of the first few differing draws, follow. The exit status is 1 if any op or draw
+differs. On a pull request, CI fails on any difference unless the pull request adds to
+CHANGES.md the line "REPLAY: N of 3,645 ops, M of 10,000 draws" with the two printed counts.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ SCAN_OPS = 45
 SHOWN = 3
 HEAD_CHARS = 4096  # of each output, kept to show where two outputs part
 DRAWS, DRAW_SEED = 10_000, 1
+DENSE = 64  # draws that carry a dense state
 CORNER = 0.3  # the share of draws with omega_delta and J in the subnormal corner
 CORNER_UNITS = 2024  # its top, 2024 * 5e-324 ~ 1e-320
 
@@ -78,12 +80,16 @@ def run_ops(argvs: list[list[str]]) -> list[list]:
 
 
 def library_draws(count: int = DRAWS, seed: int = DRAW_SEED) -> list[list]:
-    """[omega_delta, J, beta, omega_sigmas] of each seeded library draw. omega_delta and J are
-    log-uniform in [1e-300, float max], or, for a CORNER share of draws, whole multiples of 5e-324
-    up to about 1e-320; beta is log-uniform in [1e-3, 1e3] over max(omega_delta, J), capped at
-    float max. The omega_sigmas are 0, 5e-324, omega_delta / 2, omega_delta, 2 omega_delta and
-    the crossings D + J and |D - J| with their float neighbours, where finite, each once."""
+    """[omega_delta, J, beta, omega_sigmas, dense] of each seeded library draw. omega_delta and J
+    are log-uniform in [1e-300, float max], or, for a CORNER share of draws, whole multiples of
+    5e-324 up to about 1e-320; beta is log-uniform in [1e-3, 1e3] over max(omega_delta, J), capped
+    at float max. The omega_sigmas are 0, 5e-324, omega_delta / 2, omega_delta, 2 omega_delta and
+    the crossings D + J and |D - J| with their float neighbours, where finite, each once. dense is
+    a state of bench/workloads.py's dense_state, as [re, im] pairs, in the first DENSE draws and
+    None in the others; drawn from a stream of its own, it leaves the other fields as they were."""
     rng = random.Random(seed)
+    dense_state = _module(ROOT / "bench" / "workloads.py").dense_state
+    dense_rng = random.Random(f"dense:{seed}")
     lo, hi = math.log(1e-300), math.log(sys.float_info.max)
     draws = []
     for _ in range(count):
@@ -97,7 +103,8 @@ def library_draws(count: int = DRAWS, seed: int = DRAW_SEED) -> list[list]:
         for cross in (d + j, abs(d - j)):
             sigmas += [math.nextafter(cross, 0.0), cross, math.nextafter(cross, math.inf)]
         sigmas = list(dict.fromkeys(x for x in sigmas if x < math.inf))
-        draws.append([wd, j, min(beta, sys.float_info.max), sigmas])
+        dense = dense_state(dense_rng) if len(draws) < DENSE else None
+        draws.append([wd, j, min(beta, sys.float_info.max), sigmas, dense])
     return draws
 
 
@@ -110,13 +117,21 @@ def _outcome(function, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def _thermal_oracle(params, coupling: float, beta: float) -> float:
+    """wootters_concurrence of the thermal state of params at beta."""
+    from spinpair import oracle, thermo
+
+    pops = thermo.populations_for_params(params, coupling, beta)
+    return oracle.wootters_concurrence(thermo.density_matrix(pops, params.theta).to_array())
+
+
 def run_draws(draws: list[list]) -> list[list[str]]:
     """The _outcome of each call of each draw, in order, through the spinpair that import
     finds."""
-    from spinpair import entangle, model, thermo
+    from spinpair import entangle, model, oracle, thermo
 
     results = []
-    for wd, j, beta, sigmas in draws:
+    for wd, j, beta, sigmas, dense in draws:
         outcomes = []
         for ws in sigmas:
             try:
@@ -127,7 +142,10 @@ def run_draws(draws: list[list]) -> list[list[str]]:
             outcomes += [_outcome(thermo._gaps, params), _outcome(thermo._ground, params, ws)]
             outcomes += [_outcome(f, params, j, b) for b in (beta, math.inf)
                          for f in (thermo.populations_for_params, thermo.partition_for_params,
-                                   entangle.concurrence_for_params)]
+                                   entangle.concurrence_for_params, _thermal_oracle)]
+        if dense is not None:
+            rho = [[complex(re, im) for re, im in row] for row in dense]
+            outcomes.append(_outcome(oracle.wootters_concurrence, rho))
         results.append(outcomes)
     return results
 
@@ -174,7 +192,7 @@ def differing_draws(base: list[list[str]], change: list[list[str]]) -> list[int]
 def describe_draw(draw: list, base: list[str], change: list[str]) -> str:
     """The draw and the first of its calls whose outcomes part."""
     n, b, c = next((n, b, c) for n, (b, c) in enumerate(zip(base, change)) if b != c)
-    wd, j, beta, _ = draw
+    wd, j, beta = draw[:3]
     return "\n".join([f"library draw omega_delta={wd!r} J={j!r} beta={beta!r}: call {n}",
                       f"    base:   {b}", f"    change: {c}"])
 
