@@ -41,7 +41,6 @@ from .thermo import (
     Populations,
     density_matrix,
     energies,
-    partition_for_params,
     populations,
     populations_for_params,
 )
@@ -71,7 +70,6 @@ from .spectrum import (
     render_lorentzian,
     simulate_spectrum,
     transition_amplitudes,
-    transition_frequencies_for_params,
 )
 from .observe import (
     Observables,
@@ -111,7 +109,6 @@ __all__ = [
     "energies",
     "from_si",
     "ground_state",
-    "partition_for_params",
     "polarizations",
     "populations",
     "populations_for_params",
@@ -124,6 +121,5 @@ __all__ = [
     "threshold_tau",
     "threshold_temperature",
     "transition_amplitudes",
-    "transition_frequencies_for_params",
     "wootters_concurrence",
 ]

@@ -4,9 +4,8 @@ Each of the four observable lines joins an outer level (E1 or E4) to an
 inner one (E2 or E3), as _LINES lists. Frequencies are |E_outer - E_inner|,
 labelled by identity, never by rank, since only two statements about them
 are convention-free: freq(T42) - freq(T21) = D - J and freq(T42) - freq(T31)
-differs by J. transition_frequencies_for_params and simulate_spectrum take a DerivedParams, which
-may have omega_sigma < omega_delta (a SpinSystem's is derive(system)), and the gaps from
-thermo._gaps by the thermo docstring's rule.
+differs by J. simulate_spectrum takes a DerivedParams, which may have omega_sigma < omega_delta
+(a SpinSystem's is derive(system)), and the gaps from thermo._gaps by the thermo docstring's rule.
 
 A pulse of flip angle phi turns populations into signed line amplitudes,
 -sin(phi)/2 (-w r (p1 - p_i) -+ sin^2(phi/2) cos^2(2theta) (p3 - p2) + w' r (p4 - p_i)),
@@ -30,7 +29,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .model import DerivedParams, _check_grid, _check_same_coupling
+from .model import DerivedParams, _check_grid
 from . import thermo
 
 # Line name -> 0-based (outer, inner) level pair; the order is the output order.
@@ -45,12 +44,6 @@ class SpectrumLine(namedtuple("SpectrumLine", "transition frequency amplitude"))
     """One line: its name in TRANSITIONS, |E_outer - E_inner| and its signed amplitude."""
 
     __slots__ = ()
-
-
-def transition_frequencies_for_params(params: DerivedParams, coupling: float) -> dict[str, float]:
-    """|E_outer - E_inner| of each line at params, from thermo._gaps; ArithmeticError past max."""
-    _check_same_coupling(params, coupling)
-    return {name: abs(gap) for name, gap in zip(TRANSITIONS, thermo._gaps(params))}
 
 
 def transition_amplitudes(pops, theta: float, phi: float) -> dict[str, float]:
@@ -69,7 +62,8 @@ def _amplitudes(diffs, d32: float, c: float, s: float, phi: float) -> dict[str, 
     if not 0.0 < phi <= math.pi:
         raise ValueError("flip angle must lie in (0, pi]")
     d43, d21, d42, d31 = diffs
-    inner, outer = _roofs(c, s)
+    # The roofing factors 1 + s and 1 - s; 1 - s is formed as c^2 / (1 + s) so it does not cancel.
+    inner, outer = 1.0 + s, c * c / (1.0 + s)
     sp2 = math.sin(0.5 * phi) ** 2
     cp2 = math.cos(0.5 * phi) ** 2
     pre = -0.5 * (0.0 if phi == math.pi else math.sin(phi))  # sin(math.pi) is 1.2e-16
@@ -81,11 +75,6 @@ def _amplitudes(diffs, d32: float, c: float, s: float, phi: float) -> dict[str, 
         "T42": pre * (sp2 * inner * -d21 + cross + cp2 * inner * d42),
         "T31": pre * (cp2 * outer * -d31 + cross + sp2 * outer * d43),
     }
-
-
-def _roofs(c: float, s: float) -> tuple[float, float]:
-    """(1 + s, 1 - s) at s = sin 2theta, c = cos 2theta; 1 - s as c^2 / (1 + s) does not cancel."""
-    return 1.0 + s, c * c / (1.0 + s)
 
 
 def simulate_spectrum(

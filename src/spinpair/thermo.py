@@ -11,10 +11,9 @@ is halved before the sum, so the levels are finite for every valid input):
 Boltzmann weights p_i = exp(-beta E_i) / Z, as exp(-beta (h_i - min h) 2) from halves h_i = E_i / 2
 of the levels, or of the offsets (T31, D, 0, T43) from params, whose one form is _half_offsets: no
 difference overflows, and away from subnormals the weights are bit for bit exp(-beta (E_i - E_min)).
-Z forms log Z first and raises ArithmeticError past log Z = 709.78. populations(levels, beta) is
-kept for the benchmark; every route from params weighs the offsets, not level differences, which
-keep only 8 digits of a gap of order J at omega_delta = 1e8. The tests check Z against the closed
-form
+populations(levels, beta) is kept for the benchmark; every route from params weighs the offsets,
+not level differences, which keep only 8 digits of a gap of order J at omega_delta = 1e8. The
+tests check the populations against exp(-beta E_i) / Z with the closed form
 
     Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
                          + cosh(beta D/2)].
@@ -125,20 +124,6 @@ def populations_for_params(params: DerivedParams, coupling: float, beta: float) 
     if _is_zero_temperature(beta):
         return _shares(_ground(params, params.omega_sigma))
     return _normalised(_shifted_weights(_half_offsets(params, params.omega_sigma), beta))
-
-
-def partition_for_params(params: DerivedParams, coupling: float, beta: float) -> float:
-    """Z = sum_i exp(-beta E_i) at finite beta >= 0 as log Z: -beta min(E3, E4), the lowest level,
-    plus log sum_i exp(-beta (o_i - min o)) over the offsets o = (T31, D, 0, T43). beta = 0 gives
-    exactly 4; ValueError at beta = inf, ArithmeticError where Z passes float max."""
-    e3, e4 = energies(params, coupling)[2:]
-    if _is_zero_temperature(beta):
-        raise ValueError("Z needs a finite beta")
-    weights = _shifted_weights(_half_offsets(params, params.omega_sigma), beta)
-    log_z = -beta * min(e3, e4) + math.log(sum(weights))
-    if log_z > _LOG_FLOAT_MAX:
-        raise ArithmeticError(f"partition function exceeds float range: log Z = {log_z!r}")
-    return math.exp(log_z)
 
 
 def _half_offsets(params: DerivedParams, omega_sigma: float) -> tuple[float, float, float, float]:

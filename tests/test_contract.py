@@ -191,8 +191,6 @@ _LIBRARY_CALLS = [
     (sp.derive_from_sigma_delta, lambda a, b, c, *_: _params(a, b, c)),
     (sp.energies, lambda a, b, c, *_: _levels(a, b, c)),
     (sp.from_si, lambda a, b, c, *_: sp.from_si(a, b, c)),
-    (sp.partition_for_params,
-     lambda a, b, c, d, *_: sp.partition_for_params(_params(a, b, c), c, d)),
     (sp.polarizations, lambda a, b, c, d, e, *_: sp.polarizations((a, b, c, d), e)),
     (sp.populations, lambda a, b, c, d, *_: sp.populations(_levels(a, b, c), d)),
     (sp.populations_for_params,
@@ -211,8 +209,6 @@ _LIBRARY_CALLS = [
     (sp.threshold_tau, lambda a, b, *_: sp.threshold_tau(a, b)),
     (sp.transition_amplitudes,
      lambda a, b, c, d, e, f: sp.transition_amplitudes((a, b, c, d), e, f)),
-    (sp.transition_frequencies_for_params,
-     lambda a, b, c, *_: sp.transition_frequencies_for_params(_params(a, b, c), c)),
     (entangle.threshold_beta, lambda a, *_: entangle.threshold_beta(a)),
 ]
 

@@ -1,5 +1,6 @@
 """The labels of tools/mutate.py: one per mutant of a module, and no line number in any; and
-the line filter of its --diff on a canned diff. No mutant runs here."""
+the filter of its --diff on canned diffs, by changed line and by label new to the module. No
+mutant runs here."""
 
 import importlib.util
 from pathlib import Path
@@ -76,3 +77,27 @@ def test_diff_keeps_the_mutants_on_added_or_changed_lines(tmp_path):
     # A change to g's second line alone still reaches its comparison, which spans both.
     assert [label for label, _ in mutate.mutants(module, {7})] == kept[2:]
     assert list(mutate.mutants(module, set())) == []
+
+
+# g renamed to g2: only its def line changes, yet every label of its body is new.
+_RENAME = '''diff --git a/src/spinpair/mod.py b/src/spinpair/mod.py
+index 2222222..3333333 100644
+--- a/src/spinpair/mod.py
++++ b/src/spinpair/mod.py
+@@ -5 +5 @@ def f(x):
+-def g(x):
++def g2(x):
+'''
+
+
+def test_diff_keeps_the_mutants_whose_label_is_new(tmp_path):
+    lines = mutate.changed_lines(_RENAME)["src/spinpair/mod.py"]
+    assert lines == {5}
+    module = tmp_path / "mod.py"
+    module.write_text(_MODULE.replace("def g(x):", "def g2(x):"))
+    assert list(mutate.mutants(module, lines)) == []  # g2's body spans no changed line
+    kept = [label for label, _ in mutate.mutants(module, lines, mutate.labels(_MODULE))]
+    assert kept == [label for label in _labels(module) if label.startswith("g2 ")]
+    assert len(kept) == 2
+    # A module that REV lacks has no known labels, so every mutant is kept.
+    assert [label for label, _ in mutate.mutants(module, set(), set())] == _labels(module)

@@ -6,7 +6,9 @@ process at the default SPINPAIR_PRECISION: a line that carries `# -> <stdout>` m
 exactly that line, and every other must be a command of test_cli.OUTPUTS and print that row's
 stdout. So each example's output is pinned in one place. The README names no module-level
 private name of spinpair, which may change without notice, and every function or class in
-spinpair.__all__ carries a docstring of its own, where the README's details live.
+spinpair.__all__ carries a docstring of its own, where the README's details live. Every name in
+spinpair.__all__ has a reader: it appears as a whole word in src/spinpair/cli.py, the README,
+bench/*.py or tests/test_acceptance.py, so no public name is kept that nothing uses.
 """
 
 import hashlib
@@ -22,7 +24,8 @@ from spinpair import thermo
 from spinpair.cli import main
 from test_cli import OUTPUTS
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def _blocks(language):
@@ -97,3 +100,12 @@ def test_public_names_have_their_own_docstrings():
         if callable(obj := getattr(spinpair, name)) and not obj.__doc__
     ]
     assert undocumented == []
+
+
+def test_every_public_name_has_a_reader():
+    readers = [ROOT / "src" / "spinpair" / "cli.py", ROOT / "README.md",
+               *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    texts = [path.read_text() for path in readers]
+    unread = [name for name in spinpair.__all__
+              if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
+    assert unread == []

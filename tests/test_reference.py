@@ -15,24 +15,27 @@ gap_cond = 1 + beta (|E4 - E3| + J). The J is margin: T43 itself keeps its
 digits at the E3/E4 crossing, as the line frequencies below show. The
 multiples are about four times the largest normalised errors seen on 3e3 hypothesis
 examples plus 2.5e4 random points: populations 0.27 absolute and 1.0
-relative, ratio-form C 0.21 absolute, population-form C 0.18 absolute, log
-Z 2.0 on cond. On gap_cond, which is never above cond, the gap-route
+relative, ratio-form C 0.21 absolute, population-form C 0.18 absolute. On gap_cond, which is never above cond, the gap-route
 populations reached 0.50 and C 0.25 absolute and 2.5 relative to kappa on
 2.5e4 random points of this sample; their multiples are 1, 1 and 8, so that
 no absolute bound is looser than the one it replaces. The line frequencies
 are within 8 eps of their 60-digit values relative to the gap, floored at
 2^-50 max(omega_sigma, omega_delta, J) and at the least normal float, also at
 both crossings and their float neighbours with omega_delta and J drawn over
-[1e-300, float max]. Both forms of Z are compared in log space up to
-log(float max), and must raise ArithmeticError above it.
+[1e-300, float max]; they are the |gap| that thermo._gaps forms and simulate_spectrum
+returns.
 The gap-route bounds also hold at high field, omega_delta up to 1e8 with
 omega_sigma a few J from either crossing, where a difference of two rounded
 levels keeps 8 digits: the public routes from parameters must not take one.
 The same bounds hold at omega_sigma = float max, omega_delta = 710, J = 1e308 and
 beta = 1e-310, 1e-309, where E1 - E3 = T31 passes float max and every population is
-about 1/4, for the populations and Z from parameters and for the level route; and at
+about 1/4, for the populations from parameters and for the level route; and at
 J = float max, omega_delta = 6.9e298, where T43 rounds to float max and the sum of its halves
-past it, for the populations, Z and C at beta = 0, 5e-309 and 1e-308.
+past it, for the populations and C at beta = 0, 5e-309 and 1e-308. They hold as well where
+Z = sum exp(-beta E_i) would leave float range or come near its edge, which the shifted weights
+never form: at log Z = log(float max) and one float past it, near and past it at J = 1, and on
+each set whose T31 passes float max, at beta = 1e-308 and beta = 1. Where beta times the gaps
+passes 1/eps the bound says nothing; there the populations equal the 60-digit ones exactly.
 The line amplitudes at phi = pi/2 are within 12 eps gap_cond of the sum of
 the magnitudes of their three terms (2.8 seen on 7.5e4 random points, with
 omega_delta << J and small beta gap drawn on purpose). At phi = pi/2 the
@@ -67,10 +70,8 @@ C_REL = 2.0
 GAP_P_ABS, GAP_C_ABS, GAP_C_REL = 1.0, 1.0, 8.0
 FREQ = 8.0
 C_POP_ABS = 1.0
-LOG_Z_ABS = 8.0
 AMP, AMP_PHI = 12.0, 0.5 * math.pi
 OBS, REC, C_OBS = 4.0, 4.0, 8.0
-LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _log_uniform(lo, hi):
@@ -78,21 +79,21 @@ def _log_uniform(lo, hi):
 
 
 def _mp_state(omega_sigma, omega_delta, beta, coupling=1.0):
-    """D, the levels, log Z and the populations as mpf at the working precision."""
+    """D, the levels and the populations as mpf at the working precision."""
     ws, wd, b, j = (mp.mpf(v) for v in (omega_sigma, omega_delta, beta, coupling))
     d = mp.sqrt(wd * wd + j * j)
     levels = [(ws + j / 2) / 2, (d - j / 2) / 2, -(d + j / 2) / 2, (-ws + j / 2) / 2]
     emin = min(levels)
     weights = [mp.exp(-b * (e - emin)) for e in levels]
     total = mp.fsum(weights)
-    return d, levels, -b * emin + mp.log(total), [w / total for w in weights]
+    return d, levels, [w / total for w in weights]
 
 
 def _reference(omega_sigma, omega_delta, beta):
-    """Populations, C, log Z, C's cancellation factor and |E4 - E3|, to 60 digits."""
+    """Populations, C, C's cancellation factor and |E4 - E3|, to 60 digits."""
     with mp.workdps(60):
         b, j = mp.mpf(beta), mp.mpf(1)
-        d, levels, log_z, ps = _mp_state(omega_sigma, omega_delta, beta)
+        d, levels, ps = _mp_state(omega_sigma, omega_delta, beta)
         c = abs(ps[1] - ps[2]) * (j / d) - 2 * mp.sqrt(ps[0] * ps[3])
         # C's numerator is sinh(beta D/2) sin 2theta - exp(-beta J/2).
         gain, loss = mp.sinh(b * d / 2) * j / d, mp.exp(-b * j / 2)
@@ -100,7 +101,6 @@ def _reference(omega_sigma, omega_delta, beta):
         return (
             [float(p) for p in ps],
             float(max(c, 0)),
-            float(log_z),
             float(kappa),
             float(abs(levels[3] - levels[2])),
         )
@@ -134,7 +134,8 @@ OMEGA_PAIRS = st.one_of(
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=600, database=None)
 # At J = omega_delta = 1, beta = 100 these put the exact log Z at 709.70,
-# 709.775, 709.785 and 709.85, on both sides of log(float max) = 709.78.
+# 709.775, 709.785 and 709.85, on both sides of log(float max) = 709.78,
+# which the shifted weights of the populations never form.
 @hypothesis.example(pair=(14.694, 1.0), beta=100.0)
 @hypothesis.example(pair=(14.6955, 1.0), beta=100.0)
 @hypothesis.example(pair=(14.6957, 1.0), beta=100.0)
@@ -152,7 +153,7 @@ OMEGA_PAIRS = st.one_of(
 @hypothesis.given(pair=OMEGA_PAIRS, beta=_log_uniform(1e-3, 1e3))
 def test_closed_forms_match_mpmath(pair, beta):
     omega_sigma, omega_delta = pair
-    ps_ref, c_ref, log_z_ref, kappa, t43 = _reference(omega_sigma, omega_delta, beta)
+    ps_ref, c_ref, kappa, t43 = _reference(omega_sigma, omega_delta, beta)
     params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
     tol = EPS * (1.0 + beta * (omega_sigma + params.d_coupling + 1.0))
     gap_tol = EPS * (1.0 + beta * (t43 + 1.0))
@@ -171,8 +172,6 @@ def test_closed_forms_match_mpmath(pair, beta):
     c_pop = entangle.concurrence_from_populations(pops, params.theta)
     assert abs(c_pop - c_ref) <= C_POP_ABS * tol, (c_pop, c_ref)
 
-    _check_partition(params, beta, log_z_ref, LOG_Z_ABS * tol)
-
 
 def _check_level_populations(pops, ps_ref, tol):
     for p, ref in zip(pops, ps_ref):
@@ -188,29 +187,21 @@ def _check_gap_populations(pops, ps_ref, gap_tol, tol):
         assert ref < sys.float_info.min or err <= P_REL * tol * ref, (p, ref)
 
 
-def _check_partition(params, beta, log_z_ref, bound):
-    """Z in log space. partition_for_params returns Z while the exact log Z is at most
-    log(float max) and raises ArithmeticError above it; within rounding of that limit
-    either outcome is correct."""
-    try:
-        z = thermo.partition_for_params(params, 1.0, beta)
-    except ArithmeticError as exc:
-        assert not isinstance(exc, OverflowError), exc
-        assert log_z_ref > LOG_FLOAT_MAX - bound, (exc, log_z_ref)
-    else:
-        assert abs(math.log(z) - log_z_ref) <= bound, (z, log_z_ref)
-
-
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @hypothesis.example(pair=(100000000.01, 99999999.99))
 @hypothesis.example(pair=(0.0, 1e-6))
 @hypothesis.given(pair=OMEGA_PAIRS)
 def test_line_frequencies_match_mpmath(pair):
     params = model.derive_from_sigma_delta(*pair, 1.0)
-    freqs = spectrum.transition_frequencies_for_params(params, 1.0)
+    freqs = _frequencies(params)
     lines = spectrum.simulate_spectrum(params, 1.0)
-    assert [line.frequency for line in lines] == list(freqs.values())
+    assert [(line.transition, line.frequency) for line in lines] == list(freqs.items())
     _check_frequencies(freqs, *pair)
+
+
+def _frequencies(params):
+    """{line: |E_outer - E_inner|} from thermo._gaps, the frequencies of simulate_spectrum."""
+    return {name: abs(gap) for name, gap in zip(spectrum.TRANSITIONS, thermo._gaps(params))}
 
 
 def _check_frequencies(freqs, omega_sigma, omega_delta, coupling=1.0):
@@ -250,7 +241,7 @@ _FULL = _log_uniform(1e-300, sys.float_info.max)
 def test_line_frequencies_match_mpmath_at_both_crossings(point):
     params = model.derive_from_sigma_delta(*point)
     try:
-        freqs = spectrum.transition_frequencies_for_params(params, params.coupling)
+        freqs = _frequencies(params)
     except ArithmeticError as exc:
         assert "T31" in str(exc), exc
         with mp.workdps(60):
@@ -285,18 +276,16 @@ def test_high_field_state_matches_mpmath():
     # only the digits below 1e-16 omega_delta: 8 of them at omega_delta = 1e8. The
     # routes from parameters take the gaps themselves and must meet the gap-route bounds.
     for omega_sigma, omega_delta, beta in _high_field_points():
-        ps_ref, _, log_z_ref, _, t43 = _reference(omega_sigma, omega_delta, beta)
+        ps_ref, _, _, t43 = _reference(omega_sigma, omega_delta, beta)
         params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
         tol = EPS * (1.0 + beta * (omega_sigma + params.d_coupling + 1.0))
         gap_tol = EPS * (1.0 + beta * (t43 + 1.0))
         _check_gap_populations(thermo.populations_for_params(params, 1.0, beta), ps_ref, gap_tol,
                                tol)
-        _check_partition(params, beta, log_z_ref, LOG_Z_ABS * tol)
-        _check_frequencies(spectrum.transition_frequencies_for_params(params, 1.0), omega_sigma,
-                           omega_delta)
+        _check_frequencies(_frequencies(params), omega_sigma, omega_delta)
     # The 60-digit values at _HIGH_FIELD.
     params = model.derive_from_sigma_delta(*_HIGH_FIELD[:2], 1.0)
-    freqs = spectrum.transition_frequencies_for_params(params, 1.0)
+    freqs = _frequencies(params)
     assert math.isclose(freqs["T43"], 0.2499999975, rel_tol=1e-15)
     assert math.isclose(freqs["T21"], 1.2499999975, rel_tol=1e-15)
     p3 = thermo.populations_for_params(params, 1.0, _HIGH_FIELD[2]).p3
@@ -307,7 +296,6 @@ def test_high_field_state_matches_mpmath():
 # beta = 1e-310 every population is about 1/4. The 60-digit state there.
 _PAST_MAX = (sys.float_info.max, 710.0, 1e308)
 _PAST_MAX_STATE = (0.247137018633898, 0.249368414632590, 0.251874608865161, 0.251619957868350)
-_PAST_MAX_Z = 4.00011815396567
 
 
 def test_state_past_float_max_matches_mpmath():
@@ -317,8 +305,8 @@ def test_state_past_float_max_matches_mpmath():
     params = model.derive_from_sigma_delta(*_PAST_MAX)
     for beta in (1e-310, 1e-309):
         with mp.workdps(60):
-            _, levels, log_z_ref, ps = _mp_state(*_PAST_MAX[:2], beta, coupling)
-            ps_ref, log_z_ref = [float(p) for p in ps], float(log_z_ref)
+            _, levels, ps = _mp_state(*_PAST_MAX[:2], beta, coupling)
+            ps_ref = [float(p) for p in ps]
             t43 = float(abs(levels[3] - levels[2]))
         tol = EPS * (1.0 + beta * (omega_sigma + params.d_coupling + coupling))
         gap_tol = EPS * (1.0 + beta * (t43 + coupling))
@@ -326,11 +314,8 @@ def test_state_past_float_max_matches_mpmath():
         _check_gap_populations(pops, ps_ref, gap_tol, tol)
         _check_level_populations(thermo.populations(thermo.energies(params, coupling), beta),
                                  ps_ref, tol)
-        z = thermo.partition_for_params(params, coupling, beta)
-        assert abs(math.log(z) - log_z_ref) <= LOG_Z_ABS * tol, (z, log_z_ref)
         if beta == 1e-310:
             assert all(math.isclose(p, w, rel_tol=1e-14) for p, w in zip(pops, _PAST_MAX_STATE))
-            assert math.isclose(z, _PAST_MAX_Z, rel_tol=1e-14), z
 
 
 # J = float max, omega_delta = 6.9e298: E4 - E3 = T43 = (J + D - omega_sigma) / 2 rounds to float max,
@@ -340,35 +325,64 @@ _T43_AT_MAX = (1.716325371635124e150, 6.915936136574687e298, sys.float_info.max)
 
 
 def test_state_where_t43_rounds_to_float_max_matches_mpmath():
-    # T43 is formed from halves: the populations, Z and C meet their bounds at each beta, and
+    # T43 is formed from halves: the populations and C meet their bounds at each beta, and
     # the line frequencies give T43 as float max.
     omega_sigma, omega_delta, coupling = _T43_AT_MAX
     params = model.derive_from_sigma_delta(*_T43_AT_MAX)
     for beta in (0.0, 5e-309, 1e-308):
         with mp.workdps(60):
-            d, levels, log_z_ref, ps = _mp_state(*_T43_AT_MAX[:2], beta, coupling)
+            d, levels, ps = _mp_state(*_T43_AT_MAX[:2], beta, coupling)
             c_ref = float(max(abs(ps[1] - ps[2]) * (coupling / d) - 2 * mp.sqrt(ps[0] * ps[3]), 0))
-            ps_ref, log_z_ref = [float(p) for p in ps], float(log_z_ref)
+            ps_ref = [float(p) for p in ps]
             # T43 + J and omega_sigma + D + J pass float max: the bounds are formed here.
             b, j = mp.mpf(beta), mp.mpf(coupling)
             tol = float(EPS * (1 + b * (mp.mpf(omega_sigma) + d + j)))
             gap_tol = float(EPS * (1 + b * (abs(levels[3] - levels[2]) + j)))
         _check_gap_populations(thermo.populations_for_params(params, coupling, beta), ps_ref,
                                gap_tol, tol)
-        z = thermo.partition_for_params(params, coupling, beta)
-        assert abs(math.log(z) - log_z_ref) <= LOG_Z_ABS * tol, (z, log_z_ref)
         c = entangle.concurrence_for_params(params, coupling, beta)
         assert abs(c - c_ref) <= GAP_C_ABS * gap_tol, (beta, c, c_ref)
-    assert thermo.partition_for_params(params, coupling, 0.0) == 4.0
     assert math.isclose(c, 0.335967904885, rel_tol=1e-11), c
-    freqs = spectrum.transition_frequencies_for_params(params, coupling)
+    freqs = _frequencies(params)
     assert freqs["T43"] == sys.float_info.max, freqs
+
+
+# (omega_sigma, omega_delta, J, beta) where Z leaves float range or comes near its edge: log Z =
+# -beta E3 = log(float max) and the float after it at omega_sigma = J = 0, D = 2; Z near float max
+# at omega_sigma = 14.4 and 14.69, J = omega_delta = 1, beta = 100, past it at 14.8, and at
+# omega_sigma = J = 1e10, beta = 1e300; and each set whose T31 = (omega_sigma + D + J) / 2 passes
+# float max, where Z is about exp(0.9e308) at beta = 1.
+_T31_PAST_MAX = [(1e300, 1e300, sys.float_info.max), (1.7e308, 3e307, 1e308),
+                 *((sys.float_info.max, wd, 1e308) for wd in (0.0, 1e308, 1.3e308)),
+                 (1.7e308, 1e300, 1.7e308)]
+_Z_PAST_FLOAT_RANGE = [
+    (0.0, 2.0, 0.0, 709.782712893384), (0.0, 2.0, 0.0, math.nextafter(709.782712893384, math.inf)),
+    (14.4, 1.0, 1.0, 100.0), (14.69, 1.0, 1.0, 100.0), (14.8, 1.0, 1.0, 100.0),
+    (1e10, 1.0, 1e10, 1e300),
+    *((*point, beta) for point in _T31_PAST_MAX for beta in (1e-308, 1.0)),
+]
+
+
+@pytest.mark.parametrize("omega_sigma, omega_delta, coupling, beta", _Z_PAST_FLOAT_RANGE)
+def test_populations_where_z_leaves_float_range_match_mpmath(omega_sigma, omega_delta, coupling,
+                                                              beta):
+    params = model.derive_from_sigma_delta(omega_sigma, omega_delta, coupling)
+    with mp.workdps(60):
+        d, levels, ps = _mp_state(omega_sigma, omega_delta, beta, coupling)
+        ps_ref = [float(p) for p in ps]
+        b, j = mp.mpf(beta), mp.mpf(coupling)
+        tol = float(EPS * (1 + b * (mp.mpf(omega_sigma) + d + j)))
+        gap_tol = float(EPS * (1 + b * (abs(levels[3] - levels[2]) + j)))
+    pops = thermo.populations_for_params(params, coupling, beta)
+    _check_gap_populations(pops, ps_ref, gap_tol, tol)
+    if gap_tol >= 1.0:
+        assert pops.probs == tuple(ps_ref), (pops, ps_ref)
 
 
 def _amplitude_reference(omega_sigma, omega_delta, beta):
     """Each line's amplitude at phi = pi/2 and the sum of its three terms' magnitudes."""
     with mp.workdps(60):
-        d, _, _, p = _mp_state(omega_sigma, omega_delta, beta)
+        d, _, p = _mp_state(omega_sigma, omega_delta, beta)
         c, s = mp.mpf(omega_delta) / d, 1 / d
         sp2 = mp.sin(mp.mpf(AMP_PHI) / 2) ** 2
         pre = -mp.sin(mp.mpf(AMP_PHI)) / 2
@@ -535,7 +549,7 @@ def test_subnormal_concurrence_is_resolved():
         (3.507696550576163, 0.363465299581727, 0.0009895177440392843),
     ):
         beta = 1.0 / tau
-        _, c_ref, _, _, _ = _reference(omega_sigma, omega_delta, beta)
+        _, c_ref, _, _ = _reference(omega_sigma, omega_delta, beta)
         params = model.derive_from_sigma_delta(omega_sigma, omega_delta, 1.0)
         c = entangle.concurrence_for_params(params, 1.0, beta)
         assert 0.0 < c_ref < sys.float_info.min

@@ -58,9 +58,9 @@ def test_library_draws_are_seeded_and_replay_the_same():
         assert {math.nextafter(t21_crossing, 0.0), t21_crossing} <= set(sigmas)
     outcomes = replay.run_draws(draws[:20])
     assert replay.differing_draws(outcomes, replay.run_draws(draws[:20])) == []
-    # Each point's _gaps, _ground, and populations, Z, C and the oracle's C at beta and at
+    # Each point's _gaps, _ground, and populations, C and the oracle's C at beta and at
     # beta = inf, then the oracle's C of the draw's dense state.
-    assert all(len(o) == 10 * len(d[3]) + 1 for o, d in zip(outcomes, draws)
+    assert all(len(o) == 8 * len(d[3]) + 1 for o, d in zip(outcomes, draws)
                if "Error" not in str(o))
     changed = [*outcomes[:3], outcomes[3][:5] + ["ArithmeticError: x"] + outcomes[3][6:]]
     assert replay.differing_draws(outcomes[:4], changed) == [3]
@@ -84,4 +84,4 @@ def test_library_draws_carry_the_oracle_on_both_paths():
     assert all(0.0 <= c <= 1.0 for c in dense) and any(c > 0.0 for c in dense)
     # At a thermal point the oracle's C at beta and at beta = inf follows the closed form's.
     (o,) = replay.run_draws([[1.0, 1.0, 2.0, [0.5], None]])
-    assert len(o) == 10 and all(abs(float(o[k]) - float(o[k - 1])) <= 1e-12 for k in (5, 9))
+    assert len(o) == 8 and all(abs(float(o[k]) - float(o[k - 1])) <= 1e-12 for k in (4, 7))

@@ -25,6 +25,11 @@ def _amps(p, theta, phi):
     return spectrum.transition_amplitudes(p, theta, phi)
 
 
+def _frequencies(params):
+    """{line: frequency} in the order of simulate_spectrum's lines."""
+    return {line.transition: line.frequency for line in spectrum.simulate_spectrum(params, 1.0)}
+
+
 # Special-case amplitude tables for comparison against the general
 # formulas: pure third level, equal mixture of the two lowest levels at
 # the crossing, and pure fourth level.
@@ -150,7 +155,7 @@ def test_line_table_matches_hand_expanded_lines():
         assert list(amps) == list(spectrum.TRANSITIONS)
         assert _hex(amps) == _hex(_reference_amplitudes(pops, theta, phi))
         # Each line is the level difference its name gives, to the levels' rounding.
-        freqs = spectrum.transition_frequencies_for_params(params, params.coupling)
+        freqs = _frequencies(params)
         assert list(freqs) == list(spectrum.TRANSITIONS)
         want = _reference_frequencies(thermo.energies(params, params.coupling))
         atol = 1e-13 * (params.omega_sigma + params.omega_delta + params.coupling)
@@ -165,7 +170,7 @@ def test_frequency_identities():
         w1 = w2 + rng.uniform(0.0, 5.0)
         j = rng.uniform(0.0, 5.0)
         params = model.derive(model.SpinSystem(w1, w2, j))
-        freqs = spectrum.transition_frequencies_for_params(params, j)
+        freqs = _frequencies(params)
         scale = max(1.0, params.omega_sigma + params.d_coupling + j)
         assert abs(abs(freqs["T42"] - freqs["T21"]) - (params.d_coupling - j)) <= 1e-12 * scale
         assert abs(abs(freqs["T42"] - freqs["T31"]) - j) <= 1e-12 * scale
@@ -173,7 +178,7 @@ def test_frequency_identities():
 
 def test_frequencies_homonuclear_low_field():
     # inner lines coincide, outer lines sit 2J apart
-    freqs = spectrum.transition_frequencies_for_params(_params(4.0, 0.0), 1.0)
+    freqs = _frequencies(_params(4.0, 0.0))
     assert freqs["T42"] - freqs["T21"] == 0.0
     assert math.isclose(freqs["T31"] - freqs["T43"], 2.0, rel_tol=1e-14)
 
@@ -231,7 +236,11 @@ def test_special_population_reductions(pops, reduced):
 
 
 def _roofs(theta):
-    return spectrum._roofs(math.cos(2.0 * theta), math.sin(2.0 * theta))
+    """(1 + sin 2theta, 1 - sin 2theta): the T42 and T43 amplitudes of a pure E4 state at
+    phi = pi/2 over their pulse factor -sin(phi) cos^2(phi / 2) / 2."""
+    amps = _amps((0.0, 0.0, 0.0, 1.0), theta, math.pi / 2)
+    scale = -0.5 * math.cos(math.pi / 4) ** 2
+    return amps["T42"] / scale, amps["T43"] / scale
 
 
 def test_roofing_intensities():
@@ -339,6 +348,6 @@ def test_render_extreme_linewidths():
     ],
 )
 def test_line_frequencies_keep_the_small_gaps(omega_sigma, omega_delta, want):
-    got = spectrum.transition_frequencies_for_params(_params(omega_sigma, omega_delta), 1.0)
+    got = _frequencies(_params(omega_sigma, omega_delta))
     for name, value in want.items():
         assert math.isclose(got[name], value, rel_tol=1e-12), (name, got[name], value)

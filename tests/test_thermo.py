@@ -1,4 +1,4 @@
-"""Levels, partition function, populations and the X-shaped state.
+"""Levels, populations and the X-shaped state.
 
 The zero-temperature ground set decided on the gap offsets is the one the levels give, around
 the crossing and 3 ulps or more from the tolerance edge (within 2 ulps the two roundings can
@@ -7,8 +7,9 @@ the C of _ground's set, bit for bit, from the subnormal corner to float max; _gr
 on its tolerance edges to the bit. No result depends on the unit: (omega_sigma, omega_delta, J)
 scaled by 2^k and beta by 2^-k, for k from -40 to 60, give bit-identical C, populations, ground
 sets, line amplitudes and tau_t, and gaps scaled exactly, at beta = inf too.
-partition_for_params gives exactly 4, and populations_for_params exactly 1/4 each, at beta = 0
-on ordinary, zero and float-max parameters and on every set whose T31 passes float max; at
+The populations are exp(-beta E_i) / Z with the closed-form Z of the thermo docstring, at
+beta = 0 and at finite beta. populations_for_params gives exactly 1/4 each at beta = 0 on
+ordinary, zero and float-max parameters and on every set whose T31 passes float max; at
 beta > 0 there the weights stay finite and the populations sum to 1. On random offsets away from
 subnormals the weights of the halves are exp(-beta (o - min o)) bit for bit.
 """
@@ -60,47 +61,46 @@ def test_e2_minus_e3_is_d():
         assert levels.e2 >= levels.e3
 
 
-def test_partition_infinite_temperature():
-    assert thermo.partition_for_params(_params(2.0, 1.0), 1.0, 0.0) == 4.0
+def _closed_form_populations(params, beta):
+    """exp(-beta E_i) / Z with Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2)
+    + cosh(beta D/2)]."""
+    j = params.coupling
+    z = 2.0 * math.exp(0.25 * beta * j) * (
+        math.exp(-0.5 * beta * j) * math.cosh(0.5 * beta * params.omega_sigma)
+        + math.cosh(0.5 * beta * params.d_coupling)
+    )
+    return [math.exp(-beta * e) / z for e in thermo.energies(params, j)]
 
 
-def test_partition_homonuclear_zero_field():
-    # beta J = ln 3 at omega = 0: direct sum over the four levels
-    beta = math.log(3.0)
-    z = thermo.partition_for_params(_params(0.0, 0.0, 1.0), 1.0, beta)
-    expected = 3.0 * 3.0 ** (-0.25) + 3.0**0.75
-    assert math.isclose(z, expected, rel_tol=1e-12)
+def test_populations_homonuclear_zero_field():
+    # beta J = ln 3 at omega = 0: each triplet weight is 3^(-1/4) and the singlet's 3^(3/4), so
+    # Z = 2 3^(3/4) and the populations are 1/6 and 1/2.
+    pops = thermo.populations_for_params(_params(0.0, 0.0, 1.0), 1.0, math.log(3.0))
+    for p, want in zip(pops, (1 / 6, 1 / 6, 1 / 2, 1 / 6)):
+        assert math.isclose(p, want, rel_tol=1e-12)
 
 
-def test_partition_matches_closed_form():
-    # Z = 2 exp(beta J/4) [exp(-beta J/2) cosh(beta omega_sigma/2) + cosh(beta D/2)]
+def test_populations_match_closed_form_z():
+    # At beta = 0, where Z = 4, and at a beta drawn in [0, 20].
     rng = np.random.default_rng(3)
     for _ in range(500):
         ws, wd, j = rng.uniform(0, 5, size=3)
         beta = rng.uniform(0.0, 20.0)
         params = _params(ws, wd, j)
-        z_sum = thermo.partition_for_params(params, j, beta)
-        z_closed = 2.0 * math.exp(0.25 * beta * j) * (
-            math.exp(-0.5 * beta * j) * math.cosh(0.5 * beta * ws)
-            + math.cosh(0.5 * beta * params.d_coupling)
-        )
-        assert math.isclose(z_sum, z_closed, rel_tol=1e-12)
+        for b in (0.0, beta):
+            pops = thermo.populations_for_params(params, j, b)
+            for p, want in zip(pops, _closed_form_populations(params, b)):
+                assert math.isclose(p, want, rel_tol=1e-12), (params, b)
 
 
-def test_partition_ground_state_dominance():
-    # E3 lies 0.56 below E4, and further below E1 and E2: Z = exp(-beta E3) (1 + 5e-25).
+def test_populations_ground_state_dominance():
+    # E3 lies 0.56 below E4, and further below E1 and E2: Z = exp(-beta E3) (1 + 5e-25), so p3
+    # rounds to 1 and the others are exp(-beta (E_i - E3)).
     params = _params(1.0, 0.5)
-    z = thermo.partition_for_params(params, 1.0, 100.0)
-    assert math.isclose(math.log(z), -100.0 * thermo.energies(params, 1.0).e3, rel_tol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "omega_sigma,z", [(14.4, 6.833841829578011e301), (14.69, 1.3549863193146328e308)]
-)
-def test_partition_near_float_max(omega_sigma, z):
-    # J = omega_delta = 1, beta = 100: Z is finite just below float max.
-    params = _params(omega_sigma, 1.0)
-    assert thermo.partition_for_params(params, 1.0, 100.0) == z
+    pops = thermo.populations_for_params(params, 1.0, 100.0)
+    assert pops.p3 == 1.0
+    for p, want in zip(pops, _closed_form_populations(params, 100.0)):
+        assert math.isclose(p, want, rel_tol=1e-12)
 
 
 def test_levels_stay_finite_near_float_max():
@@ -130,9 +130,9 @@ def test_populations_zero_temperature_unique_ground():
     levels = thermo.energies(params, 1.0)
     pops = thermo.populations(levels, math.inf)
     assert pops.probs == (0.0, 0.0, 1.0, 0.0)
-    # Z exp(beta E_min) tends to the ground-state multiplicity
-    z_shifted = thermo.partition_for_params(params, 1.0, 200.0) * math.exp(200.0 * levels.e3)
-    assert math.isclose(z_shifted, 1.0, rel_tol=1e-12)
+    # 1 / p3 = Z exp(beta E3) tends to the ground-state multiplicity
+    p3 = thermo.populations_for_params(params, 1.0, 200.0).p3
+    assert math.isclose(1.0 / p3, 1.0, rel_tol=1e-12)
 
 
 def test_populations_zero_temperature_degenerate_pair():
@@ -141,8 +141,8 @@ def test_populations_zero_temperature_degenerate_pair():
     levels = thermo.energies(params, 1.0)
     pops = thermo.populations(levels, math.inf)
     assert pops.probs == (0.0, 0.0, 0.5, 0.5)
-    z_shifted = thermo.partition_for_params(params, 1.0, 200.0) * math.exp(200.0 * levels.e3)
-    assert math.isclose(z_shifted, 2.0, rel_tol=1e-12)
+    p3 = thermo.populations_for_params(params, 1.0, 200.0).p3
+    assert math.isclose(1.0 / p3, 2.0, rel_tol=1e-12)
 
 
 def test_degeneracy_scale_is_the_largest_level_magnitude():
@@ -281,7 +281,6 @@ def test_populations_at_beta_zero_are_uniform_past_float_range():
                 *(_params(big, wd, 1e308) for wd in (0.0, 710.0, 1e308, 1.3e308)),
                 _params(1.0, 0.5), _params(0.0, 0.0, 0.0), _params(big, big), _params(5e-324, 0.0)]
     for p in extremes:
-        assert thermo.partition_for_params(p, p.coupling, 0.0) == 4.0, p
         assert thermo.populations_for_params(p, p.coupling, 0.0).probs == (0.25,) * 4, p
         for beta in (5e-324, 1e-310, 1e-300, 1.0, 1e300):
             weights = thermo._shifted_weights(thermo._half_offsets(p, p.omega_sigma), beta)

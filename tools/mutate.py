@@ -25,7 +25,9 @@ runs outside the test suite:
 
 where --match picks the mutants whose label holds TEXT, thermo: for one module, and
 --diff keeps only the mutants whose mutated node spans a line that
-`git diff -U0 REV -- src/spinpair` adds or changes: --diff HEAD for an uncommitted change.
+`git diff -U0 REV -- src/spinpair` adds or changes, or whose label is not among the labels of
+the module's copy at REV (all of them for a module that REV lacks), so that renaming a function
+keeps the mutants of its body: --diff HEAD for an uncommitted change.
 """
 
 from __future__ import annotations
@@ -94,13 +96,27 @@ def _get(node, field, index):
     return getattr(node, field) if index is None else getattr(node, field)[index]
 
 
-def mutants(path: Path, lines: set[int] | None = None):
+def labels(source: str) -> set[str]:
+    """The label of every single change the mutant set of a module's source holds."""
+    return {label for *_, label in _sites(ast.parse(source))}
+
+
+def labels_at(rev: str, name: str) -> set[str]:
+    """labels of src/spinpair/name as git holds it at rev; none where rev has no such module."""
+    shown = subprocess.run(["git", "show", f"{rev}:src/spinpair/{name}"], cwd=ROOT,
+                           capture_output=True, text=True)
+    return labels(shown.stdout) if shown.returncode == 0 else set()
+
+
+def mutants(path: Path, lines: set[int] | None = None, known: set[str] | None = None):
     """(label, mutated source) of each distinct mutant of one module; none that leaves it as is.
-    Given lines, only the mutants whose mutated node spans one of those line numbers."""
+    Given lines, only the mutants whose mutated node spans one of those line numbers, or whose
+    label is not in known, where known is given too."""
     tree = ast.parse(path.read_text())
     seen = {ast.unparse(tree)}  # 5e-324 * (1 + 2**-20) is 5e-324
     for node, field, index, new, label in list(_sites(tree)):
-        if lines is not None and lines.isdisjoint(range(node.lineno, node.end_lineno + 1)):
+        if (lines is not None and lines.isdisjoint(range(node.lineno, node.end_lineno + 1))
+                and (known is None or label in known)):
             continue
         old = _get(node, field, index)
         _put(node, field, index, new)
@@ -137,7 +153,8 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true", help="print the mutants, run none")
     parser.add_argument("--match", default="", help="only mutants whose label contains this")
     parser.add_argument("--diff", metavar="REV",
-                        help="only mutants on the lines that git diff -U0 REV adds or changes")
+                        help="only mutants on the lines that git diff -U0 REV adds or changes, "
+                             "or whose label REV's copy of the module lacks")
     args = parser.parse_args(argv)
     package = ROOT / "src" / "spinpair"
     changed = None
@@ -162,8 +179,11 @@ def main(argv=None) -> int:
         for path in sorted(package.glob("*.py")):
             target = Path(tmp) / "src" / "spinpair" / path.name
             killed = count = 0
-            lines = None if changed is None else changed.get(f"src/spinpair/{path.name}", set())
-            for label, source in mutants(path, lines):
+            lines = known = None
+            if changed is not None:
+                lines = changed.get(f"src/spinpair/{path.name}", set())
+                known = labels_at(args.diff, path.name)
+            for label, source in mutants(path, lines, known):
                 if args.match not in f"{path.stem}:{label}":
                     continue
                 count += 1

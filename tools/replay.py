@@ -10,8 +10,8 @@ argv lists. Each tree runs all of them through cli.main in process, in a subproc
 with its own src/ first on sys.path, at the default SPINPAIR_PRECISION. The library draws reach
 what the CLI cannot, since it fixes J = 1: library_draws lists them. Each draw's points run
 through thermo._gaps and thermo._ground, and through populations_for_params,
-partition_for_params, concurrence_for_params and the oracle's wootters_concurrence of the
-thermal state at its beta and at beta = inf, in the same subprocess; the first DENSE draws also
+concurrence_for_params and the oracle's wootters_concurrence of the thermal state at its beta
+and at beta = inf, in the same subprocess; the first DENSE draws also
 carry one dense state, for the oracle's other path. The first line printed is "N of 3,645
 replayed ops differ from <base>", the second "M of 10,000 library draws differ from <base>"; the
 argv, exit codes and first differing output line of the first few differing ops, and the first
@@ -141,8 +141,8 @@ def run_draws(draws: list[list]) -> list[list[str]]:
                 continue
             outcomes += [_outcome(thermo._gaps, params), _outcome(thermo._ground, params, ws)]
             outcomes += [_outcome(f, params, j, b) for b in (beta, math.inf)
-                         for f in (thermo.populations_for_params, thermo.partition_for_params,
-                                   entangle.concurrence_for_params, _thermal_oracle)]
+                         for f in (thermo.populations_for_params, entangle.concurrence_for_params,
+                                   _thermal_oracle)]
         if dense is not None:
             rho = [[complex(re, im) for re, im in row] for row in dense]
             outcomes.append(_outcome(oracle.wootters_concurrence, rho))
